@@ -105,12 +105,16 @@ def _pairs(n: int):
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def project_constraints(A, d_max: float, tol: float = 1e-7, max_sweeps: int = 500):
+def project_constraints(A, d_max: float, tol: float = 1e-7, max_iters: int = 100):
     """Nearest matrix with entries in [0,1], zero diagonal, row sums d_max.
 
-    Dykstra alternating projections in edge space between the box and the
-    row-sum affine subspace. The returned matrix is exactly inside the box
-    with row sums within tol of d_max.
+    The projection of the pair vector a onto {x in [0,1]^E : M x = d_max}
+    (M the node-pair incidence) is x(lam) = clip(a - lam_i - lam_j, 0, 1)
+    at the maximizer lam of the concave dual, whose gradient is the row-sum
+    residual M x(lam) - d_max. Semismooth Newton steps with a backtracking
+    line search find lam; the set is nonempty (d_max/(n-1) off the diagonal
+    is feasible), so the iteration ends when the residual is at most tol.
+    The returned matrix is exactly inside the box.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -125,38 +129,53 @@ def project_constraints(A, d_max: float, tol: float = 1e-7, max_sweeps: int = 50
     A = (A + A.T) / 2.0
     if n == 1:
         return np.zeros((1, 1))
-    pairs = _pairs(n)
-    E = len(pairs)
-    x = np.array([A[i, j] for i, j in pairs])
-    # Incidence map M (n x E): row sums of the matrix = M @ pair vector.
-    M = np.zeros((n, E))
-    for e, (i, j) in enumerate(pairs):
-        M[i, e] = 1.0
-        M[j, e] = 1.0
-    P = M.T @ np.linalg.pinv(M @ M.T)
-    target = np.full(n, d_max)
-    p = np.zeros(E)
-    q = np.zeros(E)
-    best_y, best_viol = None, np.inf
-    for _ in range(int(max_sweeps)):
-        y = np.clip(x + p, 0.0, 1.0)
-        p = x + p - y
-        viol = float(np.max(np.abs(M @ y - target)))
-        if viol < best_viol:
-            best_y, best_viol = y, viol
+    ii, jj = np.triu_indices(n, k=1)
+    a = A[ii, jj]
+
+    def state(lam):
+        x = np.clip(a - lam[ii] - lam[jj], 0.0, 1.0)
+        resid = np.bincount(ii, x, n) + np.bincount(jj, x, n) - d_max
+        dual = 0.5 * float((x - a) @ (x - a)) + float(lam @ resid)
+        return x, resid, dual
+
+    lam = np.zeros(n)
+    x, resid, dual = state(lam)
+    viol = float(np.max(np.abs(resid)))
+    for _ in range(int(max_iters)):
         if viol <= tol:
             break
-        z = y + q
-        x = z - P @ (M @ z - target)
-        q = z - x
-    if best_viol > 1e-6:
+        # Generalized Hessian of the dual: M D M' over the unclipped pairs,
+        # damped by the residual size so the step stays defined.
+        z = a - lam[ii] - lam[jj]
+        f = (z > 0.0) & (z < 1.0)
+        H = np.zeros((n, n))
+        np.add.at(H, (ii[f], jj[f]), 1.0)
+        H = H + H.T
+        H[np.diag_indices(n)] += (
+            np.bincount(ii[f], minlength=n) + np.bincount(jj[f], minlength=n) + min(1.0, viol)
+        )
+        step = np.linalg.solve(H, resid)
+        slope = float(resid @ step)
+        t = 1.0
+        for _ in range(60):
+            cand = state(lam + t * step)
+            if cand[2] >= dual + 1e-4 * t * slope:
+                break
+            t /= 2.0
+        else:
+            break
+        lam = lam + t * step
+        x, resid, dual = cand
+        viol = float(np.max(np.abs(resid)))
+    if viol > tol:
         raise ValueError(
-            f"constraint projection did not converge (violation {best_viol:.3e}); "
-            "the constraint set may be empty"
+            f"constraint projection did not converge (row-sum violation {viol:.3e} "
+            f"after {int(max_iters)} Newton steps); the constraint set is not empty, "
+            "so the input is numerically extreme"
         )
     out = np.zeros((n, n))
-    for e, (i, j) in enumerate(pairs):
-        out[i, j] = out[j, i] = best_y[e]
+    out[ii, jj] = x
+    out[jj, ii] = x
     return out
 
 

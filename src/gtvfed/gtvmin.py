@@ -1,8 +1,14 @@
-"""Networked regularized least squares: assembly, direct solve, and bounds.
+"""Networked regularized least squares: the oracle solve, assembly, and bounds.
 
 The problem couples per-node losses through a graph total-variation penalty:
 
     min over blocks w_1..w_n of  sum_i L_i(w_i) + alpha * GTV(w).
+
+For quadratic losses the objective is w'Qw + q'w + c with
+Q = blockdiag(Q_i) + alpha * kron(L, I_d). The oracle (solve_direct) never
+forms Q: it runs block-Jacobi preconditioned conjugate gradients on the
+product W -> Q W, which costs O(n d^2 + |E| d). assemble() keeps the dense
+Q as the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -10,13 +16,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from gtvfed import graph as graphmod
 from gtvfed.graph import EmpGraph, GraphError, degrees, gtv_value, laplacian, spectrum
 from gtvfed.localmodel import CallableLoss, QuadLoss
 
 SINGULAR_TOL = 1e-10
+
+# PCG stops at this relative residual, or after CG_STALL iterations without
+# a new smallest residual.
+CG_RTOL = 1e-14
+CG_STALL = 50
 
 
 class SingularProblemError(ValueError):
@@ -97,7 +107,7 @@ class EigBounds:
 class GTVMinProblem:
     """A graph, one loss per node, a coupling strength, and a penalty kind."""
 
-    __slots__ = ("graph", "losses", "alpha", "penalty", "d", "_nbr", "_deg")
+    __slots__ = ("graph", "losses", "alpha", "penalty", "d", "_nbr", "_deg", "_quad")
 
     def __init__(self, graph: EmpGraph, losses, alpha: float, penalty: str = "sq_norm", d=None):
         if penalty not in graphmod.PENALTIES:
@@ -126,6 +136,7 @@ class GTVMinProblem:
         self.d = dims.pop()
         self._nbr = tuple(graph.neighbor_arrays(i) for i in range(graph.n))
         self._deg = np.array([w.sum() for _, w in self._nbr])
+        self._quad = None
 
     @property
     def n(self) -> int:
@@ -245,31 +256,181 @@ def assemble(p: GTVMinProblem):
     return Q, q, c
 
 
-def solve_direct(p: GTVMinProblem) -> StackedParams:
-    """Unique minimizer of the assembled quadratic via Cholesky.
+class QuadOperator:
+    """The assembled Q of a quadratic problem, applied without forming it.
 
-    Raises SingularProblemError when the quadratic is not positive definite
-    (for example, a disconnected graph with underdetermined components).
+    Q acts on (n, d) blocks as W -> Q_i W_i + alpha sum_j A_ij (W_i - W_j).
+    The coupling is summed from edge differences, so near consensus (stiff
+    alpha) its rounding scales with |W_i - W_j|, not with |W|. One operator
+    serves every solve with the same local Q_i (only the linear terms may
+    change) and caches its extreme eigenvalues. Get it through
+    quad_operator(p), which builds it once per problem.
     """
-    Q, q, _ = assemble(p)
-    lam1 = float(np.linalg.eigvalsh(Q)[0])
-    if lam1 <= SINGULAR_TOL:
-        raise SingularProblemError(
-            f"assembled quadratic is singular or nearly so (lambda_min = {lam1:.3e}); "
-            "the minimizer is not unique"
+
+    def __init__(self, p: GTVMinProblem):
+        if p.penalty != "sq_norm":
+            raise ValueError("only the sq_norm penalty gives a quadratic problem")
+        if not p.is_quadratic():
+            raise ValueError("the quadratic operator requires quadratic losses at every node")
+        import scipy.sparse
+
+        n, d = p.n, p.d
+        self.n, self.d, self.alpha = n, d, p.alpha
+        self.graph = p.graph
+        self.Qs = np.stack([loss.Q for loss in p.losses])
+        self.deg = p._deg
+        ii, jj, self.weights = p.graph.edge_arrays()
+        self.ends = (ii, jj)
+        # Signed node-edge incidence: column e is +1 at ii[e] and -1 at jj[e].
+        E = ii.shape[0]
+        self.incidence = scipy.sparse.csr_array(
+            (np.repeat([1.0, -1.0], E), (np.concatenate([ii, jj]), np.tile(np.arange(E), 2))),
+            shape=(n, E),
         )
-    rhs = -q / 2.0
-    cho = scipy.linalg.cho_factor(Q, lower=True)
-    x = scipy.linalg.cho_solve(cho, rhs)
-    # One refinement pass keeps the residual tiny even for stiff couplings.
-    x = x + scipy.linalg.cho_solve(cho, rhs - Q @ x)
-    resid = float(np.max(np.abs(2.0 * (Q @ x) + q)))
-    if resid > 1e-8 * max(1.0, float(np.max(np.abs(rhs)))):
-        raise SingularProblemError(
-            f"direct solve residual {resid:.3e} is too large; "
-            "the quadratic is badly conditioned"
-        )
-    return StackedParams(x.reshape(p.n, p.d))
+        self._pre = None
+        self._eigs = None
+
+    def apply(self, W) -> np.ndarray:
+        """Q W for an (n, d) block array."""
+        out = np.einsum("nij,nj->ni", self.Qs, W)
+        if self.alpha != 0.0:
+            ii, jj = self.ends
+            flux = self.weights[:, None] * (W[ii] - W[jj])
+            out += self.alpha * (self.incidence @ flux)
+        return out
+
+    def _preconditioner(self) -> np.ndarray:
+        """Inverse diagonal blocks (Q_i + alpha d_i I)^-1, once uniqueness holds.
+
+        Q is positive definite exactly when every Q_i is positive
+        semidefinite and, on each connected component C (each node alone
+        when alpha = 0), sum_{i in C} Q_i is positive definite: a null vector
+        of Q must be constant on components and annihilated by those sums.
+        """
+        if self._pre is None:
+            lam = np.linalg.eigvalsh(self.Qs)[:, 0]
+            worst = int(np.argmin(lam))
+            if lam[worst] < -SINGULAR_TOL:
+                raise SingularProblemError(
+                    f"local loss {worst} is not convex (lambda_min(Q_{worst}) = "
+                    f"{lam[worst]:.3e}); the quadratic has no minimizer"
+                )
+            if self.alpha == 0.0:
+                groups = [[i] for i in range(self.n)]
+            else:
+                groups = graphmod.components(self.graph)
+                lam = np.linalg.eigvalsh(np.stack([self.Qs[c].sum(axis=0) for c in groups]))[:, 0]
+            worst = int(np.argmin(lam))
+            if lam[worst] <= SINGULAR_TOL:
+                nodes = groups[worst]
+                shown = ", ".join(map(str, nodes[:5])) + (", ..." if len(nodes) > 5 else "")
+                raise SingularProblemError(
+                    f"the local losses of the {len(nodes)}-node component {{{shown}}} sum to "
+                    f"a singular quadratic (lambda_min = {lam[worst]:.3e}); "
+                    "the minimizer is not unique"
+                )
+            blocks = self.Qs + self.alpha * self.deg[:, None, None] * np.eye(self.d)
+            self._pre = np.linalg.inv(blocks)
+        return self._pre
+
+    def solve(self, qs) -> StackedParams:
+        """Minimizer of w'Qw + q'w for the stacked linear terms qs (n, d).
+
+        Raises SingularProblemError when the minimizer is not unique or the
+        final residual |2Qw + q| exceeds 1e-8 max(1, |q/2|) or is not finite.
+        """
+        pre = self._preconditioner()
+        rhs = -np.asarray(qs, dtype=float).reshape(self.n, self.d) / 2.0
+        x = _pcg(self.apply, lambda R: np.einsum("nij,nj->ni", pre, R), rhs)
+        resid = float(np.max(np.abs(2.0 * (self.apply(x) - rhs)), initial=0.0))
+        if not resid <= 1e-8 * max(1.0, float(np.max(np.abs(rhs), initial=0.0))):
+            raise SingularProblemError(
+                f"oracle residual {resid:.3e} is too large; "
+                "the quadratic is badly conditioned or its data are not finite"
+            )
+        return StackedParams(x)
+
+    def extreme_eigenvalues(self):
+        """(lambda_min, lambda_max) of Q by Lanczos from a fixed start vector.
+
+        A 1 x 1 Q, too small for ARPACK, is read off one product.
+        """
+        if self._eigs is None:
+            size = self.n * self.d
+            if size == 1:
+                val = float(self.apply(np.ones((1, 1)))[0, 0])
+                self._eigs = (val, val)
+            else:
+                from scipy.sparse.linalg import LinearOperator, eigsh
+
+                op = LinearOperator(
+                    (size, size),
+                    matvec=lambda v: self.apply(v.reshape(self.n, self.d)).reshape(-1),
+                    dtype=float,
+                )
+                v0 = np.random.default_rng(0).standard_normal(size)
+                ends = (
+                    eigsh(op, k=1, which=which, v0=v0, tol=0.0, return_eigenvectors=False)[0]
+                    for which in ("SA", "LA")
+                )
+                self._eigs = tuple(float(v) for v in ends)
+        return self._eigs
+
+
+def _pcg(apply, precond, b) -> np.ndarray:
+    """Preconditioned conjugate gradients for Q x = b from x = 0.
+
+    Stops at relative residual CG_RTOL, after CG_STALL iterations without a
+    new smallest residual, or on a non-positive curvature step.
+    """
+    x = np.zeros_like(b)
+    bnorm = float(np.linalg.norm(b))
+    if bnorm == 0.0:
+        return x
+    r = b.copy()
+    z = precond(r)
+    s = z.copy()
+    rz = float(np.vdot(r, z))
+    best, since = bnorm, 0
+    for _ in range(20 * b.size + 100):
+        As = apply(s)
+        sAs = float(np.vdot(s, As))
+        if not sAs > 0.0:
+            break
+        step = rz / sAs
+        x += step * s
+        r -= step * As
+        rnorm = float(np.linalg.norm(r))
+        if rnorm <= CG_RTOL * bnorm:
+            break
+        if rnorm < best:
+            best, since = rnorm, 0
+        else:
+            since += 1
+            if since >= CG_STALL:
+                break
+        z = precond(r)
+        rz_next = float(np.vdot(r, z))
+        s = z + (rz_next / rz) * s
+        rz = rz_next
+    return x
+
+
+def quad_operator(p: GTVMinProblem) -> QuadOperator:
+    """The problem's QuadOperator, built on first use and kept on p."""
+    if p._quad is None:
+        p._quad = QuadOperator(p)
+    return p._quad
+
+
+def solve_direct(p: GTVMinProblem) -> StackedParams:
+    """Unique minimizer of the quadratic problem, by block-Jacobi PCG.
+
+    Raises SingularProblemError when the minimizer is not unique (a zero
+    local loss, or a component whose losses leave a direction free) or the
+    solve cannot reach a small residual. Nothing of size (nd)^2 is formed.
+    """
+    return quad_operator(p).solve(np.stack([loss.q for loss in p.losses]))
 
 
 def eig_summaries(p: GTVMinProblem) -> EigSummaries:

@@ -110,11 +110,11 @@ from gtvfed.gtvmin import (
     GTVMinProblem,
     SingularProblemError,
     StackedParams,
-    assemble,
     clustered_bound,
     eig_bounds,
     eig_summaries,
     objective as gtv_objective,
+    quad_operator,
     sensitivity_bound,
     solve_direct,
     variation_bound,
@@ -133,10 +133,6 @@ ASYNC_MODES = ("sync", "partial", "total")
 ATTACK_KINDS = ("label_poison", "feature_poison", "backdoor", "model_poison", "dos")
 DEFENSE_KINDS = ("mean", "clipped", "trimmed", "geomedian")
 DP_KINDS = ("none", "gaussian", "laplace")
-
-# Full eigendecompositions for the spectral checks are skipped above this
-# assembled dimension.
-EIG_CHECK_LIMIT = 400
 
 
 class ConfigError(ValueError):
@@ -511,6 +507,28 @@ def build_graph(cfg: ExperimentConfig) -> EmpGraph:
     )
 
 
+def _check_trim_degrees(cfg: ExperimentConfig, g: EmpGraph) -> None:
+    """Reject a trimmed defence that some aggregating node cannot apply.
+
+    Trimming trim_k values from each end needs more than 2 trim_k neighbour
+    blocks. Nodes without neighbours never aggregate, and neither does
+    FedRelax without coupling.
+    """
+    if cfg.defense.kind != "trimmed":
+        return
+    if cfg.algorithm["kind"] == "fedrelax" and cfg.algorithm["alpha"] == 0.0:
+        return
+    k = cfg.defense.trim_k
+    short = [i for i in range(g.n) if 0 < len(g.neighbors(i)) <= 2 * k]
+    if short:
+        i = short[0]
+        more = f" ({len(short) - 1} more nodes too)" if len(short) > 1 else ""
+        raise ConfigError([
+            f"defense.trim_k: node {i} has {len(g.neighbors(i))} neighbours, but "
+            f"trim_k = {k} needs more than {2 * k} at every node that aggregates{more}"
+        ])
+
+
 def gen_node_datasets(n, dim, m_min, m_max, noise, model, seed):
     """Seeded per-node linear datasets under a truth layout.
 
@@ -696,12 +714,12 @@ def _bound_checks(cfg, g, p, oracle_sp, trace, trains, meta, run_info):
         return checks
     rel = lambda b: 1e-9 * (1.0 + abs(b))
 
-    if p.n * p.d <= EIG_CHECK_LIMIT:
-        evs = np.linalg.eigvalsh(assemble(p)[0])
-        b = eig_bounds(p)
-        checks.append(_check_row("eig_upper", evs[-1], b.upper, rel(b.upper)))
-        if b.lower is not None:
-            checks.append(_check_row("eig_lower", evs[0], b.lower, rel(b.lower), lower=True))
+    quad = quad_operator(p)
+    lam_min, lam_max = quad.extreme_eigenvalues()
+    b = eig_bounds(p)
+    checks.append(_check_row("eig_upper", lam_max, b.upper, rel(b.upper)))
+    if b.lower is not None:
+        checks.append(_check_row("eig_lower", lam_min, b.lower, rel(b.lower), lower=True))
 
     synthetic = meta["model"] is not None
     clean = not cfg.attacks and cfg.dp is None
@@ -764,13 +782,13 @@ def _bound_checks(cfg, g, p, oracle_sp, trace, trains, meta, run_info):
             rng = seeds.stream(cfg.seed, "attacks", 2**20)
             perts = [0.1 * rng.standard_normal(t.m) for t in trains]
             ridge = cfg.data.get("ridge", 0.0)
-            shifted = [
-                from_dataset(LocalDataset(t.X, t.y + perts[i]), ridge)
+            # Shifted labels keep X, hence every Q_i: only the linear terms move.
+            shifted = np.stack([
+                from_dataset(LocalDataset(t.X, t.y + perts[i]), ridge).q
                 for i, t in enumerate(trains)
-            ]
-            p2 = GTVMinProblem(g, shifted, p.alpha, p.penalty)
+            ])
             try:
-                moved = solve_direct(p2)
+                moved = quad.solve(shifted)
                 bound = sensitivity_bound(p, perts)
             except (SingularProblemError, ValueError, GraphError):
                 moved = None
@@ -815,21 +833,19 @@ def _bound_checks(cfg, g, p, oracle_sp, trace, trains, meta, run_info):
         and norms
         and trace.dists
         and trace.dists[0] is not None
-        and p.n * p.d <= EIG_CHECK_LIMIT
+        and lam_min > 0.0
     ):
-        evs = np.linalg.eigvalsh(assemble(p)[0])
-        if evs[0] > 0.0:
-            kappa = contraction(run_info["eta"], float(evs[0]), float(evs[-1]))
-            if kappa < 1.0:
-                worst = None
-                for idx, k in enumerate(trace.ks):
-                    bnd = perturbed_bound(kappa, trace.dists[0], norms[:k])
-                    row = _check_row(
-                        "noisy_descent", trace.dists[idx], bnd, 1e-9 * (1.0 + bnd)
-                    )
-                    if worst is None or row["margin"] < worst["margin"]:
-                        worst = row
-                checks.append(worst)
+        kappa = contraction(run_info["eta"], lam_min, lam_max)
+        if kappa < 1.0:
+            worst = None
+            for idx, k in enumerate(trace.ks):
+                bnd = perturbed_bound(kappa, trace.dists[0], norms[:k])
+                row = _check_row(
+                    "noisy_descent", trace.dists[idx], bnd, 1e-9 * (1.0 + bnd)
+                )
+                if worst is None or row["margin"] < worst["margin"]:
+                    worst = row
+            checks.append(worst)
     return checks
 
 
@@ -869,6 +885,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     carries one row per analytic check whose preconditions held.
     """
     g = build_graph(cfg)
+    _check_trim_degrees(cfg, g)
     n = g.n
     datasets, meta = build_data(cfg, n)
     frac = cfg.split_fraction

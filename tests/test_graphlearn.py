@@ -125,6 +125,18 @@ def test_project_constraints_output_is_feasible():
         assert np.max(np.abs(out.sum(axis=1) - d_max)) <= 1e-6
 
 
+def test_degree_learner_converges_where_projection_once_stalled():
+    # Twenty random parameter vectors at d_max = 3: a feasible problem that
+    # the 500-sweep alternating projection used to give up on.
+    D = discrepancy_matrix("param", np.random.default_rng(0).standard_normal((20, 3)))
+    g = learn_graph_degree(D, 3)
+    sums = np.zeros(g.n)
+    for i, j, w in g.edges:
+        sums[i] += w
+        sums[j] += w
+    assert np.max(np.abs(sums - 3.0)) <= 1e-4
+
+
 def test_budget_learner_examples():
     g2 = learn_graph_budget(D3, 2.0)
     assert g2.edges == ((0, 1, 1.0),)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gtvfed.graph import EmpGraph, consensus_split, generate, gtv_value, is_connected
@@ -16,6 +16,7 @@ from gtvfed.gtvmin import (
     flat_loss,
     node_gradient,
     objective,
+    quad_operator,
     sensitivity_bound,
     solve_direct,
     variation_bound,
@@ -335,3 +336,116 @@ def test_scalar_mean_estimation_consensus():
     blocks = solve_direct(p).blocks[:, 0]
     spread = float(np.max(y) - np.min(y))
     assert np.max(np.abs(blocks - y.mean())) <= 1e-6 * spread
+
+
+# ------------------------------------------------ oracle against dense solve
+
+# Node data kinds: "full" pins every coordinate, "deficient" leaves the last
+# coordinate free, "empty" has no samples.
+NODE_KINDS = ("full", "deficient", "empty")
+
+
+def oracle_case(d, sizes, alpha, ridge, kinds, seed):
+    """A problem plus whether its minimizer is unique by construction.
+
+    The graph is a union of components of the given sizes (size 1 is an
+    isolated node). A component is determined when ridge > 0 or one of its
+    nodes is "full"; with alpha = 0 every node must be determined alone.
+    """
+    rng = np.random.default_rng(seed)
+    edges, groups, start = [], [], 0
+    for size in sizes:
+        nodes = list(range(start, start + size))
+        for a, b in zip(nodes, nodes[1:]):  # a spanning path keeps it connected
+            edges.append((a, b, float(rng.choice([0.5, 1.0]))))
+        for a in nodes:
+            for b in nodes:
+                if a + 1 < b and rng.random() < 0.4:
+                    edges.append((a, b, float(rng.choice([0.5, 1.0]))))
+        groups.append(nodes)
+        start += size
+    losses = []
+    for kind in kinds:
+        if kind == "empty":
+            X, y = np.zeros((0, d)), np.zeros(0)
+        else:
+            # Q = X'X/m stays near the identity, so even alpha = 1e6 leaves
+            # the dense reference accurate to about 5e-10.
+            X = np.vstack([np.sqrt(d + 2.0) * np.eye(d), 0.3 * rng.standard_normal((2, d))])
+            if kind == "deficient":
+                X[:, -1] = 0.0
+            y = rng.standard_normal(X.shape[0])
+        losses.append(from_dataset(LocalDataset(X, y), ridge=ridge))
+    if alpha == 0.0:
+        groups = [[i] for i in range(start)]
+    unique = ridge > 0.0 or all(any(kinds[i] == "full" for i in g) for g in groups)
+    return GTVMinProblem(EmpGraph(start, edges), losses, alpha, d=d), unique
+
+
+@st.composite
+def oracle_cases(draw):
+    d = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    kinds = draw(st.lists(st.sampled_from(NODE_KINDS), min_size=sum(sizes), max_size=sum(sizes)))
+    return oracle_case(
+        d,
+        sizes,
+        draw(st.sampled_from([0.0, 0.3, 1.0, 1e6])),
+        draw(st.sampled_from([0.0, 0.0, 0.5])),
+        kinds,
+        draw(st.integers(0, 2**31 - 1)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_cases())
+# isolated full node, d = 1, stiff coupling
+@example(oracle_case(1, [1, 3], 1e6, 0.0, ["full", "deficient", "full", "empty"], 1))
+# disconnected, every component determined by one full node
+@example(oracle_case(3, [3, 2], 1.0, 0.0, ["empty", "full", "deficient", "deficient", "full"], 2))
+# alpha = 0 with ridge: empty nodes are determined by the ridge alone
+@example(oracle_case(2, [2, 1], 0.0, 0.5, ["empty", "full", "deficient"], 3))
+# underdetermined component, and all-zero losses
+@example(oracle_case(2, [2, 2], 1.0, 0.0, ["full", "deficient", "deficient", "empty"], 4))
+@example(oracle_case(2, [3], 1.0, 0.0, ["empty"] * 3, 5))
+def test_pcg_oracle_matches_dense_solve(case):
+    p, unique = case
+    if not unique:
+        with pytest.raises(SingularProblemError):
+            solve_direct(p)
+        return
+    Q, q, _ = assemble(p)
+    ref = np.linalg.solve(2.0 * Q, -q)
+    got = solve_direct(p).flat
+    assert np.linalg.norm(got - ref) <= 1e-9 * max(1.0, float(np.linalg.norm(ref)))
+
+
+def test_oracle_reuses_operator_for_new_linear_terms():
+    p = random_problem(31, alpha=2.0)
+    op = quad_operator(p)
+    assert quad_operator(p) is op
+    rng = np.random.default_rng(5)
+    qs = rng.standard_normal((p.n, p.d))
+    Q, _, _ = assemble(p)
+    got = op.solve(qs).flat
+    assert np.max(np.abs(got - np.linalg.solve(2.0 * Q, -qs.reshape(-1)))) <= 1e-10
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1e6])
+def test_operator_extreme_eigenvalues_match_dense(alpha):
+    p = random_problem(37, alpha=alpha)
+    vals = np.linalg.eigvalsh(assemble(p)[0])
+    lo, hi = quad_operator(p).extreme_eigenvalues()
+    assert abs(lo - vals[0]) <= 1e-12 * vals[-1]
+    assert abs(hi - vals[-1]) <= 1e-12 * vals[-1]
+
+
+def test_operator_extreme_eigenvalues_of_one_scalar_node():
+    p = GTVMinProblem(EmpGraph(1), [QuadLoss([[3.0]], [1.0])], 1.0)
+    assert quad_operator(p).extreme_eigenvalues() == (3.0, 3.0)
+
+
+def test_solve_direct_rejects_nonconvex_local_loss():
+    losses = (QuadLoss([[-1.0]], [0.0]), QuadLoss([[4.0]], [0.0]))
+    with pytest.raises(SingularProblemError, match="not convex"):
+        solve_direct(GTVMinProblem(TWO_NODE_GRAPH, losses, 1.0))

@@ -417,6 +417,66 @@ dp.sigma = 0.01
     assert check["holds"], check
 
 
+# n * d = 450: every spectral check runs on the matrix-free operator.
+LARGE_DP_CFG = """
+seed = 4
+graph.kind = erdos_renyi
+graph.n = 90
+graph.p = 0.1
+data.d = 5
+algorithm.kind = fedgd
+algorithm.alpha = 1.0
+stop.max_iters = 10
+dp.kind = gaussian
+dp.sigma = 0.01
+"""
+
+
+def test_large_run_reports_every_spectral_check():
+    rep = run_experiment(parse_config(LARGE_DP_CFG))
+    names = {c["name"] for c in rep.summary["bound_checks"]}
+    assert {"eig_upper", "eig_lower", "noisy_descent", "label_sensitivity"} <= names
+    assert all(c["holds"] for c in rep.summary["bound_checks"])
+
+
+def test_run_never_assembles_the_dense_quadratic(monkeypatch):
+    from gtvfed import gtvmin, harness
+
+    def refuse(p):
+        raise AssertionError(f"assembled a dense {p.n * p.d}-square quadratic")
+
+    monkeypatch.setattr(gtvmin, "assemble", refuse)
+    monkeypatch.setattr(harness, "assemble", refuse, raising=False)
+    rep = run_experiment(parse_config(LARGE_DP_CFG))
+    assert rep.summary["final_dist"] is not None
+    assert all(c["holds"] for c in rep.summary["bound_checks"])
+
+
+def test_trimmed_defense_rejects_short_neighbourhood_before_solving(monkeypatch):
+    from gtvfed import harness
+
+    def refuse(p):
+        raise AssertionError("solved before the degree check")
+
+    monkeypatch.setattr(harness, "solve_direct", refuse)
+    cfg = parse_config(
+        """
+graph.kind = chain
+graph.n = 5
+data.d = 2
+algorithm.kind = fedrelax
+algorithm.alpha = 1.0
+defense.kind = trimmed
+defense.trim_k = 1
+"""
+    )
+    with pytest.raises(ConfigError) as err:
+        run_experiment(cfg)
+    msg = str(err.value)
+    assert "defense.trim_k" in msg and "node 0 has 1 neighbours" in msg
+    assert "trim_k = 1" in msg
+
+
 def test_clustered_run_checks_clustered_variation():
     cfg = parse_config(
         """
