@@ -14,6 +14,7 @@ from gtvfed.gtvmin import (
     _node_grad,
     batch_gradient_fn,
     eig_bounds,
+    loss_stack,
 )
 from gtvfed.localmodel import QuadLoss
 from gtvfed.optim import DivergenceError, LRSchedule, StopRule, Trace, DIVERGENCE_FACTOR
@@ -364,7 +365,7 @@ def _fedrelax_batch(p: GTVMinProblem):
             for i, (loss, rho) in enumerate(zip(p.losses, rhos))
         ]
     )
-    qs = np.stack([loss.q for loss in p.losses])
+    qs = loss_stack(p).qs
     rhos_col = rhos.reshape(-1, 1)
     lone_maps = {i: _lone_node_map(p.losses[i]) for i in range(n) if lone[i]}
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ class EmpGraph:
     e.g. message schedules) stable.
     """
 
-    __slots__ = ("n", "edges", "_neighbors", "_adj", "_edge_idx")
+    __slots__ = ("n", "edges", "_neighbors", "_adj", "_edge_idx", "_spectrum")
 
     def __init__(self, n, edges=()):
         n = int(n)
@@ -51,6 +52,8 @@ class EmpGraph:
             if (i, j) in seen:
                 raise GraphError(f"duplicate edge ({i}, {j})")
             w = float(w)
+            if not math.isfinite(w):
+                raise GraphError(f"edge ({i}, {j}) has non-finite weight {w}")
             if not w > 0.0:
                 raise GraphError(f"edge ({i}, {j}) has non-positive weight {w}")
             seen.add((i, j))
@@ -64,6 +67,7 @@ class EmpGraph:
         self._neighbors = tuple(tuple(sorted(lst)) for lst in nbrs)
         self._adj = None
         self._edge_idx = None
+        self._spectrum = None
 
     @property
     def num_edges(self) -> int:
@@ -146,14 +150,21 @@ def laplacian(g: EmpGraph) -> np.ndarray:
 
 
 def spectrum(g: EmpGraph) -> Spectrum:
-    """Eigenvalues of the Laplacian, clamped near zero (see Spectrum)."""
-    L = laplacian(g)
-    try:
-        vals = np.linalg.eigvalsh(L)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise GraphError(f"Laplacian eigensolver failed: {exc}") from exc
-    vals = np.where(np.abs(vals) <= ZERO_EIG_TOL, 0.0, vals)
-    return Spectrum(eigenvalues=vals, multiplicity_zero=int(np.sum(vals == 0.0)))
+    """Eigenvalues of the Laplacian, clamped near zero (see Spectrum).
+
+    Computed once per graph and kept on it; the eigenvalue array is
+    read-only because every caller shares it.
+    """
+    if g._spectrum is None:
+        L = laplacian(g)
+        try:
+            vals = np.linalg.eigvalsh(L)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+            raise GraphError(f"Laplacian eigensolver failed: {exc}") from exc
+        vals = np.where(np.abs(vals) <= ZERO_EIG_TOL, 0.0, vals)
+        vals.flags.writeable = False
+        g._spectrum = Spectrum(eigenvalues=vals, multiplicity_zero=int(np.sum(vals == 0.0)))
+    return g._spectrum
 
 
 def components(g: EmpGraph):

@@ -19,7 +19,7 @@ import numpy as np
 
 from gtvfed import graph as graphmod
 from gtvfed.graph import EmpGraph, GraphError, degrees, gtv_value, laplacian, spectrum
-from gtvfed.localmodel import CallableLoss, QuadLoss
+from gtvfed.localmodel import CallableLoss, QuadLoss, QuadStack
 
 SINGULAR_TOL = 1e-10
 
@@ -107,7 +107,9 @@ class EigBounds:
 class GTVMinProblem:
     """A graph, one loss per node, a coupling strength, and a penalty kind."""
 
-    __slots__ = ("graph", "losses", "alpha", "penalty", "d", "_nbr", "_deg", "_quad")
+    __slots__ = (
+        "graph", "losses", "alpha", "penalty", "d", "_nbr", "_deg", "_quadratic", "_quad", "_stack"
+    )
 
     def __init__(self, graph: EmpGraph, losses, alpha: float, penalty: str = "sq_norm", d=None):
         if penalty not in graphmod.PENALTIES:
@@ -136,7 +138,9 @@ class GTVMinProblem:
         self.d = dims.pop()
         self._nbr = tuple(graph.neighbor_arrays(i) for i in range(graph.n))
         self._deg = np.array([w.sum() for _, w in self._nbr])
+        self._quadratic = all(isinstance(loss, QuadLoss) for loss in losses)
         self._quad = None
+        self._stack = None
 
     @property
     def n(self) -> int:
@@ -146,7 +150,7 @@ class GTVMinProblem:
         return self._nbr[i]
 
     def is_quadratic(self) -> bool:
-        return all(isinstance(loss, QuadLoss) for loss in self.losses)
+        return self._quadratic
 
     def as_blocks(self, params) -> np.ndarray:
         blocks = getattr(params, "blocks", params)
@@ -160,13 +164,46 @@ class GTVMinProblem:
         return arr
 
 
+def loss_stack(p: GTVMinProblem) -> QuadStack:
+    """The problem's quadratic losses as one QuadStack, built once and kept."""
+    if not p.is_quadratic():
+        raise ValueError("stacking requires quadratic losses at every node")
+    if p._stack is None:
+        p._stack = QuadStack(p.losses)
+    return p._stack
+
+
+def ordered_sum(values) -> float:
+    """values added left to right from 0.0, as a Python accumulation loop does.
+
+    numpy's sum adds pairwise and can differ in the last bits; reports
+    keep the loop's bits.
+    """
+    total = 0.0
+    for v in np.asarray(values, dtype=float).reshape(-1).tolist():
+        total += v
+    return total
+
+
+def objective_parts(p: GTVMinProblem, params):
+    """(node losses, coupling penalty, objective) at params.
+
+    Node i's entry is its local loss at its own block; quadratic losses are
+    evaluated stacked. The objective adds the node losses in node order,
+    then alpha times the penalty.
+    """
+    W = p.as_blocks(params)
+    if p.is_quadratic():
+        objs = loss_stack(p).values(W)
+    else:
+        objs = np.array([loss.value(W[i]) for i, loss in enumerate(p.losses)])
+    gtv = gtv_value(p.graph, W, p.penalty)
+    return objs, gtv, ordered_sum(objs) + p.alpha * gtv
+
+
 def objective(p: GTVMinProblem, params) -> float:
     """Sum of local losses plus alpha times the coupling penalty."""
-    W = p.as_blocks(params)
-    total = 0.0
-    for i, loss in enumerate(p.losses):
-        total += loss.value(W[i])
-    return total + p.alpha * gtv_value(p.graph, W, p.penalty)
+    return objective_parts(p, params)[2]
 
 
 def _node_grad(loss, own, nbr_blocks, wts, alpha):
@@ -195,8 +232,8 @@ def batch_gradient_fn(p: GTVMinProblem):
     """
     if p.penalty != "sq_norm" or not p.is_quadratic():
         return None
-    Qs = np.stack([loss.Q for loss in p.losses])
-    qs = np.stack([loss.q for loss in p.losses])
+    stack = loss_stack(p)
+    Qs, qs = stack.Qs, stack.qs
     adj = p.graph.adjacency()
     deg = p._deg.reshape(-1, 1)
     alpha2 = 2.0 * p.alpha
@@ -277,7 +314,7 @@ class QuadOperator:
         n, d = p.n, p.d
         self.n, self.d, self.alpha = n, d, p.alpha
         self.graph = p.graph
-        self.Qs = np.stack([loss.Q for loss in p.losses])
+        self.Qs = loss_stack(p).Qs
         self.deg = p._deg
         ii, jj, self.weights = p.graph.edge_arrays()
         self.ends = (ii, jj)
@@ -430,7 +467,7 @@ def solve_direct(p: GTVMinProblem) -> StackedParams:
     local loss, or a component whose losses leave a direction free) or the
     solve cannot reach a small residual. Nothing of size (nd)^2 is formed.
     """
-    return quad_operator(p).solve(np.stack([loss.q for loss in p.losses]))
+    return quad_operator(p).solve(loss_stack(p).qs)
 
 
 def eig_summaries(p: GTVMinProblem) -> EigSummaries:

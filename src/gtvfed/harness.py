@@ -1,7 +1,9 @@
 """Experiment orchestration: config parsing, runs, reports, and export.
 
-Config files are flat ``key = value`` text; ``#`` starts a comment. The
-full key set, with defaults in brackets:
+Config files are flat ``key = value`` text. A ``#`` at the start of a line
+or after whitespace starts a comment; elsewhere it is part of the value
+(``graph.path = runs/a#b.txt``). The full key set, with defaults in
+brackets:
 
   seed [0]                      master seed; every random element derives
                                 from it through fixed named streams
@@ -105,7 +107,7 @@ from gtvfed.algorithms import (
     run_async,
     run_sync,
 )
-from gtvfed.graph import EmpGraph, GraphError, gtv_value, is_connected
+from gtvfed.graph import EmpGraph, GraphError, is_connected
 from gtvfed.gtvmin import (
     GTVMinProblem,
     SingularProblemError,
@@ -113,13 +115,20 @@ from gtvfed.gtvmin import (
     clustered_bound,
     eig_bounds,
     eig_summaries,
-    objective as gtv_objective,
+    objective_parts,
+    ordered_sum,
     quad_operator,
     sensitivity_bound,
     solve_direct,
     variation_bound,
 )
-from gtvfed.localmodel import LocalDataset, from_dataset, generate_local, load_dataset_csv
+from gtvfed.localmodel import (
+    LocalDataset,
+    QuadStack,
+    from_dataset,
+    generate_local,
+    load_dataset_csv,
+)
 from gtvfed.optim import LRSchedule, StopRule, contraction, perturbed_bound
 from gtvfed.trust import AttackSpec, DPMechanism, RobustAgg, model_interceptor, poison_dataset
 
@@ -161,7 +170,11 @@ class ExperimentConfig:
 
 @dataclass
 class Report:
-    """Per-event metric rows plus a run summary and environment stamp."""
+    """Per-event metric rows plus a run summary and environment stamp.
+
+    rows holds one (event, node, objective, gtv, train_err, val_err,
+    dist_oracle) tuple of Python ints and floats per recorded event and node.
+    """
 
     rows: list
     summary: dict
@@ -262,6 +275,9 @@ _ATTACK_FIELDS = {
 }
 
 _ATTACK_KEY = re.compile(r"^attack\.(\d+)\.([a-z_]+)$")
+# A comment starts at a '#' that begins the line or follows whitespace, so
+# values such as paths may contain '#'.
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -270,7 +286,7 @@ def parse_config(text: str) -> ExperimentConfig:
     values = {}
     attacks_raw = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -591,10 +607,46 @@ def split_dataset(ds: LocalDataset, fraction: float, seed):
 
 
 def _sq_err(ds: LocalDataset, w) -> float:
+    # Reference kernel of SqErrors, kept for the tests.
     if ds.m == 0:
         return float("nan")
     r = ds.X @ w - ds.y
     return float(r @ r / ds.m)
+
+
+class SqErrors:
+    """Mean squared error of every node's dataset at the node's own block.
+
+    The datasets are stacked once, grouped by sample count, so one call
+    costs a few batched products. Entry i equals _sq_err(datasets[i], W[i])
+    bit for bit: numpy's matmul hands each stacked slice to the same BLAS
+    gemv and dot the per-node products call. An empty dataset reads NaN.
+    """
+
+    def __init__(self, datasets):
+        datasets = list(datasets)
+        by_size = {}
+        for i, ds in enumerate(datasets):
+            by_size.setdefault(ds.m, []).append(i)
+        self.n = len(datasets)
+        self.groups = [
+            (
+                m,
+                np.array(idx, dtype=np.intp),
+                np.stack([datasets[i].X for i in idx]),
+                np.stack([datasets[i].y for i in idx]),
+            )
+            for m, idx in sorted(by_size.items())
+            if m > 0
+        ]
+
+    def __call__(self, W) -> np.ndarray:
+        W = np.asarray(W, dtype=float)
+        out = np.full(self.n, np.nan)
+        for m, idx, X, y in self.groups:
+            r = (X @ W[idx][:, :, None])[:, :, 0] - y
+            out[idx] = (r[:, None, :] @ r[:, :, None])[:, 0, 0] / m
+        return out
 
 
 def train_val_report(datasets, blocks, split: float, seed=0):
@@ -612,14 +664,15 @@ def train_val_report(datasets, blocks, split: float, seed=0):
         blocks = np.tile(blocks, (len(datasets), 1))
     if len(datasets) != blocks.shape[0]:
         raise ValueError(f"got {len(datasets)} datasets for {blocks.shape[0]} blocks")
-    e_t = np.empty(len(datasets))
-    e_v = np.empty(len(datasets))
-    for i, ds in enumerate(datasets):
-        train, val = split_dataset(ds, split, seeds.stream(seed, "data", i, 1))
+    splits = [
+        split_dataset(ds, split, seeds.stream(seed, "data", i, 1))
+        for i, ds in enumerate(datasets)
+    ]
+    for i, (train, val) in enumerate(splits):
         if train.m == 0 or val.m == 0:
             warnings.warn(f"node {i}: split leaves an empty side, metrics absent")
-        e_t[i] = _sq_err(train, blocks[i])
-        e_v[i] = _sq_err(val, blocks[i])
+    e_t = SqErrors([t for t, _ in splits])(blocks)
+    e_v = SqErrors([v for _, v in splits])(blocks)
     return e_t, e_v
 
 
@@ -677,12 +730,10 @@ def _model_interceptor(cfg: ExperimentConfig, d: int, n: int):
 
 def _dp_hook(mech: DPMechanism):
     def noise(k, blocks):
-        total = 0.0
-        for i in range(blocks.shape[0]):
-            z = mech.draw((blocks.shape[1],), node=i, counter=k)
-            blocks[i] += z
-            total += float(z @ z)
-        return math.sqrt(total)
+        Z = mech.draw_block(k, *blocks.shape)
+        blocks += Z
+        # Per-node z @ z through the same dot kernel, summed in node order.
+        return math.sqrt(ordered_sum(Z[:, None, :] @ Z[:, :, None]))
 
     return noise
 
@@ -857,23 +908,62 @@ def _nanmean(values) -> float:
 
 
 def _rows_from_trace(trace, n, node_objs, gtvs, e_ts, e_vs):
-    rows = []
-    for idx, k in enumerate(trace.ks):
-        dist = trace.dists[idx]
-        dist = float("nan") if dist is None else float(dist)
-        for i in range(n):
-            rows.append(
-                (
-                    int(k),
-                    i,
-                    float(node_objs[idx][i]),
-                    float(gtvs[idx]),
-                    float(e_ts[idx][i]),
-                    float(e_vs[idx][i]),
-                    dist,
-                )
-            )
-    return rows
+    """One (event, node, objective, gtv, train_err, val_err, dist) tuple per
+    recorded event and node, built column by column from the (events, n)
+    probe arrays; a missing oracle distance reads NaN."""
+    if not trace.ks:
+        return []
+    per_node = lambda values: np.asarray(values, dtype=float).reshape(-1).tolist()
+    per_event = lambda values: np.repeat(np.asarray(values, dtype=float), n).tolist()
+    dists = [float("nan") if dist is None else dist for dist in trace.dists]
+    return list(
+        zip(
+            np.repeat(np.asarray(trace.ks, dtype=np.int64), n).tolist(),
+            np.tile(np.arange(n, dtype=np.int64), len(trace.ks)).tolist(),
+            per_node(node_objs),
+            per_event(gtvs),
+            per_node(e_ts),
+            per_node(e_vs),
+            per_event(dists),
+        )
+    )
+
+
+class _Probes:
+    """The per-event probes of a graph run, vectorized over the nodes.
+
+    objective(blocks) evaluates the node losses and the coupling penalty;
+    metrics(k, blocks) reuses them when it sees the same block values,
+    which _Recorder.observe passes right after on every sampled event.
+    """
+
+    def __init__(self, p, trains, vals, oracle_blocks):
+        self.p = p
+        self.train_err = SqErrors(trains)
+        self.val_err = SqErrors(vals)
+        self.oracle = oracle_blocks
+        self._last = None
+
+    def objective(self, blocks) -> float:
+        objs, gtv, total = objective_parts(self.p, blocks)
+        self._last = (np.array(blocks, dtype=float), objs, gtv)
+        return total
+
+    def metrics(self, k, blocks) -> dict:
+        last = self._last
+        if last is not None and np.array_equal(last[0], blocks):
+            _, objs, gtv = last
+        else:
+            objs, gtv, _ = objective_parts(self.p, blocks)
+        out = {
+            "node_objs": objs,
+            "gtv": gtv,
+            "train_err": self.train_err(blocks),
+            "val_err": self.val_err(blocks),
+        }
+        if self.oracle is not None:
+            out["maxdist"] = float(np.max(np.linalg.norm(blocks - self.oracle, axis=1)))
+        return out
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
@@ -940,30 +1030,16 @@ def _run_graph(cfg, g, losses, trains, vals, d, meta):
     oracle_blocks = oracle_sp.blocks if oracle_sp is not None else None
 
     n = g.n
-    penalty = algo["penalty"]
-
-    def metrics(k, blocks):
-        out = {
-            "node_objs": np.array([losses[i].value(blocks[i]) for i in range(n)]),
-            "gtv": gtv_value(g, blocks, penalty),
-            "train_err": np.array([_sq_err(trains[i], blocks[i]) for i in range(n)]),
-            "val_err": np.array([_sq_err(vals[i], blocks[i]) for i in range(n)]),
-        }
-        if oracle_blocks is not None:
-            out["maxdist"] = float(
-                np.max(np.linalg.norm(blocks - oracle_blocks, axis=1))
-            )
-        return out
-
+    probes = _Probes(p, trains, vals, oracle_blocks)
     interceptor = _model_interceptor(cfg, d, n)
     noise = _dp_hook(cfg.dp) if cfg.dp is not None else None
     w0 = StackedParams.zeros(n, d)
     mode = cfg.async_spec["mode"]
     run_info = {"kind": kind, "mode": mode, "eta": eta if sched.kind == "constant" else None}
     common = dict(
-        objective=lambda blocks: gtv_objective(p, blocks),
+        objective=probes.objective,
         oracle=oracle_sp,
-        metrics=metrics,
+        metrics=probes.metrics,
         interceptor=interceptor,
         noise=noise,
         record_every=cfg.record_every,
@@ -1013,7 +1089,10 @@ def _run_server(cfg, g, losses, trains, vals, d, meta):
     if float(np.linalg.eigvalsh(Qp)[0]) > 1e-10:
         oracle = np.linalg.solve(2.0 * Qp, -qp)
 
-    objective = lambda blocks: float(sum(loss.value(blocks[0]) for loss in losses))
+    stack = QuadStack(losses)
+    # The one global block, repeated so every node is evaluated at it.
+    spread = lambda w: np.repeat(np.reshape(w, (1, d)), n, axis=0)
+    objective = lambda blocks: float(sum(stack.values(spread(blocks)).tolist()))
     ws = [np.zeros(d)]
     on_round = lambda k, w: ws.append(w.copy())
     if kind == "fedavg":
@@ -1046,14 +1125,14 @@ def _run_server(cfg, g, losses, trains, vals, d, meta):
             w0=np.zeros(d),
             on_round=on_round,
         )
-    node_objs, gtvs, e_ts, e_vs = [], [], [], []
+    train_err, val_err = SqErrors(trains), SqErrors(vals)
+    node_objs, e_ts, e_vs = [], [], []
     for k in trace.ks:
-        w = ws[k]
-        node_objs.append([losses[i].value(w) for i in range(n)])
-        gtvs.append(0.0)
-        e_ts.append([_sq_err(trains[i], w) for i in range(n)])
-        e_vs.append([_sq_err(vals[i], w) for i in range(n)])
-    rows = _rows_from_trace(trace, n, node_objs, gtvs, e_ts, e_vs)
+        W = spread(ws[k])
+        node_objs.append(stack.values(W))
+        e_ts.append(train_err(W))
+        e_vs.append(val_err(W))
+    rows = _rows_from_trace(trace, n, node_objs, np.zeros(len(trace.ks)), e_ts, e_vs)
     return _make_report(cfg, trace, rows, [], meta, n)
 
 
@@ -1097,26 +1176,60 @@ def _make_report(cfg, trace, rows, checks, meta, n):
     return Report(rows=rows, summary=summary, environment=environment)
 
 
-def _fmt(value) -> str:
-    return "{:.11e}".format(float(value))
+# One report row in each format. The JSON template is the layout
+# json.dump(..., indent=2) gives a row two levels deep; %r of a float is
+# the repr json writes, except for non-finite values (see _json_rows).
+_CSV_ROW = "%d,%d" + ",%.11e" * 5 + "\n"
+_JSON_ROW = "    [\n      %d,\n      %d" + ",\n      %r" * 5 + "\n    ]"
+# Rows formatted and written per chunk, so no whole file is held as one string.
+_EXPORT_CHUNK = 4096
+
+
+def _chunks(rows):
+    for start in range(0, len(rows), _EXPORT_CHUNK):
+        yield rows[start : start + _EXPORT_CHUNK]
+
+
+def _json_nested(value) -> str:
+    # A value one level down in an indent-2 document; JSON strings escape
+    # their newlines, so every raw newline here is layout.
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
+
+
+def _json_rows(fh, rows) -> None:
+    if not rows:
+        fh.write("[]")
+        return
+    fh.write("[\n")
+    sep = ""
+    for chunk in _chunks(rows):
+        text = sep + ",\n".join([_JSON_ROW % tuple(row) for row in chunk])
+        # Rows hold only numbers, so these words come from nan and +-inf;
+        # json spells them NaN, Infinity and -Infinity.
+        fh.write(text.replace("nan", "NaN").replace("inf", "Infinity"))
+        sep = ",\n"
+    fh.write("\n  ]")
 
 
 def export(report: Report, fmt: str, path) -> str:
-    """Write the report as CSV rows or a JSON mirror; returns the path."""
+    """Write the report as CSV rows or a JSON mirror; returns the path.
+
+    The JSON bytes are those of json.dump(report.to_dict(), sort_keys=True,
+    indent=2) plus a newline; rows are written in chunks through a row
+    template instead of the pure-Python encoder.
+    """
     if fmt == "csv":
-        lines = [",".join(CSV_HEADER)]
-        for event, node, obj, gtv, e_t, e_v, dist in report.rows:
-            lines.append(
-                f"{event},{node},{_fmt(obj)},{_fmt(gtv)},{_fmt(e_t)},"
-                f"{_fmt(e_v)},{_fmt(dist)}"
-            )
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(",".join(CSV_HEADER) + "\n")
+            for chunk in _chunks(report.rows):
+                fh.write("".join([_CSV_ROW % tuple(row) for row in chunk]))
         return str(path)
     if fmt == "json":
         with open(path, "w") as fh:
-            json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            fh.write('{\n  "environment": ' + _json_nested(report.environment))
+            fh.write(',\n  "rows": ')
+            _json_rows(fh, report.rows)
+            fh.write(',\n  "summary": ' + _json_nested(report.summary) + "\n}\n")
         return str(path)
     raise ValueError(f"unknown export format {fmt!r}; expected csv or json")
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
@@ -111,6 +112,31 @@ class QuadLoss:
 
     def __repr__(self):
         return f"QuadLoss(d={self.d}, ridge={self.ridge})"
+
+
+class QuadStack:
+    """Quadratic losses stacked for evaluation at every node at once.
+
+    Qs (n, d, d), qs (n, d) and cs (n,) hold the losses' pieces in node
+    order. values(W)[i] equals losses[i].value(W[i]) bit for bit: numpy's
+    matmul hands each stacked slice to the same BLAS gemv and dot that the
+    per-node products call, and the three terms are added in the same order.
+    """
+
+    __slots__ = ("Qs", "qs", "cs")
+
+    def __init__(self, losses):
+        losses = list(losses)
+        self.Qs = np.stack([loss.Q for loss in losses])
+        self.qs = np.stack([loss.q for loss in losses])
+        self.cs = np.array([loss.c for loss in losses])
+
+    def values(self, W) -> np.ndarray:
+        """Loss i at row i of the (n, d) block array W."""
+        W = np.ascontiguousarray(W, dtype=float)
+        col = W[:, :, None]
+        quad = (W[:, None, :] @ (self.Qs @ col))[:, 0, 0]
+        return quad + (self.qs[:, None, :] @ col)[:, 0, 0] + self.cs
 
 
 class CallableLoss:
@@ -267,7 +293,11 @@ def save_dataset_csv(ds: LocalDataset, path) -> None:
 
 
 def load_dataset_csv(path) -> LocalDataset:
-    """Read a dataset written by save_dataset_csv (header f1..fd,label)."""
+    """Read a dataset written by save_dataset_csv (header f1..fd,label).
+
+    Non-numeric and non-finite (nan, inf) entries are rejected with the
+    file and line.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -289,6 +319,8 @@ def load_dataset_csv(path) -> LocalDataset:
                 vals = [float(v) for v in row]
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric entry in {row}") from None
+            if not all(math.isfinite(v) for v in vals):
+                raise ValueError(f"{path}:{lineno}: non-finite entry in {row}")
             X.append(vals[:-1])
             y.append(vals[-1])
     return LocalDataset(np.array(X).reshape(len(y), d), np.array(y))

@@ -122,6 +122,30 @@ class DPMechanism:
             return np.zeros(shape)
         return rng.laplace(0.0, self.b, size=shape)
 
+    def draw_block(self, counter: int, n: int, d: int) -> np.ndarray:
+        """Noise of nodes 0..n-1 at one counter, as an (n, d) array.
+
+        Row i equals draw((d,), node=i, counter=counter) bit for bit: the n
+        stream states come from one seeds.stream_states pass and feed one
+        reused generator.
+        """
+        n, d = int(n), int(d)
+        scale = self.sigma if self.kind == "gaussian" else self.b
+        if scale == 0.0:
+            return np.zeros((n, d))
+        gen = np.random.Generator(np.random.PCG64(0))
+        bitgen = gen.bit_generator
+        sample = gen.normal if self.kind == "gaussian" else gen.laplace
+        out = np.empty((n, d))
+        state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+        for i, (s, inc) in enumerate(
+            seeds.stream_states(self.seed, "noise", n, int(counter))
+        ):
+            state["state"] = {"state": s, "inc": inc}
+            bitgen.state = state
+            out[i] = sample(0.0, scale, size=d)
+        return out
+
 
 def poison_dataset(ds: LocalDataset, spec: AttackSpec) -> LocalDataset:
     """Poisoned copy of the dataset; the original is never touched.

@@ -250,3 +250,32 @@ def test_edge_list_comments_and_n_override(tmp_path):
     g = load_edge_list(path, n=5)
     assert g.n == 5
     assert g.edges == ((0, 1, 2.0),)
+
+
+def test_non_finite_edge_weight_rejected_with_the_edge():
+    with pytest.raises(GraphError, match=r"edge \(0, 1\) has non-finite weight inf"):
+        EmpGraph(3, [(0, 1, float("inf")), (1, 2, 1.0)])
+    with pytest.raises(GraphError, match=r"edge \(1, 2\) has non-finite weight nan"):
+        EmpGraph(3, [(0, 1, 1.0), (2, 1, float("nan"))])
+
+
+def test_edge_list_with_infinite_weight_names_file_and_edge(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("# nodes: 3\n1 2 1.0\n2 3 inf\n")
+    with pytest.raises(GraphError, match=r"g\.txt: edge \(1, 2\) has non-finite weight"):
+        load_edge_list(path)
+
+
+def test_spectrum_computed_once_per_graph(monkeypatch):
+    import gtvfed.graph as graphmod
+
+    g = generate("erdos_renyi", 12, p=0.4, seed=1)
+    calls = []
+    real = graphmod.laplacian
+    monkeypatch.setattr(graphmod, "laplacian", lambda h: calls.append(h) or real(h))
+    first = spectrum(g)
+    assert spectrum(g) is first and spectrum(g).lam2 == first.lam2
+    assert len(calls) == 1
+    with pytest.raises(ValueError):
+        first.eigenvalues[0] = 1.0
+    assert np.allclose(first.eigenvalues, np.linalg.eigvalsh(real(g)), atol=1e-8)

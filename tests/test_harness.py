@@ -734,3 +734,17 @@ def test_cli_report_strict_failed_check(tmp_path, capsys):
     assert cli.main(["report", "--in", str(path)]) == 0
     assert "check eig_upper: FAILED" in capsys.readouterr().out
     assert cli.main(["report", "--in", str(path), "--strict"]) == 2
+
+
+def test_hash_inside_a_value_is_kept(tmp_path):
+    path = tmp_path / "a#b.txt"
+    path.write_text("# nodes: 3\n1 2 1.0\n2 3 1.0\n")
+    cfg = parse_config(
+        f"# leading comment\ngraph.kind = file\ngraph.path = {path}   # trailing comment\n"
+        "algorithm.kind = fedgd\t# tab before the comment\ndata.d = 2\n"
+    )
+    assert cfg.graph["path"] == str(path)
+    assert cfg.algorithm["kind"] == "fedgd"
+    assert build_graph(cfg).n == 3
+    with pytest.raises(ConfigError, match="no such file"):
+        parse_config("graph.kind = file\ngraph.path = /nonexistent/x#y\nalgorithm.kind = fedgd\ndata.d = 2\n")

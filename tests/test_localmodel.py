@@ -253,3 +253,12 @@ def test_dataset_csv_rejects_bad_header(tmp_path):
     path.write_text("a,b\n1,2\n")
     with pytest.raises(ValueError):
         load_dataset_csv(path)
+
+
+@pytest.mark.parametrize("row, line", [("1,nan,2", 2), ("3,4,inf", 3), ("-inf,0,1", 3)])
+def test_dataset_csv_rejects_non_finite_entries(tmp_path, row, line):
+    path = tmp_path / "node_0.csv"
+    rows = ["f1,f2,label", "0.5,1,2", row] if line == 3 else ["f1,f2,label", row, "0.5,1,2"]
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match=rf"node_0\.csv:{line}: non-finite entry"):
+        load_dataset_csv(path)
