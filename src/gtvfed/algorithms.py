@@ -1,9 +1,9 @@
-"""Message-passing solvers: per-node operators, sync/async engines, bounds."""
+"""Message-passing solvers: per-node operators, one event driver, bounds."""
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,17 +34,7 @@ class NodeOperator:
 
     update: callable
     neighbor_ids: np.ndarray
-    kind: str = ""
     batch_update: callable = None
-
-
-@dataclass
-class ServerState:
-    """Server-side view for FedAvg/FedProx: global block and round settings."""
-
-    w: np.ndarray
-    sample_size: int
-    local_steps: int = 1
 
 
 @dataclass(frozen=True)
@@ -146,33 +136,43 @@ class AsyncSchedule:
         return cls(n=int(data["n"]), B=data["B"], events=events)
 
 
-def _as_block_array(w0) -> np.ndarray:
-    blocks = getattr(w0, "blocks", w0)
-    arr = np.array(blocks, dtype=float)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
-    if arr.ndim != 2:
-        raise ValueError(f"initial state must be (n, d), got shape {arr.shape}")
-    return arr
-
-
-def _per_node_schedules(sched, n):
+def _node_schedules(p: GTVMinProblem, sched) -> list:
+    # Default eta = 1/(2U) with U the spectral upper estimate keeps plain GD
+    # stable.
     if sched is None:
-        raise ValueError("a learning-rate schedule is required")
+        upper = eig_bounds(p).upper
+        if upper <= 0.0:
+            raise ValueError("cannot derive a default step size from a zero problem")
+        sched = LRSchedule.constant(1.0 / (2.0 * upper))
     if isinstance(sched, LRSchedule):
-        return [sched] * n
+        return [sched] * p.n
     sched = list(sched)
-    if len(sched) != n:
-        raise ValueError(f"got {len(sched)} schedules for {n} nodes")
+    if len(sched) != p.n:
+        raise ValueError(f"got {len(sched)} schedules for {p.n} nodes")
     return sched
 
 
-def _default_fedgd_schedule(p: GTVMinProblem) -> LRSchedule:
-    # eta = 1/(2U) with U the spectral upper estimate keeps plain GD stable.
-    upper = eig_bounds(p).upper
-    if upper <= 0.0:
-        raise ValueError("cannot derive a default step size from a zero problem")
-    return LRSchedule.constant(1.0 / (2.0 * upper))
+def _gd_batch(p: GTVMinProblem, scheds):
+    """The whole-round gradient step, when the problem has a batch gradient
+    and every node shares one schedule; None otherwise."""
+    gradfn = batch_gradient_fn(p)
+    s0 = scheds[0]
+    if gradfn is None or not all(s is s0 or s == s0 for s in scheds):
+        return None
+
+    def batch(W, k):
+        return W - s0.rate(k) * gradfn(W)
+
+    return batch
+
+
+def _gd_update(loss, wts, sch, alpha):
+    """One node's exact-gradient step."""
+
+    def update(own, nbrs, k):
+        return own - sch.rate(k) * _node_grad(loss, own, nbrs, wts, alpha)
+
+    return update
 
 
 def fedgd_op(p: GTVMinProblem, sched=None, agg: RobustAgg | None = None):
@@ -181,18 +181,8 @@ def fedgd_op(p: GTVMinProblem, sched=None, agg: RobustAgg | None = None):
     With agg given, the coupling uses the robust neighbor aggregate instead
     of the exact weighted sum. Returns one operator per node.
     """
-    if sched is None:
-        sched = _default_fedgd_schedule(p)
-    scheds = _per_node_schedules(sched, p.n)
-    batch = None
-    if agg is None:
-        gradfn = batch_gradient_fn(p)
-        s0 = scheds[0]
-        if gradfn is not None and all(s is s0 or s == s0 for s in scheds):
-
-            def batch(W, k):
-                return W - s0.rate(k) * gradfn(W)
-
+    scheds = _node_schedules(p, sched)
+    batch = _gd_batch(p, scheds) if agg is None else None
     ops = []
     for i in range(p.n):
         ids, wts = p.neighbor_arrays(i)
@@ -200,10 +190,7 @@ def fedgd_op(p: GTVMinProblem, sched=None, agg: RobustAgg | None = None):
         sch = scheds[i]
         alpha = p.alpha
         if agg is None:
-
-            def update(own, nbrs, k, loss=loss, wts=wts, sch=sch, alpha=alpha):
-                return own - sch.rate(k) * _node_grad(loss, own, nbrs, wts, alpha)
-
+            update = _gd_update(loss, wts, sch, alpha)
         else:
             deg = float(wts.sum())
 
@@ -216,9 +203,7 @@ def fedgd_op(p: GTVMinProblem, sched=None, agg: RobustAgg | None = None):
                     g = g + (2.0 * alpha * deg) * (own - avg)
                 return own - sch.rate(k) * g
 
-        ops.append(
-            NodeOperator(update=update, neighbor_ids=ids, kind="fedgd", batch_update=batch)
-        )
+        ops.append(NodeOperator(update=update, neighbor_ids=ids, batch_update=batch))
     return ops
 
 
@@ -233,9 +218,7 @@ def fedsgd_op(p: GTVMinProblem, batch_size: int, seed: int, sched=None):
     batch_size = int(batch_size)
     if batch_size < 1:
         raise ValueError(f"batch size must be at least 1, got {batch_size}")
-    if sched is None:
-        sched = _default_fedgd_schedule(p)
-    scheds = _per_node_schedules(sched, p.n)
+    scheds = _node_schedules(p, sched)
     exact = []
     for i, loss in enumerate(p.losses):
         if not isinstance(loss, QuadLoss) or loss.source is None:
@@ -248,15 +231,7 @@ def fedsgd_op(p: GTVMinProblem, batch_size: int, seed: int, sched=None):
                 stacklevel=2,
             )
         exact.append(batch_size >= m)
-    batch = None
-    if all(exact):
-        gradfn = batch_gradient_fn(p)
-        s0 = scheds[0]
-        if gradfn is not None and all(s is s0 or s == s0 for s in scheds):
-
-            def batch(W, k):
-                return W - s0.rate(k) * gradfn(W)
-
+    batch = _gd_batch(p, scheds) if all(exact) else None
     ops = []
     for i in range(p.n):
         ids, wts = p.neighbor_arrays(i)
@@ -264,10 +239,7 @@ def fedsgd_op(p: GTVMinProblem, batch_size: int, seed: int, sched=None):
         sch = scheds[i]
         alpha = p.alpha
         if exact[i]:
-
-            def update(own, nbrs, k, loss=loss, wts=wts, sch=sch, alpha=alpha):
-                return own - sch.rate(k) * _node_grad(loss, own, nbrs, wts, alpha)
-
+            update = _gd_update(loss, wts, sch, alpha)
         else:
             ds = loss.source
             rng = seeds.stream(seed, "batches", i)
@@ -287,9 +259,7 @@ def fedsgd_op(p: GTVMinProblem, batch_size: int, seed: int, sched=None):
                     g = g + (2.0 * alpha) * (wts @ (own - nbrs))
                 return own - sch.rate(k) * g
 
-        ops.append(
-            NodeOperator(update=update, neighbor_ids=ids, kind="fedsgd", batch_update=batch)
-        )
+        ops.append(NodeOperator(update=update, neighbor_ids=ids, batch_update=batch))
     return ops
 
 
@@ -335,9 +305,7 @@ def fedrelax_op(p: GTVMinProblem, agg: RobustAgg | None = None):
                 avg = aggregate(nbrs, wts, agg)
                 return loss.prox(avg, rho)
 
-        ops.append(
-            NodeOperator(update=update, neighbor_ids=ids, kind="fedrelax", batch_update=batch)
-        )
+        ops.append(NodeOperator(update=update, neighbor_ids=ids, batch_update=batch))
     return ops
 
 
@@ -379,26 +347,8 @@ def _fedrelax_batch(p: GTVMinProblem):
     return batch
 
 
-def _shared_batch(ops):
-    batch = ops[0].batch_update
-    if batch is None:
-        return None
-    for op in ops:
-        if op.batch_update is not batch:
-            return None
-    return batch
-
-
-def _check_finite(new, k):
-    if not np.all(np.isfinite(new)):
-        bad = [int(i) for i in np.where(~np.isfinite(new).all(axis=1))[0]]
-        raise DivergenceError(
-            f"non-finite block at node(s) {bad} after event {k}", node=bad[0]
-        )
-
-
 class _Recorder:
-    """Shared per-event bookkeeping for the engines: rows, guard, stopping."""
+    """Per-event bookkeeping for the driver: rows, objective guard, stopping."""
 
     def __init__(self, stop, objective, oracle, metrics, record_every):
         self.stop = stop
@@ -429,7 +379,7 @@ class _Recorder:
             if not np.isfinite(f):
                 self.trace.terminal = "diverged"
                 raise DivergenceError(
-                    f"non-finite objective at event {k}", trace=self.trace
+                    f"non-finite objective at event {k}", trace=self.trace, event=k
                 )
             if self.f_guard is None:
                 self.f_guard = DIVERGENCE_FACTOR * (abs(f) + 1.0)
@@ -438,6 +388,7 @@ class _Recorder:
                 raise DivergenceError(
                     f"objective {f:.3e} exceeded the divergence guard at event {k}",
                     trace=self.trace,
+                    event=k,
                 )
         terminal = ""
         if self.stop.dist_tol is not None and dist is not None and dist <= self.stop.dist_tol:
@@ -463,6 +414,94 @@ class _Recorder:
         return terminal
 
 
+def _drive(blocks, kend, step, rec, noise):
+    """The one event loop of every engine.
+
+    Event k observes the state (recording a row, stopping on a tolerance or
+    at k = kend), applies noise(k, blocks) in place, then replaces the state
+    by step(k, blocks) and rejects non-finite blocks. Returns (blocks,
+    trace); a blow-up raises DivergenceError(trace, node, event).
+    """
+    for k in range(kend + 1):
+        terminal = rec.observe(k, blocks, last_event=(k == kend))
+        if terminal:
+            rec.trace.terminal = terminal
+            return blocks, rec.trace
+        if noise is not None:
+            nrm = noise(k, blocks)
+            rec.trace.extras.setdefault("noise_norms", []).append(
+                float(nrm) if nrm is not None else 0.0
+            )
+        blocks = step(k, blocks)
+        if not np.isfinite(blocks).all():
+            bad = np.flatnonzero(~np.isfinite(blocks).all(axis=1)).tolist()
+            rec.trace.terminal = "diverged"
+            raise DivergenceError(
+                f"non-finite block at node(s) {bad} after event {k}",
+                trace=rec.trace,
+                node=bad[0],
+                event=k,
+            )
+    return blocks, rec.trace  # pragma: no cover
+
+
+def _graph_step(ops, shape, events, B, interceptor):
+    """The round map of a graph run, one event at a time.
+
+    Without events every node reads the current blocks (a synchronous
+    round). With them, the active nodes of event k read each neighbor's row
+    at the event the schedule names, from a ring of B + 1 state snapshots
+    (the whole history when B is None); inactive nodes keep their block.
+    The shared batch map replaces the per-node updates on synchronous
+    events when no message hook is installed.
+    """
+    batch = ops[0].batch_update if interceptor is None else None
+    if any(op.batch_update is not batch for op in ops):
+        batch = None
+    everyone = tuple(range(len(ops)))
+    if events is not None:
+        ring = np.empty((len(events) if B is None else B + 1,) + shape)
+
+    def step(k, blocks):
+        if events is None:
+            active = everyone
+        else:
+            ev = events[k]
+            active = ev.active
+            ring[k % len(ring)] = blocks
+        if batch is not None and (
+            events is None
+            or (active == everyone and all(r == k for i in active for r in ev.refs[i]))
+        ):
+            return batch(blocks, k)
+        new = blocks.copy()
+        for i in active:
+            ids = ops[i].neighbor_ids
+            if events is None:
+                nbrs = blocks[ids]
+            else:
+                nbrs = ring[np.array(ev.refs[i], dtype=np.intp) % len(ring), ids]
+            if interceptor is not None:
+                for t, j in enumerate(ids):
+                    nbrs[t] = interceptor(int(j), int(i), nbrs[t], k)
+            new[i] = ops[i].update(blocks[i], nbrs, k)
+        return new
+
+    return step
+
+
+def _checked_blocks(ops, w0) -> np.ndarray:
+    blocks = getattr(w0, "blocks", w0)
+    blocks = np.array(blocks, dtype=float)
+    if blocks.ndim == 1:
+        blocks = blocks.reshape(-1, 1)
+    if blocks.ndim != 2:
+        raise ValueError(f"initial state must be (n, d), got shape {blocks.shape}")
+    if len(ops) != blocks.shape[0]:
+        raise ValueError(f"got {len(ops)} operators for {blocks.shape[0]} blocks")
+    return blocks
+
+
 def run_sync(
     ops,
     w0,
@@ -481,41 +520,11 @@ def run_sync(
     noise(k, blocks) mutates state in place before each round's updates and
     its returned norm is logged. Returns (StackedParams, Trace).
     """
-    blocks = _as_block_array(w0)
-    n, d = blocks.shape
-    if len(ops) != n:
-        raise ValueError(f"got {len(ops)} operators for {n} blocks")
-    batch = _shared_batch(ops) if interceptor is None else None
+    blocks = _checked_blocks(ops, w0)
+    step = _graph_step(ops, blocks.shape, None, None, interceptor)
     rec = _Recorder(stop, objective, oracle, metrics, record_every)
-    for k in range(stop.max_iters + 1):
-        terminal = rec.observe(k, blocks, last_event=(k == stop.max_iters))
-        if terminal:
-            rec.trace.terminal = terminal
-            return StackedParams(blocks), rec.trace
-        if noise is not None:
-            nrm = noise(k, blocks)
-            rec.trace.extras.setdefault("noise_norms", []).append(
-                float(nrm) if nrm is not None else 0.0
-            )
-        if batch is not None:
-            new = batch(blocks, k)
-        else:
-            new = np.empty_like(blocks)
-            for i, op in enumerate(ops):
-                nbrs = blocks[op.neighbor_ids]
-                if interceptor is not None:
-                    nbrs = nbrs.copy()
-                    for t, j in enumerate(op.neighbor_ids):
-                        nbrs[t] = interceptor(int(j), i, nbrs[t], k)
-                new[i] = op.update(blocks[i], nbrs, k)
-        try:
-            _check_finite(new, k)
-        except DivergenceError as exc:
-            exc.trace = rec.trace
-            rec.trace.terminal = "diverged"
-            raise
-        blocks = new
-    return StackedParams(blocks), rec.trace  # pragma: no cover
+    blocks, trace = _drive(blocks, stop.max_iters, step, rec, noise)
+    return StackedParams(blocks), trace
 
 
 def run_async(
@@ -539,12 +548,8 @@ def run_async(
     node active and zero delays each event equals a synchronous round
     exactly.
     """
-    blocks = _as_block_array(w0)
-    n, d = blocks.shape
-    if len(ops) != n:
-        raise ValueError(f"got {len(ops)} operators for {n} blocks")
-    neighbor_ids = [op.neighbor_ids for op in ops]
-    schedule.validate(neighbor_ids)
+    blocks = _checked_blocks(ops, w0)
+    schedule.validate([op.neighbor_ids for op in ops])
     events = schedule.events
     if horizon is not None:
         if horizon > len(events):
@@ -554,62 +559,25 @@ def run_async(
         events = events[:horizon]
     if stop is None:
         stop = StopRule(max_iters=len(events))
-    batch = _shared_batch(ops) if interceptor is None else None
-    all_nodes = tuple(range(n))
-    rec = _Recorder(stop, objective, oracle, metrics, record_every)
-    states = []
     kend = min(len(events), stop.max_iters)
-    for k in range(kend + 1):
-        terminal = rec.observe(k, blocks, last_event=(k == kend))
-        if terminal:
-            rec.trace.terminal = terminal
-            return StackedParams(blocks), rec.trace
-        ev = events[k]
-        if noise is not None:
-            nrm = noise(k, blocks)
-            rec.trace.extras.setdefault("noise_norms", []).append(
-                float(nrm) if nrm is not None else 0.0
-            )
-        states.append(blocks.copy())
-        synchronous = ev.active == all_nodes and all(
-            all(r == k for r in ev.refs[i]) for i in ev.active
-        )
-        if batch is not None and synchronous:
-            new = batch(blocks, k)
-        else:
-            new = blocks.copy()
-            for i in ev.active:
-                op = ops[i]
-                ids = op.neighbor_ids
-                refs = ev.refs[i]
-                nbrs = np.empty((len(ids), d))
-                for t, j in enumerate(ids):
-                    nbrs[t] = states[refs[t]][j]
-                    if interceptor is not None:
-                        nbrs[t] = interceptor(int(j), int(i), nbrs[t], k)
-                new[i] = op.update(blocks[i], nbrs, k)
-        try:
-            _check_finite(new, k)
-        except DivergenceError as exc:
-            exc.trace = rec.trace
-            rec.trace.terminal = "diverged"
-            raise
-        blocks = new
-    return StackedParams(blocks), rec.trace  # pragma: no cover
+    step = _graph_step(ops, blocks.shape, events[:kend], schedule.B, interceptor)
+    rec = _Recorder(stop, objective, oracle, metrics, record_every)
+    blocks, trace = _drive(blocks, kend, step, rec, noise)
+    return StackedParams(blocks), trace
+
+
+def _everyone_reads(nbr, r) -> AsyncEvent:
+    """Every node active, reading all its neighbors at event r."""
+    return AsyncEvent(
+        active=tuple(range(len(nbr))), refs={i: (r,) * len(ids) for i, ids in enumerate(nbr)}
+    )
 
 
 def zero_delay_schedule(g, horizon: int) -> AsyncSchedule:
     """All nodes active at every event, reading current (round-k) state."""
-    n = g.n
-    nbr = [g.neighbor_arrays(i)[0] for i in range(n)]
-    events = tuple(
-        AsyncEvent(
-            active=tuple(range(n)),
-            refs={i: (k,) * len(nbr[i]) for i in range(n)},
-        )
-        for k in range(int(horizon))
-    )
-    return AsyncSchedule(n=n, B=0, events=events)
+    nbr = [g.neighbor_arrays(i)[0] for i in range(g.n)]
+    events = tuple(_everyone_reads(nbr, k) for k in range(int(horizon)))
+    return AsyncSchedule(n=g.n, B=0, events=events)
 
 
 def gen_partially_async(
@@ -631,11 +599,7 @@ def gen_partially_async(
     rng = seeds.as_rng(seed)
     n = g.n
     nbr = [g.neighbor_arrays(i)[0] for i in range(n)]
-    events = [
-        AsyncEvent(
-            active=tuple(range(n)), refs={i: (0,) * len(nbr[i]) for i in range(n)}
-        )
-    ]
+    events = [_everyone_reads(nbr, 0)]
     last = [0] * n
     for k in range(1, horizon):
         draws = rng.random(n)
@@ -669,11 +633,7 @@ def gen_totally_async(
     rng = seeds.as_rng(seed)
     n = g.n
     nbr = [g.neighbor_arrays(i)[0] for i in range(n)]
-    events = [
-        AsyncEvent(
-            active=tuple(range(n)), refs={i: (0,) * len(nbr[i]) for i in range(n)}
-        )
-    ]
+    events = [_everyone_reads(nbr, 0)]
     seen = set()
     for k in range(1, horizon):
         draws = rng.random(n)
@@ -726,6 +686,32 @@ def contraction_factor(p: GTVMinProblem) -> float:
     return max(kappas)
 
 
+def _server_run(client, n, sample_size, w0, stop, seed, objective, oracle, on_round):
+    """Server rounds on the event driver.
+
+    Each round samples sample_size clients uniformly without replacement;
+    each returns client(i, global block, k); the server averages the
+    returned blocks (sampled clients only). The global block is the
+    driver's single row. Returns (global block, Trace).
+    """
+    rng = seeds.stream(seed, "schedule")
+
+    def step(k, W):
+        chosen = np.sort(rng.choice(n, size=sample_size, replace=False))
+        locals_ = np.empty((sample_size, W.shape[1]))
+        for t, i in enumerate(chosen):
+            locals_[t] = client(i, W[0], k)
+        new = locals_.mean(axis=0, keepdims=True)
+        if on_round is not None:
+            on_round(k, new[0])
+        return new
+
+    w = np.array(w0, dtype=float).reshape(1, -1)
+    rec = _Recorder(stop, objective, oracle, None, 1)
+    w, trace = _drive(w, stop.max_iters, step, rec, None)
+    return w[0], trace
+
+
 def fedavg_run(
     losses,
     n: int,
@@ -740,13 +726,8 @@ def fedavg_run(
     w0=None,
     on_round=None,
 ):
-    """Server-averaged local gradient descent.
-
-    Each round samples sample_size clients uniformly without replacement;
-    each runs R gradient steps from the global block; the server averages
-    the returned blocks (sampled clients only). Returns (global block,
-    Trace).
-    """
+    """Server-averaged local gradient descent: each sampled client runs R
+    gradient steps from the global block. Returns (global block, Trace)."""
     losses = list(losses) if losses is not None else None
     if losses is not None and len(losses) != n:
         raise ValueError(f"got {len(losses)} losses for n={n}")
@@ -768,34 +749,17 @@ def fedavg_run(
         if not dims:
             raise ValueError("pass w0 when the dimension cannot be inferred")
         w0 = np.zeros(dims[0])
-    w = np.array(w0, dtype=float).reshape(-1)
-    rng = seeds.stream(seed, "schedule")
-    server = ServerState(w=w, sample_size=sample_size, local_steps=R)
-    rec = _Recorder(stop, objective, oracle, None, 1)
-    for k in range(stop.max_iters + 1):
-        terminal = rec.observe(
-            k, server.w.reshape(1, -1), last_event=(k == stop.max_iters)
-        )
-        if terminal:
-            rec.trace.terminal = terminal
-            return server.w, rec.trace
-        chosen = np.sort(rng.choice(n, size=sample_size, replace=False))
+
+    def local_steps(i, w, k):
         eta = sched.rate(k)
-        locals_ = np.empty((sample_size, w.shape[0]))
-        for t, i in enumerate(chosen):
-            v = server.w.copy()
-            for _ in range(R):
-                v = v - eta * np.asarray(gradients[i](v), dtype=float)
-            locals_[t] = v
-        server.w = locals_.mean(axis=0)
-        if not np.all(np.isfinite(server.w)):
-            rec.trace.terminal = "diverged"
-            raise DivergenceError(
-                f"non-finite global block after round {k}", trace=rec.trace
-            )
-        if on_round is not None:
-            on_round(k, server.w)
-    return server.w, rec.trace  # pragma: no cover
+        v = w.copy()
+        for _ in range(R):
+            v = v - eta * np.asarray(gradients[i](v), dtype=float)
+        return v
+
+    return _server_run(
+        local_steps, n, sample_size, w0, stop, seed, objective, oracle, on_round
+    )
 
 
 def fedprox_run(
@@ -822,26 +786,11 @@ def fedprox_run(
         raise ValueError(f"sample size must lie in 1..{n}, got {sample_size}")
     if w0 is None:
         w0 = np.zeros(losses[0].d)
-    w = np.array(w0, dtype=float).reshape(-1)
     rho = 2.0 / eta
-    rng = seeds.stream(seed, "schedule")
-    server = ServerState(w=w, sample_size=sample_size, local_steps=1)
-    rec = _Recorder(stop, objective, oracle, None, 1)
-    for k in range(stop.max_iters + 1):
-        terminal = rec.observe(
-            k, server.w.reshape(1, -1), last_event=(k == stop.max_iters)
-        )
-        if terminal:
-            rec.trace.terminal = terminal
-            return server.w, rec.trace
-        chosen = np.sort(rng.choice(n, size=sample_size, replace=False))
-        locals_ = np.empty((sample_size, w.shape[0]))
-        for t, i in enumerate(chosen):
-            locals_[t] = losses[i].prox(server.w, rho)
-        server.w = locals_.mean(axis=0)
-        if on_round is not None:
-            on_round(k, server.w)
-    return server.w, rec.trace  # pragma: no cover
+    return _server_run(
+        lambda i, w, k: losses[i].prox(w, rho),
+        n, sample_size, w0, stop, seed, objective, oracle, on_round,
+    )
 
 
 def agnostic_relax_step(ds, testX, neighbor_preds, alpha: float, ridge: float = 0.0):

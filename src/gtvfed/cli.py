@@ -4,7 +4,8 @@ Subcommands: gen-graph writes a seeded edge list, gen-data writes per-node
 dataset CSVs, learn-graph fits edge weights to a discrepancy matrix, run
 executes a config file and exports CSV/JSON reports, report prints a saved
 report's summary. Exit codes: 0 success, 1 validation or I/O error, 2 a
-bound check failed under --strict.
+bound check failed under --strict, 3 the run diverged (run still writes
+its report, with terminal "diverged").
 """
 
 from __future__ import annotations
@@ -150,6 +151,10 @@ def _summary_lines(summary: dict) -> list:
         f"final val err: {summary.get('final_val_err')}",
         f"overfit: {summary.get('overfit')}",
     ]
+    if summary.get("divergence") is not None:
+        div = summary["divergence"]
+        node = "" if div["node"] is None else f" at node {div['node']}"
+        lines.append(f"diverged: event {div['event']}{node}")
     if summary.get("baseline_err") is not None:
         lines.append(f"baseline err (noise^2): {summary['baseline_err']}")
     checks = summary.get("bound_checks") or []
@@ -182,6 +187,8 @@ def _cmd_run(args) -> int:
         print(line)
     for path in written:
         print(f"wrote {path}")
+    if report.summary["terminal"] == "diverged":
+        return 3
     if args.strict and any(not c["holds"] for c in report.summary["bound_checks"]):
         return 2
     return 0

@@ -129,7 +129,7 @@ from gtvfed.localmodel import (
     generate_local,
     load_dataset_csv,
 )
-from gtvfed.optim import LRSchedule, StopRule, contraction, perturbed_bound
+from gtvfed.optim import DivergenceError, LRSchedule, StopRule, contraction, perturbed_bound
 from gtvfed.trust import AttackSpec, DPMechanism, RobustAgg, model_interceptor, poison_dataset
 
 CSV_HEADER = ("event", "node", "objective", "gtv", "train_err", "val_err", "dist_oracle")
@@ -972,7 +972,10 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     The summary marks the run converged when a tolerance rule stopped it or
     the final distance-to-oracle is at most 1e-6, flags overfitting when the
     mean validation error exceeds five times the mean training error, and
-    carries one row per analytic check whose preconditions held.
+    carries one row per analytic check whose preconditions held. A run the
+    engine stops with DivergenceError still yields a report: its rows up to
+    the blow-up, terminal "diverged", no bound checks, and a "divergence"
+    entry naming the event and node (null for the server's global block).
     """
     g = build_graph(cfg)
     _check_trim_degrees(cfg, g)
@@ -1045,7 +1048,7 @@ def _run_graph(cfg, g, losses, trains, vals, d, meta):
         record_every=cfg.record_every,
     )
     if mode == "sync":
-        final, trace = run_sync(ops, w0, cfg.stop, **common)
+        schedule = None
     else:
         horizon = cfg.async_spec["horizon"] or cfg.stop.max_iters
         if mode == "partial":
@@ -1061,18 +1064,21 @@ def _run_graph(cfg, g, losses, trains, vals, d, meta):
                 g, horizon, seeds.stream(cfg.seed, "schedule"),
                 p_active=cfg.async_spec["p_active"],
             )
-        final, trace = run_async(ops, w0, schedule, stop=cfg.stop, **common)
+    divergence = None
+    try:
+        if schedule is None:
+            _, trace = run_sync(ops, w0, cfg.stop, **common)
+        else:
+            _, trace = run_async(ops, w0, schedule, stop=cfg.stop, **common)
+    except DivergenceError as exc:
+        trace, divergence = exc.trace, {"event": exc.event, "node": exc.node}
 
-    checks = _bound_checks(cfg, g, p, oracle_sp, trace, trains, meta, run_info)
-    rows = _rows_from_trace(
-        trace,
-        n,
-        trace.extras["node_objs"],
-        trace.extras["gtv"],
-        trace.extras["train_err"],
-        trace.extras["val_err"],
-    )
-    return _make_report(cfg, trace, rows, checks, meta, n)
+    checks = []
+    if divergence is None:
+        checks = _bound_checks(cfg, g, p, oracle_sp, trace, trains, meta, run_info)
+    probes = [trace.extras.get(key, []) for key in ("node_objs", "gtv", "train_err", "val_err")]
+    rows = _rows_from_trace(trace, n, *probes)
+    return _make_report(cfg, trace, rows, checks, meta, n, divergence)
 
 
 def _run_server(cfg, g, losses, trains, vals, d, meta):
@@ -1095,36 +1101,23 @@ def _run_server(cfg, g, losses, trains, vals, d, meta):
     objective = lambda blocks: float(sum(stack.values(spread(blocks)).tolist()))
     ws = [np.zeros(d)]
     on_round = lambda k, w: ws.append(w.copy())
-    if kind == "fedavg":
-        sched = LRSchedule.constant(algo["eta"])
-        if algo["schedule"] == "diminishing":
-            sched = LRSchedule.diminishing(algo["eta"])
-        _, trace = fedavg_run(
-            losses,
-            n,
-            algo["local_steps"],
-            sample,
-            sched,
-            cfg.stop,
-            cfg.seed,
-            objective=objective,
-            oracle=oracle,
-            w0=np.zeros(d),
-            on_round=on_round,
-        )
-    else:
-        _, trace = fedprox_run(
-            losses,
-            n,
-            sample,
-            algo["eta"],
-            cfg.stop,
-            cfg.seed,
-            objective=objective,
-            oracle=oracle,
-            w0=np.zeros(d),
-            on_round=on_round,
-        )
+    common = dict(objective=objective, oracle=oracle, w0=np.zeros(d), on_round=on_round)
+    divergence = None
+    try:
+        if kind == "fedavg":
+            sched = LRSchedule.constant(algo["eta"])
+            if algo["schedule"] == "diminishing":
+                sched = LRSchedule.diminishing(algo["eta"])
+            _, trace = fedavg_run(
+                losses, n, algo["local_steps"], sample, sched, cfg.stop, cfg.seed, **common
+            )
+        else:
+            _, trace = fedprox_run(
+                losses, n, sample, algo["eta"], cfg.stop, cfg.seed, **common
+            )
+    except DivergenceError as exc:
+        # The server's one row is the global block, not a node.
+        trace, divergence = exc.trace, {"event": exc.event, "node": None}
     train_err, val_err = SqErrors(trains), SqErrors(vals)
     node_objs, e_ts, e_vs = [], [], []
     for k in trace.ks:
@@ -1133,10 +1126,10 @@ def _run_server(cfg, g, losses, trains, vals, d, meta):
         e_ts.append(train_err(W))
         e_vs.append(val_err(W))
     rows = _rows_from_trace(trace, n, node_objs, np.zeros(len(trace.ks)), e_ts, e_vs)
-    return _make_report(cfg, trace, rows, [], meta, n)
+    return _make_report(cfg, trace, rows, [], meta, n, divergence)
 
 
-def _make_report(cfg, trace, rows, checks, meta, n):
+def _make_report(cfg, trace, rows, checks, meta, n, divergence=None):
     final_dist = trace.dists[-1] if trace.dists else None
     final_obj = trace.objectives[-1] if trace.objectives else None
     last_train = [r[4] for r in rows[-n:]] if rows else []
@@ -1168,6 +1161,8 @@ def _make_report(cfg, trace, rows, checks, meta, n):
         "overfit": overfit,
         "terminal": trace.terminal,
     }
+    if divergence is not None:
+        summary["divergence"] = divergence
     environment = {
         "config_sha256": hashlib.sha256(cfg.text.encode("utf-8")).hexdigest(),
         "package_version": __version__,

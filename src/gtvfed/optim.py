@@ -13,12 +13,14 @@ DIVERGENCE_FACTOR = 1e12
 
 
 class DivergenceError(RuntimeError):
-    """Raised when iterates blow up; carries the trace collected so far."""
+    """Raised when iterates blow up; carries the trace collected so far and,
+    when known, the offending node and event."""
 
-    def __init__(self, message, trace=None, node=None):
+    def __init__(self, message, trace=None, node=None, event=None):
         super().__init__(message)
         self.trace = trace
         self.node = node
+        self.event = event
 
 
 @dataclass(frozen=True)
@@ -183,7 +185,9 @@ def _descend(loss, w0, sched, stop, oracle=None, perturb=None, projector=None):
         if not np.isfinite(f) or not np.all(np.isfinite(g)):
             trace.terminal = "diverged"
             raise DivergenceError(
-                f"non-finite objective or gradient at iteration {k}", trace=trace
+                f"non-finite objective or gradient at iteration {k}",
+                trace=trace,
+                event=k,
             )
         if f_guard is None:
             f_guard = DIVERGENCE_FACTOR * (abs(f) + 1.0)
@@ -192,6 +196,7 @@ def _descend(loss, w0, sched, stop, oracle=None, perturb=None, projector=None):
             raise DivergenceError(
                 f"objective {f:.3e} exceeded the divergence guard at iteration {k}",
                 trace=trace,
+                event=k,
             )
         if stop.dist_tol is not None and dist is not None and dist <= stop.dist_tol:
             trace.terminal = "dist_tol"
