@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from gtvfed.gtvmin import (
 )
 from gtvfed.localmodel import QuadLoss
 from gtvfed.optim import DivergenceError, LRSchedule, StopRule, Trace, DIVERGENCE_FACTOR
-from gtvfed.trust import RobustAgg, aggregate
+from gtvfed.trust import RobustAgg, SenderRewrite, aggregate, aggregate_stack
 
 
 @dataclass
@@ -28,8 +29,9 @@ class NodeOperator:
     update(own block, neighbor blocks as a (k, d) array aligned with
     neighbor_ids, event index) -> new own block. batch_update, when present,
     is a whole-round map (n, d) -> (n, d) shared by all operators of the
-    run; the engines use it only when every operator carries the same one
-    and no per-message hook is installed.
+    run; the engines use it only when every operator carries the same one.
+    It runs a synchronous round when no per-message hook is installed; an
+    _ArrayRound also runs every other event as array code.
     """
 
     update: callable
@@ -37,13 +39,69 @@ class NodeOperator:
     batch_update: callable = None
 
 
-@dataclass(frozen=True)
 class AsyncEvent:
     """One event: nodes that update and, per node, the event index each
-    neighbor's state is read from (aligned with sorted neighbor ids)."""
+    neighbor's state is read from (aligned with sorted neighbor ids).
 
-    active: tuple
-    refs: dict
+    AsyncEvent(active, refs) takes a tuple and a dict; the generators keep
+    events as arrays (AsyncEvent.from_arrays). arrays is (nodes, counts,
+    flat): the active ids, their numbers of refs (-1 for a node without
+    refs) and their refs concatenated in node order. Each form is derived
+    from the other on first use; equality compares active and refs.
+    """
+
+    __slots__ = ("_active", "_refs", "_arrays")
+
+    def __init__(self, active, refs):
+        self._active = tuple(active)
+        self._refs = refs
+        self._arrays = None
+
+    @classmethod
+    def from_arrays(cls, nodes, counts, flat) -> "AsyncEvent":
+        ev = cls.__new__(cls)
+        ev._active = ev._refs = None
+        ev._arrays = (nodes, counts, flat)
+        return ev
+
+    @property
+    def active(self) -> tuple:
+        if self._active is None:
+            self._active = tuple(self._arrays[0].tolist())
+        return self._active
+
+    @property
+    def refs(self) -> dict:
+        if self._refs is None:
+            _, counts, flat = self._arrays
+            ends = np.cumsum(counts).tolist()
+            refs = flat.tolist()
+            self._refs = {
+                i: tuple(refs[end - c : end])
+                for i, c, end in zip(self.active, counts.tolist(), ends)
+            }
+        return self._refs
+
+    @property
+    def arrays(self) -> tuple:
+        if self._arrays is None:
+            refs = [self._refs.get(i) for i in self._active]
+            self._arrays = (
+                np.array(self._active, dtype=np.intp),
+                np.array([-1 if r is None else len(r) for r in refs], dtype=np.intp),
+                np.array([x for r in refs if r is not None for x in r], dtype=np.int64),
+            )
+        return self._arrays
+
+    def __eq__(self, other):
+        if not isinstance(other, AsyncEvent):
+            return NotImplemented
+        return self.active == other.active and self.refs == other.refs
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"AsyncEvent(active={self.active!r}, refs={self.refs!r})"
 
 
 @dataclass(frozen=True)
@@ -64,52 +122,34 @@ class AsyncSchedule:
         Enforces: refs aligned with neighbors and never in the future;
         staleness <= B and every node active in any B consecutive events
         (bounded case); every node active at least once (unbounded case,
-        the finite-horizon reading of "infinitely often").
+        the finite-horizon reading of "infinitely often"). Reports the
+        first violation in event, node and ref order.
         """
-        if len(neighbor_ids) != self.n:
+        n, B = self.n, self.B
+        if len(neighbor_ids) != n:
             raise ValueError(
-                f"schedule built for {self.n} nodes, got {len(neighbor_ids)} operators"
+                f"schedule built for {n} nodes, got {len(neighbor_ids)} operators"
             )
-        last = [-1] * self.n
+        deg = np.array([len(ids) for ids in neighbor_ids], dtype=np.intp)
+        last = np.full(n, -1)
         for k, ev in enumerate(self.events):
-            seen = set()
-            for i in ev.active:
-                if not (0 <= i < self.n) or i in seen:
-                    raise ValueError(f"event {k}: bad active set {ev.active}")
-                seen.add(i)
-                last[i] = k
-                refs = ev.refs.get(i)
-                ids = neighbor_ids[i]
-                if refs is None or len(refs) != len(ids):
-                    raise ValueError(
-                        f"event {k}: node {i} needs {len(ids)} neighbor refs"
-                    )
-                for r in refs:
-                    if r > k:
-                        raise ValueError(
-                            f"event {k}: node {i} references future event {r}"
-                        )
-                    if r < 0:
-                        raise ValueError(f"event {k}: negative event reference {r}")
-                    if self.B is not None and k - r > self.B:
-                        raise ValueError(
-                            f"event {k}: node {i} reads state {k - r} events old, "
-                            f"bound is {self.B}"
-                        )
-            if self.B is not None and self.B >= 1 and k >= self.B - 1:
+            nodes, counts, flat = ev.arrays
+            _check_event(k, ev, nodes, counts, flat, deg, B)
+            last[nodes] = k
+            if B is not None and B >= 1 and k >= B - 1:
                 # Active at least once in any window of B consecutive events.
                 # B = 0 (zero staleness) leaves activity unconstrained: the
                 # window is empty.
-                for i in range(self.n):
-                    if last[i] < k - self.B + 1:
-                        raise ValueError(
-                            f"node {i} inactive over events "
-                            f"{k - self.B + 1}..{k} (window {self.B})"
-                        )
-        if self.B is None:
-            for i in range(self.n):
-                if last[i] < 0:
-                    raise ValueError(f"node {i} never active over the horizon")
+                idle = np.flatnonzero(last < k - B + 1)
+                if idle.size:
+                    raise ValueError(
+                        f"node {idle[0]} inactive over events "
+                        f"{k - B + 1}..{k} (window {B})"
+                    )
+        if B is None:
+            never = np.flatnonzero(last < 0)
+            if never.size:
+                raise ValueError(f"node {never[0]} never active over the horizon")
 
     def to_dict(self) -> dict:
         return {
@@ -134,6 +174,37 @@ class AsyncSchedule:
             for ev in data["events"]
         )
         return cls(n=int(data["n"]), B=data["B"], events=events)
+
+
+def _check_event(k, ev, nodes, counts, flat, deg, B) -> None:
+    """Raise the first problem of event k, checking node by node: a bad or
+    repeated id, then a ref count that misses the degree, then each ref."""
+    n = deg.shape[0]
+    inside = (nodes >= 0) & (nodes < n)
+    bad = ~inside
+    order = np.argsort(nodes, kind="stable")
+    bad[order[1:][nodes[order][1:] == nodes[order][:-1]]] = True
+    wrong = inside & (counts != deg[np.where(inside, nodes, 0)])
+    late = (flat > k) | (flat < 0)
+    if B is not None:
+        late |= k - flat > B
+    if not (bad.any() or wrong.any() or late.any()):
+        return
+    owner = np.repeat(np.arange(nodes.shape[0]), np.maximum(counts, 0))
+    flagged = bad | wrong
+    flagged[owner[late]] = True
+    t = int(np.argmax(flagged))
+    if bad[t]:
+        raise ValueError(f"event {k}: bad active set {ev.active}")
+    i = int(nodes[t])
+    if wrong[t]:
+        raise ValueError(f"event {k}: node {i} needs {deg[i]} neighbor refs")
+    r = int(flat[np.flatnonzero(late & (owner == t))[0]])
+    if r > k:
+        raise ValueError(f"event {k}: node {i} references future event {r}")
+    if r < 0:
+        raise ValueError(f"event {k}: negative event reference {r}")
+    raise ValueError(f"event {k}: node {i} reads state {k - r} events old, bound is {B}")
 
 
 def _node_schedules(p: GTVMinProblem, sched) -> list:
@@ -275,27 +346,29 @@ def fedrelax_op(p: GTVMinProblem, agg: RobustAgg | None = None):
     """
     if agg is None:
         agg = _MEAN
-    quad = p.is_quadratic()
-    batch = None
-    if quad and agg.kind == "mean":
-        batch = _fedrelax_batch(p)
+    n, d = p.n, p.d
+    # Shared by the closures and the round maps: P_i = (2 Q_i + rho_i I)^-1
+    # (the identity at lone nodes) and each lone node's minimizer or None.
+    Ps = np.broadcast_to(np.eye(d), (n, d, d)).copy()
+    rhos = np.zeros(n)
+    lone = {}
     ops = []
-    for i in range(p.n):
+    for i in range(n):
         ids, wts = p.neighbor_arrays(i)
         loss = p.losses[i]
         deg = float(wts.sum())
         rho = 2.0 * p.alpha * deg
+        rhos[i] = rho
         if deg == 0.0 or rho == 0.0:
-            solver = _lone_node_map(loss)
+            w_star = lone[i] = _lone_minimizer(loss)
 
-            def update(own, nbrs, k, solver=solver):
-                return solver(own)
+            def update(own, nbrs, k, w_star=w_star):
+                return own.copy() if w_star is None else w_star.copy()
 
         elif isinstance(loss, QuadLoss):
-            P = np.linalg.inv(2.0 * loss.Q + rho * np.eye(loss.d))
-            qv = loss.q
+            Ps[i] = np.linalg.inv(2.0 * loss.Q + rho * np.eye(loss.d))
 
-            def update(own, nbrs, k, P=P, qv=qv, rho=rho, wts=wts, agg=agg):
+            def update(own, nbrs, k, P=Ps[i], qv=loss.q, rho=rho, wts=wts, agg=agg):
                 avg = aggregate(nbrs, wts, agg)
                 return P @ (rho * avg - qv)
 
@@ -305,46 +378,146 @@ def fedrelax_op(p: GTVMinProblem, agg: RobustAgg | None = None):
                 avg = aggregate(nbrs, wts, agg)
                 return loss.prox(avg, rho)
 
-        ops.append(NodeOperator(update=update, neighbor_ids=ids, batch_update=batch))
+        ops.append(NodeOperator(update=update, neighbor_ids=ids))
+    batch = _relax_round(p, agg, Ps, rhos, lone)
+    for op in ops:
+        op.batch_update = batch
     return ops
 
 
-def _lone_node_map(loss):
+def _lone_minimizer(loss):
+    """A node's exact local minimizer when it is unique, else None."""
     if isinstance(loss, QuadLoss) and loss.d:
         lam_min = float(np.linalg.eigvalsh(loss.Q)[0])
         if lam_min > 1e-12:
-            w_star = np.linalg.solve(2.0 * loss.Q, -loss.q)
-            return lambda own: w_star.copy()
-    return lambda own: own.copy()
+            return np.linalg.solve(2.0 * loss.Q, -loss.q)
+    return None
 
 
-def _fedrelax_batch(p: GTVMinProblem):
-    n, d = p.n, p.d
-    adj = p.graph.adjacency()
-    deg = p._deg.copy()
-    rhos = 2.0 * p.alpha * deg
-    # rho == 0 nodes bypass the prox entirely (their rows are overwritten
-    # below), so never invert their possibly singular 2Q.
-    lone = rhos == 0.0
-    safe_deg = np.where(deg == 0.0, 1.0, deg).reshape(-1, 1)
-    Ps = np.stack(
-        [
-            np.eye(d) if lone[i] else np.linalg.inv(2.0 * loss.Q + rho * np.eye(d))
-            for i, (loss, rho) in enumerate(zip(p.losses, rhos))
-        ]
-    )
+def _relax_round(p: GTVMinProblem, agg, Ps, rhos, lone):
+    """The round map shared by FedRelax operators on a quadratic problem:
+    the dense mean map for synchronous rounds and, when only the nodes
+    without neighbors skip the aggregate and aggregate_stack can apply the
+    rule at every other node, the array form of every event."""
+    if not p.is_quadratic():
+        return None
     qs = loss_stack(p).qs
-    rhos_col = rhos.reshape(-1, 1)
-    lone_maps = {i: _lone_node_map(p.losses[i]) for i in range(n) if lone[i]}
+    dense = None
+    if agg.kind == "mean":
+        adj = p.graph.adjacency()
+        safe_deg = np.where(p._deg == 0.0, 1.0, p._deg).reshape(-1, 1)
 
-    def batch(W, k):
-        avg = (adj @ W) / safe_deg
-        new = np.einsum("nij,nj->ni", Ps, rhos_col * avg - qs)
-        for i, solver in lone_maps.items():
-            new[i] = solver(W[i])
+        def dense(W, k):
+            avg = (adj @ W) / safe_deg
+            new = np.einsum("nij,nj->ni", Ps, rhos[:, None] * avg - qs)
+            for i, w_star in lone.items():
+                new[i] = W[i] if w_star is None else w_star
+            return new
+
+    counts = _degrees(p)
+    if (
+        counts[list(lone)].any()
+        or agg.kind == "geomedian"
+        or (agg.kind == "trimmed" and (counts[counts > 0] <= 2 * agg.trim_k).any())
+    ):
+        return dense
+    fixed = np.array([lone.get(i) is not None for i in range(p.n)])[:, None]
+    w_stars = np.zeros_like(qs)
+    for i, w_star in lone.items():
+        if w_star is not None:
+            w_stars[i] = w_star
+
+    def finish(k, ids, own, avg):
+        if avg is None:
+            return np.where(fixed[ids], w_stars[ids], own)
+        rhs = rhos[ids, None] * avg - qs[ids]
+        return (Ps[ids] @ rhs[:, :, None])[:, :, 0]
+
+    return _ArrayRound(p, counts, agg, finish, dense)
+
+
+class _ArrayRound:
+    """One event of quadratic FedRelax as array code.
+
+    The active nodes are ordered by degree. One fancy index gathers all
+    their neighbor rows (from the current blocks, or from the snapshot ring
+    at the scheduled events); a SenderRewrite overwrites the victims' rows;
+    aggregate_stack reduces each same-degree group; finish(k, ids, own,
+    avg) then gives the new blocks of all readers at once, and of the nodes
+    without neighbors with avg None. The result equals the per-node
+    closures bit for bit: each product is a stacked matmul that hands its
+    slices to the BLAS kernel the per-node product calls. Called as (W, k),
+    it is one synchronous round, or the dense map when one is given.
+    """
+
+    def __init__(self, p: GTVMinProblem, counts, agg, finish, dense=None):
+        nbr = [p.neighbor_arrays(i) for i in range(p.n)]
+        self.counts = counts
+        self.indptr = np.concatenate(([0], np.cumsum(counts)))
+        self.indices = np.concatenate([ids for ids, _ in nbr] + [np.empty(0, np.intp)])
+        self.weights = np.concatenate([wts for _, wts in nbr] + [np.empty(0)])
+        self.agg, self.finish, self.dense = agg, finish, dense
+
+    @cached_property
+    def synchronous(self):
+        """The plan of a synchronous round: every node reads the blocks."""
+        return self.plan(np.arange(self.counts.shape[0]), None)
+
+    def __call__(self, W, k):
+        if self.dense is not None:
+            return self.dense(W, k)
+        return self.step(k, W, W, self.synchronous)
+
+    def plan(self, nodes, flat):
+        """The gather of one event: (nodes, senders, weights, refs, groups)
+        with the nodes ordered by degree, one sender, weight and ref (None
+        when synchronous) per neighbor slot, and groups the runs (first,
+        end, degree) of equal degree."""
+        counts = self.counts[nodes]
+        order = np.argsort(counts, kind="stable")
+        nodes, cnt = nodes[order], counts[order]
+        ends = np.cumsum(cnt)
+        within = np.arange(ends[-1] if ends.size else 0) - np.repeat(ends - cnt, cnt)
+        slots = np.repeat(self.indptr[nodes], cnt) + within
+        refs = None
+        if flat is not None:
+            starts = np.cumsum(counts) - counts
+            refs = flat[np.repeat(starts[order], cnt) + within]
+        bounds = [0, *(np.flatnonzero(np.diff(cnt)) + 1).tolist(), nodes.shape[0]]
+        groups = [(a, b, int(cnt[a])) for a, b in zip(bounds, bounds[1:]) if b > a]
+        return nodes, self.indices[slots], self.weights[slots], refs, groups
+
+    def step(self, k, blocks, source, plan, rewrite=None):
+        """The next blocks; source is the blocks, or the snapshot ring that
+        the plan's refs index modulo its length."""
+        nodes, senders, weights, refs, groups = plan
+        if refs is None:
+            rows = source[senders]
+        else:
+            rows = source[refs % source.shape[0], senders]
+        if rewrite is not None:
+            rewrite.apply(rows, senders)
+        d = blocks.shape[1]
+        own = blocks[nodes]
+        avg = np.empty_like(own)
+        new = blocks.copy()
+        lone, r = 0, 0
+        for a, b, deg in groups:
+            if deg == 0:
+                lone = b
+                continue
+            size = (b - a) * deg
+            avg[a:b] = aggregate_stack(
+                rows[r : r + size].reshape(b - a, deg, d),
+                weights[r : r + size].reshape(b - a, deg),
+                self.agg,
+            )
+            r += size
+        if lone:
+            new[nodes[:lone]] = self.finish(k, nodes[:lone], own[:lone], None)
+        if lone < nodes.shape[0]:
+            new[nodes[lone:]] = self.finish(k, nodes[lone:], own[lone:], avg[lone:])
         return new
-
-    return batch
 
 
 class _Recorder:
@@ -452,38 +625,53 @@ def _graph_step(ops, shape, events, B, interceptor):
     round). With them, the active nodes of event k read each neighbor's row
     at the event the schedule names, from a ring of B + 1 state snapshots
     (the whole history when B is None); inactive nodes keep their block.
-    The shared batch map replaces the per-node updates on synchronous
-    events when no message hook is installed.
+    The operators' shared batch map replaces the per-node updates on
+    synchronous events when no message hook is installed; an _ArrayRound
+    runs every other event too, unless a hook other than a SenderRewrite
+    is installed. The per-node updates are the reference.
     """
-    batch = ops[0].batch_update if interceptor is None else None
+    batch = ops[0].batch_update
     if any(op.batch_update is not batch for op in ops):
         batch = None
-    everyone = tuple(range(len(ops)))
+    whole = batch if interceptor is None else None
+    rewrite = interceptor if isinstance(interceptor, SenderRewrite) else None
+    array = None
+    if isinstance(batch, _ArrayRound) and (interceptor is None or rewrite is not None):
+        array = batch
+    everyone = np.arange(len(ops))
     if events is not None:
         ring = np.empty((len(events) if B is None else B + 1,) + shape)
 
     def step(k, blocks):
         if events is None:
-            active = everyone
+            if whole is not None:
+                return whole(blocks, k)
+            if array is not None:
+                return array.step(k, blocks, blocks, array.synchronous, rewrite)
+            nodes, flat = everyone, None
         else:
-            ev = events[k]
-            active = ev.active
+            nodes, counts, flat = events[k].arrays
             ring[k % len(ring)] = blocks
-        if batch is not None and (
-            events is None
-            or (active == everyone and all(r == k for i in active for r in ev.refs[i]))
-        ):
-            return batch(blocks, k)
+            if (
+                whole is not None
+                and nodes.shape == everyone.shape
+                and (nodes == everyone).all()
+                and (flat == k).all()
+            ):
+                return whole(blocks, k)
+            if array is not None:
+                return array.step(k, blocks, ring, array.plan(nodes, flat), rewrite)
+            ends = np.cumsum(counts).tolist()
         new = blocks.copy()
-        for i in active:
+        for t, i in enumerate(nodes.tolist()):
             ids = ops[i].neighbor_ids
-            if events is None:
+            if flat is None:
                 nbrs = blocks[ids]
             else:
-                nbrs = ring[np.array(ev.refs[i], dtype=np.intp) % len(ring), ids]
+                nbrs = ring[flat[ends[t] - len(ids) : ends[t]] % len(ring), ids]
             if interceptor is not None:
-                for t, j in enumerate(ids):
-                    nbrs[t] = interceptor(int(j), int(i), nbrs[t], k)
+                for s, j in enumerate(ids):
+                    nbrs[s] = interceptor(int(j), int(i), nbrs[s], k)
             new[i] = ops[i].update(blocks[i], nbrs, k)
         return new
 
@@ -566,17 +754,21 @@ def run_async(
     return StackedParams(blocks), trace
 
 
-def _everyone_reads(nbr, r) -> AsyncEvent:
+def _degrees(g) -> np.ndarray:
+    return np.array([g.neighbor_arrays(i)[0].shape[0] for i in range(g.n)], dtype=np.intp)
+
+
+def _everyone_reads(deg, r) -> AsyncEvent:
     """Every node active, reading all its neighbors at event r."""
-    return AsyncEvent(
-        active=tuple(range(len(nbr))), refs={i: (r,) * len(ids) for i, ids in enumerate(nbr)}
+    return AsyncEvent.from_arrays(
+        np.arange(deg.shape[0]), deg, np.full(int(deg.sum()), r, dtype=np.int64)
     )
 
 
 def zero_delay_schedule(g, horizon: int) -> AsyncSchedule:
     """All nodes active at every event, reading current (round-k) state."""
-    nbr = [g.neighbor_arrays(i)[0] for i in range(g.n)]
-    events = tuple(_everyone_reads(nbr, k) for k in range(int(horizon)))
+    deg = _degrees(g)
+    events = tuple(_everyone_reads(deg, k) for k in range(int(horizon)))
     return AsyncSchedule(n=g.n, B=0, events=events)
 
 
@@ -588,7 +780,8 @@ def gen_partially_async(
     Event 0 activates every node with zero delay; afterwards a node is
     forced active once it has been silent for B-1 events, so every node
     appears in any window of B consecutive events. Neighbor snapshots lag
-    by at most B events.
+    by at most B events. Each event draws one uniform per node, then one
+    lag per neighbor slot of the active nodes in a single integers call.
     """
     B = int(B)
     horizon = int(horizon)
@@ -598,24 +791,18 @@ def gen_partially_async(
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     rng = seeds.as_rng(seed)
     n = g.n
-    nbr = [g.neighbor_arrays(i)[0] for i in range(n)]
-    events = [_everyone_reads(nbr, 0)]
-    last = [0] * n
+    deg = _degrees(g)
+    events = [_everyone_reads(deg, 0)]
+    last = np.zeros(n, dtype=np.int64)
     for k in range(1, horizon):
         draws = rng.random(n)
-        active = [
-            i
-            for i in range(n)
-            if (k - last[i] >= B) or (draws[i] < p_active)
-        ]
-        if not active:
-            active = [int(np.argmin(last))]
-        refs = {}
-        for i in active:
-            last[i] = k
-            lags = rng.integers(0, B + 1, size=len(nbr[i]))
-            refs[i] = tuple(int(max(k - s, 0)) for s in lags)
-        events.append(AsyncEvent(active=tuple(active), refs=refs))
+        nodes = np.flatnonzero((k - last >= B) | (draws < p_active))
+        if not nodes.size:
+            nodes = np.array([np.argmin(last)])
+        last[nodes] = k
+        counts = deg[nodes]
+        lags = rng.integers(0, B + 1, size=int(counts.sum()))
+        events.append(AsyncEvent.from_arrays(nodes, counts, np.maximum(k - lags, 0)))
     return AsyncSchedule(n=n, B=B, events=tuple(events))
 
 
@@ -625,29 +812,28 @@ def gen_totally_async(
     """Random schedule with unbounded staleness.
 
     Delays are drawn uniformly over the whole past; every node is active at
-    event 0 and forced in at the final event if it never reappeared.
+    event 0 and forced in at the final event if it never reappeared. Each
+    event makes one integers call for all lags of its active nodes.
     """
     horizon = int(horizon)
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     rng = seeds.as_rng(seed)
     n = g.n
-    nbr = [g.neighbor_arrays(i)[0] for i in range(n)]
-    events = [_everyone_reads(nbr, 0)]
-    seen = set()
+    deg = _degrees(g)
+    events = [_everyone_reads(deg, 0)]
+    seen = np.zeros(n, dtype=bool)
     for k in range(1, horizon):
-        draws = rng.random(n)
-        active = [i for i in range(n) if draws[i] < p_active]
+        active = rng.random(n) < p_active
         if k == horizon - 1:
-            active = sorted(set(active) | (set(range(n)) - seen))
-        if not active:
-            active = [int(k % n)]
-        seen.update(active)
-        refs = {}
-        for i in active:
-            lags = rng.integers(0, k + 1, size=len(nbr[i]))
-            refs[i] = tuple(int(k - s) for s in lags)
-        events.append(AsyncEvent(active=tuple(sorted(set(active))), refs=refs))
+            active |= ~seen
+        nodes = np.flatnonzero(active)
+        if not nodes.size:
+            nodes = np.array([k % n])
+        seen[nodes] = True
+        counts = deg[nodes]
+        lags = rng.integers(0, k + 1, size=int(counts.sum()))
+        events.append(AsyncEvent.from_arrays(nodes, counts, k - lags))
     return AsyncSchedule(n=n, B=None, events=tuple(events))
 
 
@@ -686,7 +872,9 @@ def contraction_factor(p: GTVMinProblem) -> float:
     return max(kappas)
 
 
-def _server_run(client, n, sample_size, w0, stop, seed, objective, oracle, on_round):
+def _server_run(
+    client, n, sample_size, w0, stop, seed, objective, oracle, on_round, record_every
+):
     """Server rounds on the event driver.
 
     Each round samples sample_size clients uniformly without replacement;
@@ -707,7 +895,7 @@ def _server_run(client, n, sample_size, w0, stop, seed, objective, oracle, on_ro
         return new
 
     w = np.array(w0, dtype=float).reshape(1, -1)
-    rec = _Recorder(stop, objective, oracle, None, 1)
+    rec = _Recorder(stop, objective, oracle, None, record_every)
     w, trace = _drive(w, stop.max_iters, step, rec, None)
     return w[0], trace
 
@@ -725,9 +913,11 @@ def fedavg_run(
     oracle=None,
     w0=None,
     on_round=None,
+    record_every: int = 1,
 ):
     """Server-averaged local gradient descent: each sampled client runs R
-    gradient steps from the global block. Returns (global block, Trace)."""
+    gradient steps from the global block. Rows are recorded every
+    record_every rounds and at the last. Returns (global block, Trace)."""
     losses = list(losses) if losses is not None else None
     if losses is not None and len(losses) != n:
         raise ValueError(f"got {len(losses)} losses for n={n}")
@@ -758,7 +948,8 @@ def fedavg_run(
         return v
 
     return _server_run(
-        local_steps, n, sample_size, w0, stop, seed, objective, oracle, on_round
+        local_steps, n, sample_size, w0, stop, seed, objective, oracle, on_round,
+        record_every,
     )
 
 
@@ -773,8 +964,10 @@ def fedprox_run(
     oracle=None,
     w0=None,
     on_round=None,
+    record_every: int = 1,
 ):
-    """Server-averaged proximal updates: clients return prox(global, 2/eta)."""
+    """Server-averaged proximal updates: clients return prox(global, 2/eta);
+    rows as in fedavg_run."""
     losses = list(losses)
     if len(losses) != n:
         raise ValueError(f"got {len(losses)} losses for n={n}")
@@ -789,7 +982,7 @@ def fedprox_run(
     rho = 2.0 / eta
     return _server_run(
         lambda i, w, k: losses[i].prox(w, rho),
-        n, sample_size, w0, stop, seed, objective, oracle, on_round,
+        n, sample_size, w0, stop, seed, objective, oracle, on_round, record_every,
     )
 
 

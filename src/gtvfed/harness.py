@@ -130,7 +130,7 @@ from gtvfed.localmodel import (
     load_dataset_csv,
 )
 from gtvfed.optim import DivergenceError, LRSchedule, StopRule, contraction, perturbed_bound
-from gtvfed.trust import AttackSpec, DPMechanism, RobustAgg, model_interceptor, poison_dataset
+from gtvfed.trust import AttackSpec, DPMechanism, RobustAgg, SenderRewrite, poison_dataset
 
 CSV_HEADER = ("event", "node", "objective", "gtv", "train_err", "val_err", "dist_oracle")
 
@@ -703,7 +703,8 @@ def _apply_data_attacks(cfg: ExperimentConfig, trains):
 
 
 def _model_interceptor(cfg: ExperimentConfig, d: int, n: int):
-    hooks = []
+    """The run's message attacks as one SenderRewrite, None without any."""
+    specs = []
     for idx, a in enumerate(cfg.attacks):
         if a["kind"] not in ("model_poison", "dos"):
             continue
@@ -713,19 +714,8 @@ def _model_interceptor(cfg: ExperimentConfig, d: int, n: int):
         replacement = None
         if a["kind"] == "model_poison":
             replacement = np.full(d, float(a["value"]))
-        spec = AttackSpec(kind=a["kind"], victims=tuple(a["nodes"]), replacement=replacement)
-        hooks.append(model_interceptor(spec))
-    if not hooks:
-        return None
-    if len(hooks) == 1:
-        return hooks[0]
-
-    def chained(sender, receiver, value, k):
-        for hook in hooks:
-            value = hook(sender, receiver, value, k)
-        return value
-
-    return chained
+        specs.append(AttackSpec(kind=a["kind"], victims=tuple(a["nodes"]), replacement=replacement))
+    return SenderRewrite.from_specs(specs, n, d) if specs else None
 
 
 def _dp_hook(mech: DPMechanism):
@@ -1099,9 +1089,20 @@ def _run_server(cfg, g, losses, trains, vals, d, meta):
     # The one global block, repeated so every node is evaluated at it.
     spread = lambda w: np.repeat(np.reshape(w, (1, d)), n, axis=0)
     objective = lambda blocks: float(sum(stack.values(spread(blocks)).tolist()))
-    ws = [np.zeros(d)]
-    on_round = lambda k, w: ws.append(w.copy())
-    common = dict(objective=objective, oracle=oracle, w0=np.zeros(d), on_round=on_round)
+    # The global block of every sampled round, plus the latest one, which
+    # may end the run.
+    stride = cfg.record_every
+    ws = {0: np.zeros(d)}
+
+    def on_round(k, w):
+        if k % stride:
+            del ws[k]
+        ws[k + 1] = w.copy()
+
+    common = dict(
+        objective=objective, oracle=oracle, w0=np.zeros(d), on_round=on_round,
+        record_every=stride,
+    )
     divergence = None
     try:
         if kind == "fedavg":

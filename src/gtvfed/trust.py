@@ -12,6 +12,8 @@ from gtvfed.localmodel import LocalDataset
 
 DATA_ATTACKS = ("label_poison", "feature_poison", "backdoor")
 MODEL_ATTACKS = ("model_poison", "dos")
+# Every coordinate of a block a dos victim sends.
+DOS_VALUE = 1e6
 
 # An iterate this close to a data point triggers the coincidence handling.
 COINCIDENCE_TOL = 1e-12
@@ -188,7 +190,7 @@ def model_interceptor(spec: AttackSpec):
     replacement = spec.replacement
     if replacement is None:
         if spec.kind == "dos":
-            replacement = lambda block, k: np.full_like(block, 1e6)
+            replacement = lambda block, k: np.full_like(block, DOS_VALUE)
         else:
             raise ValueError("model_poison requires a replacement rule")
 
@@ -200,6 +202,52 @@ def model_interceptor(spec: AttackSpec):
         return value
 
     return interceptor
+
+
+@dataclass(frozen=True, eq=False)
+class SenderRewrite:
+    """Message hook replacing every block a victim sends by a fixed row.
+
+    stages holds one (victims, row) pair per attack: a boolean mask over
+    the nodes and the d-vector their messages become. Stages apply in
+    order, so a later attack wins for a node in several. Callable as an
+    engine interceptor (sender, receiver, value, k); the engines also apply
+    it to gathered neighbor rows, one masked assignment per stage.
+    """
+
+    stages: tuple
+
+    @classmethod
+    def from_specs(cls, specs, n: int, d: int) -> "SenderRewrite":
+        """The model_poison and dos specs of a run over n nodes as one
+        rewrite, in spec order. A replacement must be a fixed d-vector or,
+        for dos, None: the DOS_VALUE row model_interceptor sends too."""
+        stages = []
+        for spec in specs:
+            if spec.kind not in MODEL_ATTACKS:
+                raise ValueError(f"attack kind {spec.kind!r} does not act on messages")
+            row = spec.replacement
+            if row is None:
+                if spec.kind != "dos":
+                    raise ValueError("model_poison requires a replacement rule")
+                row = np.full(d, DOS_VALUE)
+            if callable(row):
+                raise ValueError("a sender rewrite needs a fixed replacement row")
+            victims = np.zeros(n, dtype=bool)
+            victims[list(spec.victims)] = True
+            stages.append((victims, np.asarray(row, dtype=float)))
+        return cls(tuple(stages))
+
+    def __call__(self, sender, receiver, value, k):
+        for victims, row in self.stages:
+            if victims[sender]:
+                value = row
+        return value
+
+    def apply(self, rows, senders) -> None:
+        """Rewrite, in place, the (M, d) rows sent by the (M,) senders."""
+        for victims, row in self.stages:
+            rows[victims[senders]] = row
 
 
 def aggregate(blocks, weights, agg: RobustAgg) -> np.ndarray:
@@ -247,6 +295,47 @@ def aggregate(blocks, weights, agg: RobustAgg) -> np.ndarray:
         return out
     point, _ = geometric_median(stack, tol=agg.tol, max_iter=agg.max_iter)
     return point
+
+
+def aggregate_stack(blocks, weights, agg: RobustAgg) -> np.ndarray:
+    """aggregate over a group of same-degree nodes at once.
+
+    blocks is (G, count, d) and weights (G, count); row g of the (G, d)
+    result equals aggregate(blocks[g], weights[g], agg) bit for bit, for
+    the mean, clipped and trimmed rules. Every weighted sum is a stacked
+    matmul over contiguous operands, which hands each slice to the BLAS
+    gemv or dot the per-node product calls. Geomedian has no stacked form.
+    """
+    stack = np.asarray(blocks, dtype=float)
+    wts = np.asarray(weights, dtype=float)
+    G, count, d = stack.shape
+    if count < 1:
+        raise ValueError("aggregation needs at least one neighbor block")
+    if wts.shape != (G, count):
+        raise ValueError(f"got {wts.shape} weights for {(G, count)} blocks")
+    total = wts.sum(axis=1)[:, None]
+    if not (total > 0.0).all():
+        raise ValueError("aggregation weights must have positive sum")
+    t = agg.trim_k if agg.kind == "trimmed" else 0
+    if agg.kind == "geomedian":
+        raise ValueError("the geometric median aggregates one node at a time")
+    if agg.kind == "clipped":
+        stack = np.clip(stack, agg.tau_l, agg.tau_u)
+    if not count > 2 * t:
+        raise ValueError(
+            f"trimming {t} from each end needs more than {2 * t} blocks, got {count}"
+        )
+    if t == 0:
+        return (wts[:, None, :] @ stack)[:, 0, :] / total
+    # Per coordinate, the survivors' weights and values as contiguous
+    # (G, d, kept) rows, dotted pairwise.
+    kept = np.argsort(stack, axis=1, kind="stable")[:, t : count - t, :].transpose(0, 2, 1)
+    group = np.arange(G)[:, None, None]
+    vals = np.ascontiguousarray(stack[group, kept, np.arange(d)[:, None]])
+    w_kept = np.ascontiguousarray(wts[group, kept])
+    dots = (w_kept[:, :, None, :] @ vals[:, :, :, None])[:, :, 0, 0]
+    c = count / (count - 2 * t)
+    return c * dots / total
 
 
 def geometric_median(points, tol: float = 1e-6, max_iter: int = 1000):

@@ -1,0 +1,479 @@
+"""The array event engine against its per-node references, bit for bit:
+schedules, schedule validation, stacked aggregation, defended rounds and
+server-run sampling."""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gtvfed import seeds, trust
+from gtvfed.algorithms import (
+    AsyncEvent,
+    _ArrayRound,
+    AsyncSchedule,
+    fedgd_op,
+    fedrelax_op,
+    gen_partially_async,
+    gen_totally_async,
+    run_async,
+    run_sync,
+)
+from gtvfed.graph import EmpGraph, generate
+from gtvfed.gtvmin import GTVMinProblem
+from gtvfed.harness import parse_config, run_experiment
+from gtvfed.localmodel import QuadLoss, from_dataset, generate_local
+from gtvfed.optim import LRSchedule, StopRule
+from gtvfed.trust import RobustAgg, SenderRewrite, aggregate, aggregate_stack, model_interceptor
+
+from test_engine import reference_async
+
+# ------------------------------------------------------------ RNG assumption
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.one_of(st.integers(2, 6), st.integers(7, 400)),
+    st.integers(0, 40),
+    st.integers(0, 40),
+    st.integers(0, 5),
+)
+def test_one_integers_call_equals_two_consecutive_calls(seed, bound, m1, m2, between):
+    # The generators draw all lags of an event in one call where the
+    # per-node reference made one call per node. PCG64 buffers the spare
+    # 32-bit half of a 64-bit output in the bit generator, so the split does
+    # not change the stream, also across the uniform draws in between.
+    one, two = np.random.default_rng(seed), np.random.default_rng(seed)
+    one.random(between)
+    two.random(between)
+    joined = one.integers(0, bound, size=m1 + m2)
+    split = np.concatenate([two.integers(0, bound, size=m1), two.integers(0, bound, size=m2)])
+    assert np.array_equal(joined, split)
+    assert one.random() == two.random()
+
+
+# ----------------------------------------------- per-node reference schedules
+
+
+def reference_partially_async(g, B, horizon, seed, p_active=0.5):
+    """The bounded-staleness generator with one integers call per node."""
+    rng = seeds.as_rng(seed)
+    n = g.n
+    nbr = [g.neighbor_arrays(i)[0] for i in range(n)]
+    events = [AsyncEvent(tuple(range(n)), {i: (0,) * len(ids) for i, ids in enumerate(nbr)})]
+    last = [0] * n
+    for k in range(1, horizon):
+        draws = rng.random(n)
+        active = [i for i in range(n) if (k - last[i] >= B) or (draws[i] < p_active)]
+        if not active:
+            active = [int(np.argmin(last))]
+        refs = {}
+        for i in active:
+            last[i] = k
+            lags = rng.integers(0, B + 1, size=len(nbr[i]))
+            refs[i] = tuple(int(max(k - s, 0)) for s in lags)
+        events.append(AsyncEvent(tuple(active), refs))
+    return AsyncSchedule(n, B, tuple(events))
+
+
+def reference_totally_async(g, horizon, seed, p_active=0.5):
+    """The unbounded generator with one integers call per node."""
+    rng = seeds.as_rng(seed)
+    n = g.n
+    nbr = [g.neighbor_arrays(i)[0] for i in range(n)]
+    events = [AsyncEvent(tuple(range(n)), {i: (0,) * len(ids) for i, ids in enumerate(nbr)})]
+    seen = set()
+    for k in range(1, horizon):
+        draws = rng.random(n)
+        active = [i for i in range(n) if draws[i] < p_active]
+        if k == horizon - 1:
+            active = sorted(set(active) | (set(range(n)) - seen))
+        if not active:
+            active = [int(k % n)]
+        seen.update(active)
+        refs = {}
+        for i in active:
+            lags = rng.integers(0, k + 1, size=len(nbr[i]))
+            refs[i] = tuple(int(k - s) for s in lags)
+        events.append(AsyncEvent(tuple(sorted(set(active))), refs))
+    return AsyncSchedule(n, None, tuple(events))
+
+
+def with_isolated(g, extra):
+    """g plus `extra` nodes without edges."""
+    return EmpGraph(g.n + extra, g.edges)
+
+
+GRAPHS = st.builds(
+    lambda n, p, seed, extra: with_isolated(generate("erdos_renyi", n, seed=seed, p=p), extra),
+    st.integers(1, 12),
+    st.sampled_from([0.0, 0.3, 0.8]),
+    st.integers(0, 10**6),
+    st.integers(0, 2),
+)
+P_ACTIVE = st.sampled_from([0.0, 0.3, 0.5, 1.0])
+
+
+def assert_same_schedule(fast, ref):
+    assert (fast.n, fast.B) == (ref.n, ref.B)
+    assert len(fast.events) == len(ref.events)
+    for a, b in zip(fast.events, ref.events):
+        assert a.active == b.active
+        assert a.refs == b.refs
+        assert list(a.refs) == list(b.refs)
+    assert fast == ref
+    assert fast.to_dict() == ref.to_dict()
+
+
+@settings(max_examples=80, deadline=None)
+@given(GRAPHS, st.integers(1, 5), st.integers(1, 40), st.integers(0, 2**63), P_ACTIVE)
+def test_partially_async_matches_the_per_node_generator(g, B, horizon, seed, p_active):
+    fast = gen_partially_async(g, B, horizon, seed, p_active=p_active)
+    assert_same_schedule(fast, reference_partially_async(g, B, horizon, seed, p_active))
+    fast.validate([g.neighbor_arrays(i)[0] for i in range(g.n)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(GRAPHS, st.integers(1, 40), st.integers(0, 2**63), P_ACTIVE)
+def test_totally_async_matches_the_per_node_generator(g, horizon, seed, p_active):
+    fast = gen_totally_async(g, horizon, seed, p_active=p_active)
+    assert_same_schedule(fast, reference_totally_async(g, horizon, seed, p_active))
+    fast.validate([g.neighbor_arrays(i)[0] for i in range(g.n)])
+
+
+def test_generators_at_benchmark_size_and_long_horizons():
+    g = generate("erdos_renyi", 200, seed=3, p=0.1)
+    for B in (1, 3, 5):
+        fast = gen_partially_async(g, B, 30, seed=B)
+        assert_same_schedule(fast, reference_partially_async(g, B, 30, B))
+    fast = gen_totally_async(g, 300, seed=9)
+    assert_same_schedule(fast, reference_totally_async(g, 300, 9))
+
+
+# --------------------------------------------------------- schedule checking
+
+
+def reference_validate(schedule, neighbor_ids):
+    """The per-node schedule check the array code replaced."""
+    n, B = schedule.n, schedule.B
+    if len(neighbor_ids) != n:
+        raise ValueError(f"schedule built for {n} nodes, got {len(neighbor_ids)} operators")
+    last = [-1] * n
+    for k, ev in enumerate(schedule.events):
+        seen = set()
+        for i in ev.active:
+            if not (0 <= i < n) or i in seen:
+                raise ValueError(f"event {k}: bad active set {ev.active}")
+            seen.add(i)
+            last[i] = k
+            refs = ev.refs.get(i)
+            ids = neighbor_ids[i]
+            if refs is None or len(refs) != len(ids):
+                raise ValueError(f"event {k}: node {i} needs {len(ids)} neighbor refs")
+            for r in refs:
+                if r > k:
+                    raise ValueError(f"event {k}: node {i} references future event {r}")
+                if r < 0:
+                    raise ValueError(f"event {k}: negative event reference {r}")
+                if B is not None and k - r > B:
+                    raise ValueError(
+                        f"event {k}: node {i} reads state {k - r} events old, bound is {B}"
+                    )
+        if B is not None and B >= 1 and k >= B - 1:
+            for i in range(n):
+                if last[i] < k - B + 1:
+                    raise ValueError(
+                        f"node {i} inactive over events {k - B + 1}..{k} (window {B})"
+                    )
+    if B is None:
+        for i in range(n):
+            if last[i] < 0:
+                raise ValueError(f"node {i} never active over the horizon")
+
+
+def outcome(check, *args):
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def damaged_schedules(draw):
+    """A generated schedule, hand-built again with a few random faults."""
+    n = draw(st.integers(1, 6))
+    g = generate("erdos_renyi", n, seed=draw(st.integers(0, 1000)), p=0.6)
+    B = draw(st.sampled_from([None, 0, 1, 2, 3]))
+    horizon = draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 1000))
+    if B is None:
+        base = gen_totally_async(g, horizon, seed)
+    else:
+        base = gen_partially_async(g, max(B, 1), horizon, seed)
+    events = [[list(ev.active), {i: list(r) for i, r in ev.refs.items()}] for ev in base.events]
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, horizon - 1))
+        active, refs = events[k]
+        fault = draw(st.sampled_from(["node", "repeat", "drop", "ref", "ref", "ref", "short", "idle"]))
+        if fault == "node":
+            active.append(draw(st.sampled_from([-1, n, n + 3])))
+        elif fault == "repeat" and active:
+            active.insert(draw(st.integers(0, len(active))), draw(st.sampled_from(active)))
+        elif fault == "drop" and refs:
+            refs.pop(draw(st.sampled_from(sorted(refs))))
+        elif fault == "ref":
+            nonempty = [i for i in sorted(refs) if refs[i]]
+            if nonempty:
+                i = draw(st.sampled_from(nonempty))
+                t = draw(st.integers(0, len(refs[i]) - 1))
+                refs[i][t] = draw(st.integers(-3, k + 3))
+        elif fault == "short" and refs:
+            i = draw(st.sampled_from(sorted(refs)))
+            refs[i] = refs[i][:-1] if refs[i] else [0]
+        elif fault == "idle" and active:
+            active.remove(draw(st.sampled_from(active)))
+    hand = tuple(AsyncEvent(tuple(a), {i: tuple(r) for i, r in refs.items()}) for a, refs in events)
+    nbr = [g.neighbor_arrays(i)[0] for i in range(n)]
+    return AsyncSchedule(n, B, hand), nbr
+
+
+@settings(max_examples=300, deadline=None)
+@given(damaged_schedules())
+def test_validate_reports_what_the_per_node_check_reports(case):
+    schedule, nbr = case
+    assert outcome(schedule.validate, nbr) == outcome(reference_validate, schedule, nbr)
+    extra = nbr + [np.zeros(0, dtype=np.intp)]
+    assert outcome(schedule.validate, extra) == outcome(reference_validate, schedule, extra)
+
+
+# ------------------------------------------------------- stacked aggregation
+
+RULES = [
+    RobustAgg.mean(),
+    RobustAgg.clipped(-0.4, 0.6),
+    RobustAgg.trimmed(0),
+    RobustAgg.trimmed(1),
+    RobustAgg.trimmed(2),
+    RobustAgg.trimmed(3),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.integers(1, 9),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from(RULES),
+)
+def test_stacked_aggregate_equals_per_node_aggregate(G, count, d, seed, ties, unit, agg):
+    if agg.kind == "trimmed" and count <= 2 * agg.trim_k:
+        count = 2 * agg.trim_k + 1  # the fewest blocks the rule accepts
+    rng = np.random.default_rng(seed)
+    blocks = rng.standard_normal((G, count, d))
+    if ties:
+        blocks = np.round(blocks * 2.0) / 2.0
+    weights = np.ones((G, count)) if unit else rng.uniform(0.05, 4.0, (G, count))
+    out = aggregate_stack(blocks, weights, agg)
+    ref = np.stack([aggregate(blocks[g], weights[g], agg) for g in range(G)])
+    assert out.shape == (G, d)
+    assert np.array_equal(out, ref)
+
+
+def test_stacked_aggregate_rejects_what_aggregate_rejects():
+    blocks = np.zeros((2, 2, 3))
+    with pytest.raises(ValueError, match="more than 2 blocks, got 2"):
+        aggregate_stack(blocks, np.ones((2, 2)), RobustAgg.trimmed(1))
+    with pytest.raises(ValueError, match="positive sum"):
+        aggregate_stack(blocks, np.zeros((2, 2)), RobustAgg.mean())
+    with pytest.raises(ValueError, match="one node at a time"):
+        aggregate_stack(blocks, np.ones((2, 2)), RobustAgg.geomedian())
+
+
+# ---------------------------------------------------- array engine vs reference
+
+
+def problem(n, seed, d=2, p_edge=0.5, alpha=0.7):
+    g = generate("erdos_renyi", n, seed=seed, p=p_edge)
+    rng = np.random.default_rng(seed)
+    losses = [
+        from_dataset(generate_local(rng.standard_normal(d), 6, 0.2, seed=seed + i), 0.1)
+        for i in range(n)
+    ]
+    return GTVMinProblem(g, losses, alpha)
+
+
+def rewrite(n, d, *attacks):
+    """A SenderRewrite and the same attacks as chained model_interceptor
+    hooks, the per-message reference."""
+    specs = [
+        trust.AttackSpec(kind, victims=victims, replacement=None if value is None else np.full(d, value))
+        for kind, victims, value in attacks
+    ]
+    hooks = [model_interceptor(spec) for spec in specs]
+
+    def chained(sender, receiver, value, k):
+        for hook in hooks:
+            value = hook(sender, receiver, value, k)
+        return value
+
+    return SenderRewrite.from_specs(specs, n, d), chained
+
+
+def test_sender_rewrite_takes_only_fixed_message_rows():
+    with pytest.raises(ValueError, match="does not act on messages"):
+        SenderRewrite.from_specs([trust.AttackSpec("label_poison", victims=(0,))], 2, 1)
+    with pytest.raises(ValueError, match="requires a replacement"):
+        SenderRewrite.from_specs([trust.AttackSpec("model_poison", victims=(0,))], 2, 1)
+    shift = trust.AttackSpec("model_poison", victims=(0,), replacement=lambda block, k: block + 1.0)
+    with pytest.raises(ValueError, match="fixed replacement row"):
+        SenderRewrite.from_specs([shift], 2, 1)
+
+
+POISON = ("model_poison", (1, 4), 40.0)
+DOS = ("dos", (4, 6), None)
+ATTACKS = [(), (POISON,), (DOS,), (POISON, DOS)]
+DEFENCES = [None, RobustAgg.mean(), RobustAgg.clipped(-2.0, 2.5), RobustAgg.trimmed(1)]
+
+
+def makers(p):
+    """(name, operator factory): FedRelax, which takes the array path, and
+    FedGD, which stays per node and calls the rewrite once per message."""
+    out = []
+    for agg in DEFENCES:
+        out.append((f"fedrelax-{agg}", lambda agg=agg: fedrelax_op(p, agg=agg)))
+        out.append(
+            (f"fedgd-{agg}", lambda agg=agg: fedgd_op(p, sched=LRSchedule.constant(0.05), agg=agg))
+        )
+    return out
+
+
+@pytest.mark.parametrize("mode", ["partial", "total"])
+def test_array_engine_matches_the_reference_loop(mode):
+    # ER(12, 0.5) at this seed gives every node at least 3 neighbors, so
+    # trimming one from each end applies everywhere.
+    p = problem(12, 21, d=3)
+    assert min(p.neighbor_arrays(i)[0].size for i in range(p.n)) >= 3
+    if mode == "partial":
+        schedule = gen_partially_async(p.graph, 3, 40, seed=5)
+    else:
+        schedule = gen_totally_async(p.graph, 40, seed=5)
+    w0 = np.random.default_rng(2).standard_normal((p.n, p.d))
+    for attacks in ATTACKS:
+        # Without attacks an empty rewrite still keeps every event on the
+        # array path: with no hook at all, events where everyone reads the
+        # current state take the dense map of mean FedRelax.
+        hook, reference_hook = rewrite(p.n, p.d, *attacks)
+        for name, make in makers(p):
+            ops = make()
+            array = isinstance(ops[0].batch_update, _ArrayRound)
+            assert array == name.startswith("fedrelax"), name
+            fast, _ = run_async(ops, w0, schedule, interceptor=hook)
+            ref = reference_async(make(), w0, schedule, reference_hook if attacks else None)
+            assert np.array_equal(fast.blocks, ref), (name, attacks)
+            if array and ops[0].batch_update.dense is None and not attacks:
+                plain, _ = run_async(make(), w0, schedule)
+                assert np.array_equal(plain.blocks, ref), name
+
+
+def test_array_engine_covers_lone_nodes_and_one_dimension():
+    g = EmpGraph(7, [(0, 1), (1, 2), (2, 0), (3, 4)])  # 5 and 6 are isolated
+    rng = np.random.default_rng(4)
+    losses = [
+        from_dataset(generate_local(rng.standard_normal(1), 5, 0.3, seed=i), 0.0)
+        for i in range(6)
+    ]
+    # Node 6 has no unique minimizer, so FedRelax keeps its block.
+    p = GTVMinProblem(g, losses + [QuadLoss(np.zeros((1, 1)), np.zeros(1))], 1.3)
+    schedule = gen_partially_async(g, 2, 30, seed=8)
+    w0 = rng.standard_normal((7, 1))
+    hook, reference_hook = rewrite(7, 1, POISON)
+    # The geometric median keeps the per-node path, where the rewrite is
+    # called once per message.
+    for agg in (None, RobustAgg.clipped(-0.5, 0.5), RobustAgg.geomedian()):
+        for make in (lambda: fedrelax_op(p, agg=agg),
+                     lambda: fedgd_op(p, sched=LRSchedule.constant(0.1), agg=agg)):
+            fast, _ = run_async(make(), w0, schedule, interceptor=hook)
+            assert np.array_equal(fast.blocks, reference_async(make(), w0, schedule, reference_hook))
+
+
+def test_synchronous_defended_rounds_match_the_per_node_updates():
+    p = problem(10, 21)
+    w0 = np.random.default_rng(3).standard_normal((p.n, p.d))
+    hook, reference_hook = rewrite(p.n, p.d, POISON, DOS)
+    for _, make in makers(p):
+        fast, _ = run_sync(make(), w0, StopRule(max_iters=15), interceptor=hook)
+        # A plain function hook keeps every round on the per-node path.
+        ref, _ = run_sync(make(), w0, StopRule(max_iters=15), interceptor=reference_hook)
+        assert np.array_equal(fast.blocks, ref.blocks)
+
+
+DEFENDED_CONFIG = """\
+seed = 4
+graph.kind = erdos_renyi
+graph.n = 24
+graph.p = 0.5
+data.d = 2
+algorithm.kind = fedrelax
+async.mode = {mode}
+async.B = 2
+stop.max_iters = 30
+attack.0.kind = model_poison
+attack.0.nodes = 1,5
+attack.0.value = 100.0
+attack.1.kind = dos
+attack.1.nodes = 7
+defense.kind = trimmed
+defense.trim_k = 1
+"""
+
+
+@pytest.mark.parametrize("mode", ["partial", "total"])
+def test_defended_async_runs_never_call_the_per_node_kernels(monkeypatch, mode):
+    cfg = parse_config(DEFENDED_CONFIG.format(mode=mode))
+    expected = run_experiment(cfg)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-node kernel called")
+
+    monkeypatch.setattr(trust, "aggregate", refuse)
+    monkeypatch.setattr("gtvfed.algorithms.aggregate", refuse)
+    monkeypatch.setattr(SenderRewrite, "__call__", refuse)
+    report = run_experiment(cfg)
+    assert report.summary["terminal"] == "max_iters"
+    assert report.rows == expected.rows
+
+
+# ------------------------------------------------------------- server runs
+
+FEDAVG_CONFIG = """\
+graph.kind = erdos_renyi
+graph.n = 40
+data.d = 3
+algorithm.kind = fedavg
+algorithm.eta = 0.05
+stop.max_iters = 100
+record_every = {stride}
+"""
+
+
+def test_server_runs_honour_record_every():
+    sampled = run_experiment(parse_config(FEDAVG_CONFIG.format(stride=10)))
+    every = run_experiment(parse_config(FEDAVG_CONFIG.format(stride=1)))
+    events = sorted({row[0] for row in sampled.rows})
+    assert events == list(range(0, 101, 10))
+    assert len(sampled.rows) == 11 * 40
+    assert sampled.rows == [row for row in every.rows if row[0] % 10 == 0]
+    assert json.dumps(sampled.summary, sort_keys=True) == json.dumps(every.summary, sort_keys=True)
+
+
+def test_server_runs_record_the_last_round_off_the_stride():
+    text = FEDAVG_CONFIG.format(stride=7).replace("fedavg\n", "fedprox\n")
+    report = run_experiment(parse_config(text))
+    assert sorted({row[0] for row in report.rows}) == list(range(0, 100, 7)) + [100]
