@@ -20,6 +20,7 @@ from gtvfed import graph as graphmod
 from gtvfed import graphlearn
 from gtvfed.graph import GraphError
 from gtvfed.harness import (
+    CONFIG_KEYS,
     ConfigError,
     export,
     gen_node_datasets,
@@ -28,6 +29,21 @@ from gtvfed.harness import (
     run_experiment,
 )
 from gtvfed.localmodel import save_dataset_csv
+
+
+def _key_options(parser, *keys, required=False) -> None:
+    """One --flag per config key, named after the key's last part, with the
+    key's parser, default, choices and help from CONFIG_KEYS."""
+    for key in keys:
+        spec = CONFIG_KEYS[key]
+        parser.add_argument(
+            "--" + key.rsplit(".", 1)[-1].replace("_", "-"),
+            type=spec.parse,
+            default=spec.default,
+            choices=spec.choices or None,
+            required=required,
+            help=spec.help,
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,37 +55,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     gg = sub.add_parser("gen-graph", help="write a seeded generated edge list")
-    gg.add_argument(
-        "--kind",
-        required=True,
-        choices=("erdos_renyi", "star", "chain", "two_cluster"),
-    )
-    gg.add_argument("--n", type=int, required=True, help="node count")
-    gg.add_argument("--p", type=float, default=0.3, help="edge probability")
-    gg.add_argument("--p-in", type=float, default=0.8)
-    gg.add_argument("--p-out", type=float, default=0.05)
-    gg.add_argument("--weight", type=float, default=1.0)
-    gg.add_argument("--seed", type=int, default=0)
+    gg.add_argument("--kind", required=True, choices=graphmod.GENERATORS)
+    _key_options(gg, "graph.n", required=True)
+    _key_options(gg, "graph.p", "graph.p_in", "graph.p_out", "graph.weight", "seed")
     gg.add_argument("--out", required=True, help="edge-list path")
 
     gd = sub.add_parser("gen-data", help="write per-node dataset CSVs")
-    gd.add_argument("--n", type=int, required=True, help="node count")
-    gd.add_argument("--d", type=int, required=True, help="feature dimension")
-    gd.add_argument("--m-min", type=int, default=10)
-    gd.add_argument("--m-max", type=int, default=10)
-    gd.add_argument("--noise", type=float, default=0.1)
-    gd.add_argument(
-        "--model", choices=("shared", "clustered", "per_node"), default="shared"
-    )
-    gd.add_argument("--seed", type=int, default=0)
+    _key_options(gd, "graph.n", "data.d", required=True)
+    _key_options(gd, "data.m_min", "data.m_max", "data.noise", "data.model", "seed")
     gd.add_argument("--out", required=True, help="output directory")
 
     lg = sub.add_parser("learn-graph", help="fit edge weights to discrepancies")
-    lg.add_argument("--discrepancies", required=True, help="discrepancy CSV path")
-    lg.add_argument("--method", choices=("budget", "degree"), default="budget")
-    lg.add_argument("--budget", type=float, help="ordered-pair weight budget")
-    lg.add_argument("--d-max", type=float, help="target row sum")
-    lg.add_argument("--seed", type=int, default=0)
+    _key_options(lg, "graph.discrepancies", required=True)
+    _key_options(lg, "graph.method", "graph.budget", "graph.d_max", "seed")
     lg.add_argument("--out", required=True, help="edge-list path")
 
     rn = sub.add_parser("run", help="run a config file and export reports")
@@ -224,8 +222,9 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
+        where = f"{args.config}: " if args.command == "run" else ""
         for line in exc.errors:
-            print(f"config error: {line}", file=sys.stderr)
+            print(f"config error: {where}{line}", file=sys.stderr)
         return 1
     except (GraphError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

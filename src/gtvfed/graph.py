@@ -13,6 +13,7 @@ from gtvfed.seeds import as_rng
 ZERO_EIG_TOL = 1e-8
 
 PENALTIES = ("sq_norm", "norm")
+GENERATORS = ("erdos_renyi", "star", "chain", "two_cluster")
 
 
 class GraphError(ValueError):
@@ -314,8 +315,7 @@ def generate(
                     edges.append((i, j, weight))
     else:
         raise GraphError(
-            f"unknown graph kind {kind!r}; expected erdos_renyi, star, chain "
-            "or two_cluster"
+            f"unknown graph kind {kind!r}; expected one of {', '.join(GENERATORS)}"
         )
     return EmpGraph(n, edges)
 

@@ -108,7 +108,8 @@ class GTVMinProblem:
     """A graph, one loss per node, a coupling strength, and a penalty kind."""
 
     __slots__ = (
-        "graph", "losses", "alpha", "penalty", "d", "_nbr", "_deg", "_quadratic", "_quad", "_stack"
+        "graph", "losses", "alpha", "penalty", "d", "_nbr", "_deg", "_quadratic", "_quad", "_stack",
+        "_eig",
     )
 
     def __init__(self, graph: EmpGraph, losses, alpha: float, penalty: str = "sq_norm", d=None):
@@ -141,6 +142,7 @@ class GTVMinProblem:
         self._quadratic = all(isinstance(loss, QuadLoss) for loss in losses)
         self._quad = None
         self._stack = None
+        self._eig = None
 
     @property
     def n(self) -> int:
@@ -471,15 +473,18 @@ def solve_direct(p: GTVMinProblem) -> StackedParams:
 
 
 def eig_summaries(p: GTVMinProblem) -> EigSummaries:
+    """The problem's EigSummaries, computed on the first call and kept."""
     if not p.is_quadratic():
         raise ValueError("eigenvalue summaries require quadratic losses")
-    lam_max = max(
-        (float(np.linalg.eigvalsh(loss.Q)[-1]) for loss in p.losses), default=0.0
-    )
-    mean_Q = sum(loss.Q for loss in p.losses) / p.n
-    lam_bar_min = max(0.0, float(np.linalg.eigvalsh(mean_Q)[0]))
-    rho = lam_bar_min / (4.0 * lam_max) if lam_max > 0.0 else None
-    return EigSummaries(lam_max=lam_max, lam_bar_min=lam_bar_min, rho=rho)
+    if p._eig is None:
+        lam_max = max(
+            (float(np.linalg.eigvalsh(loss.Q)[-1]) for loss in p.losses), default=0.0
+        )
+        mean_Q = sum(loss.Q for loss in p.losses) / p.n
+        lam_bar_min = max(0.0, float(np.linalg.eigvalsh(mean_Q)[0]))
+        rho = lam_bar_min / (4.0 * lam_max) if lam_max > 0.0 else None
+        p._eig = EigSummaries(lam_max=lam_max, lam_bar_min=lam_bar_min, rho=rho)
+    return p._eig
 
 
 def eig_bounds(p: GTVMinProblem) -> EigBounds:

@@ -2,74 +2,10 @@
 
 Config files are flat ``key = value`` text. A ``#`` at the start of a line
 or after whitespace starts a comment; elsewhere it is part of the value
-(``graph.path = runs/a#b.txt``). The full key set, with defaults in
-brackets:
-
-  seed [0]                      master seed; every random element derives
-                                from it through fixed named streams
-  record_every [1]              metric row sampling stride
-
-  graph.kind                    erdos_renyi | star | chain | two_cluster
-                                | file | learned
-  graph.n                       node count (generator kinds)
-  graph.p [0.3]                 edge probability (erdos_renyi)
-  graph.p_in [0.8]              in-cluster probability (two_cluster)
-  graph.p_out [0.05]            cross-cluster probability (two_cluster)
-  graph.weight [1.0]            generated edge weight
-  graph.path                    edge-list file (kind = file)
-  graph.discrepancies           discrepancy CSV (kind = learned)
-  graph.method [budget]         budget | degree (kind = learned)
-  graph.budget                  ordered-pair weight budget (method = budget)
-  graph.d_max                   target row sum (method = degree)
-
-  data.kind [synthetic]         synthetic | csv
-  data.d                        feature dimension (synthetic)
-  data.m_min [10]               per-node sample count range (synthetic)
-  data.m_max [10]
-  data.noise [0.1]              label noise level (synthetic)
-  data.model [shared]           shared | clustered | per_node truth layout
-  data.dir                      directory with node_<i>.csv files (csv)
-  data.ridge [0.0]              ridge added to every local loss
-
-  algorithm.kind                fedgd | fedsgd | fedrelax | fedavg | fedprox
-  algorithm.alpha [1.0]         coupling strength (graph algorithms)
-  algorithm.penalty [sq_norm]   coupling penalty (sq_norm only for solvers)
-  algorithm.eta                 step size; graph algorithms default to
-                                1/(2 U) from the eigenvalue bounds
-  algorithm.schedule [constant] constant | diminishing
-  algorithm.batch               minibatch size (fedsgd)
-  algorithm.local_steps [1]     local steps per round (fedavg)
-  algorithm.sample_size         clients per round (fedavg/fedprox)
-
-  async.mode [sync]             sync | partial | total
-  async.B [5]                   staleness bound (partial)
-  async.horizon                 event count (defaults to stop.max_iters)
-  async.p_active [0.5]          per-event activation probability
-
-  stop.max_iters [500]
-  stop.obj_tol                  optional objective-change tolerance
-  stop.dist_tol                 optional distance-to-oracle tolerance
-
-  split.fraction [0.2]          validation share in [0, 1)
-
-  attack.<i>.kind               label_poison | feature_poison | backdoor
-                                | model_poison | dos
-  attack.<i>.nodes              comma-separated victim ids
-  attack.<i>.fraction [0.0]     poisoned row share (data attacks)
-  attack.<i>.label_delta [0.0]
-  attack.<i>.feature_delta      comma-separated floats
-  attack.<i>.trigger_delta      comma-separated floats
-  attack.<i>.target_label [0.0]
-  attack.<i>.value              replacement entry value (model_poison)
-
-  defense.kind [mean]           mean | clipped | trimmed | geomedian
-  defense.tau_l [0.0]           (clipped)
-  defense.tau_u [0.0]
-  defense.trim_k [1]            (trimmed)
-
-  dp.kind [none]                none | gaussian | laplace
-  dp.sigma [0.0]                (gaussian)
-  dp.b [0.0]                    (laplace)
+(``graph.path = runs/a#b.txt``). CONFIG_KEYS states every key's parser,
+default, allowed choices or range and help; ATTACK_KEYS does the same for
+the ``attack.<i>.<field>`` keys, and CONFIG_RULES / ATTACK_RULES hold the
+rules that tie keys together. The README's config reference mirrors them.
 
 Exported CSV rows are ``event,node,objective,gtv,train_err,val_err,
 dist_oracle``: objective is the node's local loss at its own block, gtv
@@ -130,18 +66,22 @@ from gtvfed.localmodel import (
     load_dataset_csv,
 )
 from gtvfed.optim import DivergenceError, LRSchedule, StopRule, contraction, perturbed_bound
-from gtvfed.trust import AttackSpec, DPMechanism, RobustAgg, SenderRewrite, poison_dataset
+from gtvfed.trust import (
+    AGG_KINDS,
+    DATA_ATTACKS,
+    MODEL_ATTACKS,
+    NOISE_KINDS,
+    AttackSpec,
+    DPMechanism,
+    RobustAgg,
+    SenderRewrite,
+    poison_dataset,
+)
 
 CSV_HEADER = ("event", "node", "objective", "gtv", "train_err", "val_err", "dist_oracle")
 
-GRAPH_KINDS = ("erdos_renyi", "star", "chain", "two_cluster", "file", "learned")
-DATA_KINDS = ("synthetic", "csv")
 DATA_MODELS = ("shared", "clustered", "per_node")
-ALGO_KINDS = ("fedgd", "fedsgd", "fedrelax", "fedavg", "fedprox")
-ASYNC_MODES = ("sync", "partial", "total")
-ATTACK_KINDS = ("label_poison", "feature_poison", "backdoor", "model_poison", "dos")
-DEFENSE_KINDS = ("mean", "clipped", "trimmed", "geomedian")
-DP_KINDS = ("none", "gaussian", "laplace")
+SERVER_KINDS = ("fedavg", "fedprox")
 
 
 class ConfigError(ValueError):
@@ -188,91 +128,174 @@ class Report:
         }
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "yes", "1"):
-        return True
-    if low in ("false", "no", "0"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
+def _float(raw: str) -> float:
+    val = float(raw)
+    if not math.isfinite(val):
+        raise ValueError(f"must be finite, got {raw}")
+    return val
 
 
-def _parse_floats(raw: str):
-    return tuple(float(v) for v in raw.split(","))
+def _floats(raw: str):
+    return tuple(_float(v) for v in raw.split(","))
 
 
-def _parse_ints(raw: str):
+def _ints(raw: str):
     return tuple(int(v) for v in raw.split(","))
 
 
-def _choice(options):
-    def parse(raw):
-        val = raw.strip()
-        if val not in options:
-            raise ValueError(f"expected one of {', '.join(options)}; got {val!r}")
+def _file(path: str) -> None:
+    if not os.path.isfile(path):
+        raise ValueError(f"no such file {path!r}")
+
+
+def _dir(path: str) -> None:
+    if not os.path.isdir(path):
+        raise ValueError(f"no such directory {path!r}")
+
+
+def _in_bounds(bounds: str, val) -> bool:
+    if bounds[0] in "[(":
+        lo, hi = (float(b) for b in bounds[1:-1].split(","))
+        above = lo < val if bounds[0] == "(" else lo <= val
+        return above and (val < hi if bounds[-1] == ")" else val <= hi)
+    op, lo = bounds.split()
+    return val > float(lo) if op == ">" else val >= float(lo)
+
+
+@dataclass(frozen=True)
+class Key:
+    """One config key: parser, default (None: absent unless set), help text,
+    and what an explicit value must satisfy: one of choices, bounds (">= 1",
+    "> 0" or an interval such as "[0, 1)"), and check, which raises
+    ValueError; for keys whose rule a constructor holds, check is that
+    constructor."""
+
+    parse: object
+    default: object = None
+    help: str = ""
+    choices: tuple = ()
+    bounds: str = ""
+    check: object = None
+
+    def read(self, raw: str):
+        val = self.parse(raw)
+        if self.choices and val not in self.choices:
+            raise ValueError(f"expected one of {', '.join(self.choices)}; got {val!r}")
+        if self.bounds and not _in_bounds(self.bounds, val):
+            verb = "lie in" if self.bounds[0] in "[(" else "be"
+            raise ValueError(f"must {verb} {self.bounds}, got {val}")
+        if self.check is not None:
+            self.check(val)
         return val
 
-    return parse
 
-
-# key -> (parser, default); None default means "absent unless set".
-_SCHEMA = {
-    "seed": (int, 0),
-    "record_every": (int, 1),
-    "graph.kind": (_choice(GRAPH_KINDS), None),
-    "graph.n": (int, None),
-    "graph.p": (float, 0.3),
-    "graph.p_in": (float, 0.8),
-    "graph.p_out": (float, 0.05),
-    "graph.weight": (float, 1.0),
-    "graph.path": (str, None),
-    "graph.discrepancies": (str, None),
-    "graph.method": (_choice(("budget", "degree")), "budget"),
-    "graph.budget": (float, None),
-    "graph.d_max": (float, None),
-    "data.kind": (_choice(DATA_KINDS), "synthetic"),
-    "data.d": (int, None),
-    "data.m_min": (int, 10),
-    "data.m_max": (int, 10),
-    "data.noise": (float, 0.1),
-    "data.model": (_choice(DATA_MODELS), "shared"),
-    "data.dir": (str, None),
-    "data.ridge": (float, 0.0),
-    "algorithm.kind": (_choice(ALGO_KINDS), None),
-    "algorithm.alpha": (float, 1.0),
-    "algorithm.penalty": (_choice(("sq_norm", "norm")), "sq_norm"),
-    "algorithm.eta": (float, None),
-    "algorithm.schedule": (_choice(("constant", "diminishing")), "constant"),
-    "algorithm.batch": (int, None),
-    "algorithm.local_steps": (int, 1),
-    "algorithm.sample_size": (int, None),
-    "async.mode": (_choice(ASYNC_MODES), "sync"),
-    "async.B": (int, 5),
-    "async.horizon": (int, None),
-    "async.p_active": (float, 0.5),
-    "stop.max_iters": (int, 500),
-    "stop.obj_tol": (float, None),
-    "stop.dist_tol": (float, None),
-    "split.fraction": (float, 0.2),
-    "defense.kind": (_choice(DEFENSE_KINDS), "mean"),
-    "defense.tau_l": (float, 0.0),
-    "defense.tau_u": (float, 0.0),
-    "defense.trim_k": (int, 1),
-    "dp.kind": (_choice(DP_KINDS), "none"),
-    "dp.sigma": (float, 0.0),
-    "dp.b": (float, 0.0),
+CONFIG_KEYS = {
+    "seed": Key(int, 0, "master seed; every random stream derives from it", bounds=">= 0"),
+    "record_every": Key(int, 1, "metric sampling stride (rows, not stop checks)", bounds=">= 1"),
+    "graph.kind": Key(str, None, "where the graph comes from", choices=graphmod.GENERATORS + ("file", "learned")),
+    "graph.n": Key(int, None, "node count (generator kinds)", bounds=">= 1"),
+    "graph.p": Key(_float, 0.3, "edge probability (erdos_renyi)", bounds="[0, 1]"),
+    "graph.p_in": Key(_float, 0.8, "within-cluster probability (two_cluster)", bounds="[0, 1]"),
+    "graph.p_out": Key(_float, 0.05, "between-cluster probability (two_cluster)", bounds="[0, 1]"),
+    "graph.weight": Key(_float, 1.0, "edge weight for generators", bounds="> 0"),
+    "graph.path": Key(str, None, "edge-list file (kind = file)", check=_file),
+    "graph.discrepancies": Key(str, None, "discrepancy CSV (kind = learned)", check=_file),
+    "graph.method": Key(str, "budget", "how a learned graph is fitted", choices=("budget", "degree")),
+    "graph.budget": Key(_float, None, "ordered-pair weight budget (method = budget)"),
+    "graph.d_max": Key(_float, None, "target row sum (method = degree)"),
+    "data.kind": Key(str, "synthetic", "where the node datasets come from", choices=("synthetic", "csv")),
+    "data.d": Key(int, None, "feature dimension (synthetic)", bounds=">= 1"),
+    "data.m_min": Key(int, 10, "fewest samples per node (synthetic)", bounds=">= 1"),
+    "data.m_max": Key(int, 10, "most samples per node (synthetic)"),
+    "data.noise": Key(_float, 0.1, "label noise level (synthetic)", bounds=">= 0"),
+    "data.model": Key(str, "shared", "truth layout (synthetic)", choices=DATA_MODELS),
+    "data.dir": Key(str, None, "directory of node_<i>.csv files (kind = csv)", check=_dir),
+    "data.ridge": Key(_float, 0.0, "ridge term added to every local loss", bounds=">= 0"),
+    "algorithm.kind": Key(str, None, "solver", choices=("fedgd", "fedsgd", "fedrelax") + SERVER_KINDS),
+    "algorithm.alpha": Key(_float, 1.0, "coupling strength", bounds=">= 0"),
+    "algorithm.penalty": Key(str, "sq_norm", "coupling penalty the solvers implement", choices=("sq_norm",)),
+    "algorithm.eta": Key(_float, None, "step size; default 1/(2 * upper eigenvalue bound)", bounds="> 0"),
+    "algorithm.schedule": Key(str, "constant", "step-size schedule", choices=("constant", "diminishing")),
+    "algorithm.batch": Key(int, None, "per-node batch size (fedsgd)", bounds=">= 1"),
+    "algorithm.local_steps": Key(int, 1, "local steps per round (fedavg)", bounds=">= 1"),
+    "algorithm.sample_size": Key(int, None, "clients per round, default all (fedavg/fedprox)", bounds=">= 1"),
+    "async.mode": Key(str, "sync", "event schedule (fedgd/fedsgd/fedrelax)", choices=("sync", "partial", "total")),
+    "async.B": Key(int, 5, "staleness/activity bound (partial)", bounds=">= 1"),
+    "async.horizon": Key(int, None, "event count; default stop.max_iters", bounds=">= 1"),
+    "async.p_active": Key(_float, 0.5, "activation probability per event", bounds="(0, 1]"),
+    "stop.max_iters": Key(int, 500, "iteration budget", check=StopRule),
+    "stop.obj_tol": Key(_float, None, "stop on objective change", check=lambda v: StopRule(0, obj_tol=v)),
+    "stop.dist_tol": Key(_float, None, "stop on distance to the direct solution", check=lambda v: StopRule(0, dist_tol=v)),
+    "split.fraction": Key(_float, 0.2, "held-out validation share per node", bounds="[0, 1)"),
+    "defense.kind": Key(str, "mean", "aggregation rule (fedgd/fedrelax)", choices=AGG_KINDS),
+    "defense.tau_l": Key(_float, 0.0, "lower clipping bound (clipped)"),
+    "defense.tau_u": Key(_float, 0.0, "upper clipping bound (clipped)"),
+    "defense.trim_k": Key(int, 1, "entries trimmed from each end (trimmed)", check=RobustAgg.trimmed),
+    "dp.kind": Key(str, "none", "noise mechanism", choices=("none",) + NOISE_KINDS),
+    "dp.sigma": Key(_float, 0.0, "noise scale (gaussian)", check=lambda v: DPMechanism("gaussian", sigma=v)),
+    "dp.b": Key(_float, 0.0, "noise scale (laplace)", check=lambda v: DPMechanism("laplace", b=v)),
 }
 
-_ATTACK_FIELDS = {
-    "kind": _choice(ATTACK_KINDS),
-    "nodes": _parse_ints,
-    "fraction": float,
-    "label_delta": float,
-    "feature_delta": _parse_floats,
-    "trigger_delta": _parse_floats,
-    "target_label": float,
-    "value": float,
+# The fields of attack.<i>.<field> keys.
+ATTACK_KEYS = {
+    "kind": Key(str, None, "attack type", choices=DATA_ATTACKS + MODEL_ATTACKS),
+    "nodes": Key(_ints, None, "comma-separated victim ids"),
+    "fraction": Key(_float, 0.0, "poisoned row share (data attacks)", bounds="[0, 1]"),
+    "label_delta": Key(_float, 0.0, "label shift"),
+    "feature_delta": Key(_floats, None, "comma-separated feature-row shift (feature_poison)"),
+    "trigger_delta": Key(_floats, None, "comma-separated backdoor trigger pattern"),
+    "target_label": Key(_float, 0.0, "backdoor target"),
+    "value": Key(_float, None, "replacement block value (model_poison)"),
 }
+
+
+@dataclass(frozen=True)
+class Rule:
+    """A rule tying keys together. It applies where every `when` key holds
+    one of its listed values; then holds(values) must be true, or key is
+    reported with message. holds None means key must be set; a ValueError
+    from holds supplies the message."""
+
+    key: str
+    when: dict = field(default_factory=dict)
+    holds: object = None
+    message: str = ""
+
+
+CONFIG_RULES = (
+    Rule("graph.kind"),
+    Rule("algorithm.kind"),
+    Rule("graph.n", {"graph.kind": graphmod.GENERATORS}),
+    Rule("graph.path", {"graph.kind": ("file",)}),
+    Rule("graph.discrepancies", {"graph.kind": ("learned",)}),
+    Rule("graph.budget", {"graph.kind": ("learned",), "graph.method": ("budget",)}),
+    Rule("graph.d_max", {"graph.kind": ("learned",), "graph.method": ("degree",)}),
+    Rule("data.d", {"data.kind": ("synthetic",)}),
+    Rule("data.dir", {"data.kind": ("csv",)}),
+    Rule("data.m_max", {}, lambda v: v["data.m_max"] >= v["data.m_min"], "must be >= data.m_min"),
+    Rule("algorithm.batch", {"algorithm.kind": ("fedsgd",)}),
+    Rule("algorithm.eta", {"algorithm.kind": SERVER_KINDS}),
+    Rule("algorithm.eta", {"algorithm.schedule": ("diminishing",)}),
+    Rule(
+        "async.mode", {"algorithm.kind": SERVER_KINDS}, lambda v: v["async.mode"] == "sync",
+        "fedavg and fedprox are server algorithms and run sync only",
+    ),
+    Rule(
+        "defense.kind", {"algorithm.kind": ("fedsgd",) + SERVER_KINDS},
+        lambda v: v["defense.kind"] == "mean", "robust aggregation applies to fedgd and fedrelax only",
+    ),
+    Rule(
+        "defense.tau_l", {"defense.kind": ("clipped",)},
+        lambda v: RobustAgg.clipped(v["defense.tau_l"], v["defense.tau_u"]),
+    ),
+)
+
+ATTACK_RULES = (
+    Rule("kind"),
+    Rule("nodes"),
+    Rule("feature_delta", {"kind": ("feature_poison",)}),
+    Rule("value", {"kind": ("model_poison",)}),
+)
 
 _ATTACK_KEY = re.compile(r"^attack\.(\d+)\.([a-z_]+)$")
 # A comment starts at a '#' that begins the line or follows whitespace, so
@@ -280,222 +303,80 @@ _ATTACK_KEY = re.compile(r"^attack\.(\d+)\.([a-z_]+)$")
 _COMMENT = re.compile(r"(?:^|\s)#")
 
 
+def _broken(rules, v, prefix=""):
+    """The errors of the rules that apply to the values v and fail."""
+    errors = []
+    for rule in rules:
+        if any(v[k] not in allowed for k, allowed in rule.when.items()):
+            continue
+        message = rule.message
+        if rule.holds is None:
+            ok = v[rule.key] is not None
+            message = " and ".join(f"{prefix}{k} = {v[k]}" for k in rule.when)
+            message = f"required for {message}" if message else "required"
+        else:
+            try:
+                ok = rule.holds(v)
+            except ValueError as exc:
+                ok, message = False, str(exc)
+        if not ok:
+            errors.append(f"{prefix}{rule.key}: {message}")
+    return errors
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Validated config from flat key-value text; collects every error."""
-    errors = []
-    values = {}
-    attacks_raw = {}
+    errors, values = [], {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            errors.append(f"line {lineno}: expected 'key = value'")
-            continue
-        key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
-        if not val:
-            errors.append(f"line {lineno}: key {key!r} has no value")
-            continue
+        key, eq, val = (part.strip() for part in line.partition("="))
         m = _ATTACK_KEY.match(key)
         if m:
-            idx, fld = int(m.group(1)), m.group(2)
-            if fld not in _ATTACK_FIELDS:
-                errors.append(f"line {lineno}: unknown attack field {fld!r}")
-                continue
-            slot = attacks_raw.setdefault(idx, {})
-            if fld in slot:
-                errors.append(f"line {lineno}: duplicate key {key!r}")
-                continue
-            try:
-                slot[fld] = _ATTACK_FIELDS[fld](val)
-            except ValueError as exc:
-                errors.append(f"{key}: {exc}")
-            continue
-        if key not in _SCHEMA:
-            errors.append(f"unknown key {key!r}")
-            continue
-        if key in values:
-            errors.append(f"line {lineno}: duplicate key {key!r}")
-            continue
-        parser, _ = _SCHEMA[key]
-        try:
-            values[key] = parser(val)
-        except ValueError as exc:
-            errors.append(f"{key}: {exc}")
-
-    cfg_vals = {k: (values[k] if k in values else d) for k, (_, d) in _SCHEMA.items()}
-
-    def need(key, why):
-        if cfg_vals.get(key) is None:
-            errors.append(f"{key}: required {why}")
-            return False
-        return True
-
-    def check(cond, msg):
-        if not cond:
-            errors.append(msg)
-        return cond
-
-    if cfg_vals["seed"] < 0:
-        errors.append(f"seed: must be nonnegative, got {cfg_vals['seed']}")
-    if cfg_vals["record_every"] < 1:
-        errors.append(f"record_every: must be at least 1, got {cfg_vals['record_every']}")
-
-    gkind = cfg_vals["graph.kind"]
-    if gkind is None:
-        errors.append("graph.kind: required")
-    elif gkind in ("erdos_renyi", "star", "chain", "two_cluster"):
-        if need("graph.n", f"for graph.kind = {gkind}"):
-            check(cfg_vals["graph.n"] >= 1, f"graph.n: must be >= 1, got {cfg_vals['graph.n']}")
-        for pk in ("graph.p", "graph.p_in", "graph.p_out"):
-            v = cfg_vals[pk]
-            check(0.0 <= v <= 1.0, f"{pk}: must lie in [0, 1], got {v}")
-        check(cfg_vals["graph.weight"] > 0.0, f"graph.weight: must be positive, got {cfg_vals['graph.weight']}")
-    elif gkind == "file":
-        if need("graph.path", "for graph.kind = file"):
-            check(os.path.isfile(cfg_vals["graph.path"]), f"graph.path: no such file {cfg_vals['graph.path']!r}")
-    elif gkind == "learned":
-        if need("graph.discrepancies", "for graph.kind = learned"):
-            check(
-                os.path.isfile(cfg_vals["graph.discrepancies"]),
-                f"graph.discrepancies: no such file {cfg_vals['graph.discrepancies']!r}",
-            )
-        if cfg_vals["graph.method"] == "budget":
-            need("graph.budget", "for graph.method = budget")
+            key = f"attack.{int(m.group(1))}.{m.group(2)}"
+        spec = ATTACK_KEYS.get(m.group(2)) if m else CONFIG_KEYS.get(key)
+        if not eq:
+            problem = "expected 'key = value'"
+        elif not val:
+            problem = f"key {key!r} has no value"
+        elif spec is None:
+            problem = f"unknown attack field {m.group(2)!r}" if m else f"unknown key {key!r}"
+        elif key in values:
+            problem = f"duplicate key {key!r}"
         else:
-            need("graph.d_max", "for graph.method = degree")
+            try:
+                values[key] = spec.read(val)
+                continue
+            except ValueError as exc:
+                problem = f"{key}: {exc}"
+        errors.append(f"line {lineno}: {problem}")
 
-    if cfg_vals["data.kind"] == "synthetic":
-        if need("data.d", "for data.kind = synthetic"):
-            check(cfg_vals["data.d"] >= 1, f"data.d: must be >= 1, got {cfg_vals['data.d']}")
-        check(cfg_vals["data.m_min"] >= 1, f"data.m_min: must be >= 1, got {cfg_vals['data.m_min']}")
-        check(
-            cfg_vals["data.m_max"] >= cfg_vals["data.m_min"],
-            f"data.m_max: must be >= data.m_min, got {cfg_vals['data.m_max']}",
-        )
-        check(cfg_vals["data.noise"] >= 0.0, f"data.noise: must be nonnegative, got {cfg_vals['data.noise']}")
-    else:
-        if need("data.dir", "for data.kind = csv"):
-            check(os.path.isdir(cfg_vals["data.dir"]), f"data.dir: no such directory {cfg_vals['data.dir']!r}")
-    check(cfg_vals["data.ridge"] >= 0.0, f"data.ridge: must be nonnegative, got {cfg_vals['data.ridge']}")
-
-    akind = cfg_vals["algorithm.kind"]
-    check(cfg_vals["algorithm.alpha"] >= 0.0, f"algorithm.alpha: must be nonnegative, got {cfg_vals['algorithm.alpha']}")
-    if cfg_vals["algorithm.eta"] is not None:
-        check(cfg_vals["algorithm.eta"] > 0.0, f"algorithm.eta: must be positive, got {cfg_vals['algorithm.eta']}")
-    if cfg_vals["algorithm.penalty"] == "norm":
-        errors.append("algorithm.penalty: the implemented solvers require sq_norm")
-    if akind is None:
-        errors.append("algorithm.kind: required")
-    else:
-        if akind == "fedsgd":
-            if need("algorithm.batch", "for algorithm.kind = fedsgd"):
-                check(cfg_vals["algorithm.batch"] >= 1, f"algorithm.batch: must be >= 1, got {cfg_vals['algorithm.batch']}")
-        if akind in ("fedavg", "fedprox"):
-            need("algorithm.eta", f"for algorithm.kind = {akind}")
-            if cfg_vals["async.mode"] != "sync":
-                errors.append(f"async.mode: {akind} is a server algorithm and runs sync only")
-        if akind == "fedavg":
-            check(cfg_vals["algorithm.local_steps"] >= 1, f"algorithm.local_steps: must be >= 1, got {cfg_vals['algorithm.local_steps']}")
-        if cfg_vals["algorithm.sample_size"] is not None:
-            check(cfg_vals["algorithm.sample_size"] >= 1, f"algorithm.sample_size: must be >= 1, got {cfg_vals['algorithm.sample_size']}")
-        if cfg_vals["algorithm.schedule"] == "diminishing" and cfg_vals["algorithm.eta"] is None:
-            errors.append("algorithm.eta: required for algorithm.schedule = diminishing")
-        if cfg_vals["defense.kind"] != "mean" and akind not in ("fedgd", "fedrelax"):
-            errors.append("defense.kind: robust aggregation applies to fedgd and fedrelax only")
-
-    if cfg_vals["async.mode"] == "partial":
-        check(cfg_vals["async.B"] >= 1, f"async.B: must be >= 1, got {cfg_vals['async.B']}")
-    if cfg_vals["async.mode"] != "sync":
-        check(
-            0.0 < cfg_vals["async.p_active"] <= 1.0,
-            f"async.p_active: must lie in (0, 1], got {cfg_vals['async.p_active']}",
-        )
-        if cfg_vals["async.horizon"] is not None:
-            check(cfg_vals["async.horizon"] >= 1, f"async.horizon: must be >= 1, got {cfg_vals['async.horizon']}")
-
-    check(cfg_vals["stop.max_iters"] >= 0, f"stop.max_iters: must be nonnegative, got {cfg_vals['stop.max_iters']}")
-    for tk in ("stop.obj_tol", "stop.dist_tol"):
-        if cfg_vals[tk] is not None:
-            check(cfg_vals[tk] > 0.0, f"{tk}: must be positive, got {cfg_vals[tk]}")
-    check(
-        0.0 <= cfg_vals["split.fraction"] < 1.0,
-        f"split.fraction: must lie in [0, 1), got {cfg_vals['split.fraction']}",
-    )
-
-    if cfg_vals["defense.kind"] == "clipped" and not cfg_vals["defense.tau_l"] <= cfg_vals["defense.tau_u"]:
-        errors.append(
-            f"defense.tau_l: clipping needs tau_l <= tau_u, got "
-            f"({cfg_vals['defense.tau_l']}, {cfg_vals['defense.tau_u']})"
-        )
-    if cfg_vals["defense.kind"] == "trimmed":
-        check(cfg_vals["defense.trim_k"] >= 0, f"defense.trim_k: must be nonnegative, got {cfg_vals['defense.trim_k']}")
-    if cfg_vals["dp.kind"] == "gaussian":
-        check(cfg_vals["dp.sigma"] >= 0.0, f"dp.sigma: must be nonnegative, got {cfg_vals['dp.sigma']}")
-    if cfg_vals["dp.kind"] == "laplace":
-        check(cfg_vals["dp.b"] >= 0.0, f"dp.b: must be nonnegative, got {cfg_vals['dp.b']}")
-
+    v = {key: values.get(key, spec.default) for key, spec in CONFIG_KEYS.items()}
+    errors += _broken(CONFIG_RULES, v)
     attacks = []
-    for idx in sorted(attacks_raw):
-        a = attacks_raw[idx]
-        kind = a.get("kind")
-        if kind is None:
-            errors.append(f"attack.{idx}.kind: required")
-            continue
-        if not a.get("nodes"):
-            errors.append(f"attack.{idx}.nodes: required")
-            continue
-        if kind in ("label_poison", "feature_poison", "backdoor"):
-            frac = a.get("fraction", 0.0)
-            if not 0.0 <= frac <= 1.0:
-                errors.append(f"attack.{idx}.fraction: must lie in [0, 1], got {frac}")
-            if kind == "feature_poison" and "feature_delta" not in a:
-                errors.append(f"attack.{idx}.feature_delta: required for feature_poison")
-        elif kind == "model_poison" and "value" not in a:
-            errors.append(f"attack.{idx}.value: required for model_poison")
+    for idx in sorted({int(m.group(1)) for m in map(_ATTACK_KEY.match, values) if m}):
+        a = {f: values.get(f"attack.{idx}.{f}", spec.default) for f, spec in ATTACK_KEYS.items()}
+        errors += _broken(ATTACK_RULES, a, f"attack.{idx}.")
         attacks.append(a)
-
     if errors:
         raise ConfigError(errors)
 
     group = lambda prefix: {
-        k.split(".", 1)[1]: v for k, v in cfg_vals.items() if k.startswith(prefix + ".")
+        k.split(".", 1)[1]: val for k, val in v.items() if k.startswith(prefix + ".")
     }
-    dp = None
-    if cfg_vals["dp.kind"] != "none":
-        dp = DPMechanism(
-            kind=cfg_vals["dp.kind"],
-            sigma=cfg_vals["dp.sigma"],
-            b=cfg_vals["dp.b"],
-            seed=cfg_vals["seed"],
-        )
-    dkind = cfg_vals["defense.kind"]
-    if dkind == "mean":
-        defense = RobustAgg.mean()
-    elif dkind == "clipped":
-        defense = RobustAgg.clipped(cfg_vals["defense.tau_l"], cfg_vals["defense.tau_u"])
-    elif dkind == "trimmed":
-        defense = RobustAgg.trimmed(cfg_vals["defense.trim_k"])
-    else:
-        defense = RobustAgg.geomedian()
     return ExperimentConfig(
-        seed=cfg_vals["seed"],
-        record_every=cfg_vals["record_every"],
+        seed=v["seed"],
+        record_every=v["record_every"],
         graph=group("graph"),
         data=group("data"),
         algorithm=group("algorithm"),
-        async_spec={k.split(".", 1)[1]: v for k, v in cfg_vals.items() if k.startswith("async.")},
-        stop=StopRule(
-            max_iters=cfg_vals["stop.max_iters"],
-            obj_tol=cfg_vals["stop.obj_tol"],
-            dist_tol=cfg_vals["stop.dist_tol"],
-        ),
-        split_fraction=cfg_vals["split.fraction"],
+        async_spec=group("async"),
+        stop=StopRule(**group("stop")),
+        split_fraction=v["split.fraction"],
         attacks=attacks,
-        defense=defense,
-        dp=dp,
+        defense=RobustAgg(**group("defense")),
+        dp=None if v["dp.kind"] == "none" else DPMechanism(**group("dp"), seed=v["seed"]),
         text=text,
     )
 
@@ -683,7 +564,7 @@ def _attack_seed(master: int, idx: int, node: int) -> int:
 def _apply_data_attacks(cfg: ExperimentConfig, trains):
     out = list(trains)
     for idx, a in enumerate(cfg.attacks):
-        if a["kind"] not in ("label_poison", "feature_poison", "backdoor"):
+        if a["kind"] not in DATA_ATTACKS:
             continue
         for node in a["nodes"]:
             if not 0 <= node < len(out):
@@ -691,11 +572,11 @@ def _apply_data_attacks(cfg: ExperimentConfig, trains):
             spec = AttackSpec(
                 kind=a["kind"],
                 victims=(node,),
-                fraction=a.get("fraction", 0.0),
-                label_delta=a.get("label_delta", 0.0),
-                feature_delta=a.get("feature_delta"),
-                trigger_delta=a.get("trigger_delta"),
-                target_label=a.get("target_label", 0.0),
+                fraction=a["fraction"],
+                label_delta=a["label_delta"],
+                feature_delta=a["feature_delta"],
+                trigger_delta=a["trigger_delta"],
+                target_label=a["target_label"],
                 seed=_attack_seed(cfg.seed, idx, node),
             )
             out[node] = poison_dataset(out[node], spec)
@@ -706,7 +587,7 @@ def _model_interceptor(cfg: ExperimentConfig, d: int, n: int):
     """The run's message attacks as one SenderRewrite, None without any."""
     specs = []
     for idx, a in enumerate(cfg.attacks):
-        if a["kind"] not in ("model_poison", "dos"):
+        if a["kind"] not in MODEL_ATTACKS:
             continue
         bad = [v for v in a["nodes"] if not 0 <= v < n]
         if bad:
@@ -764,7 +645,7 @@ def _bound_checks(cfg, g, p, oracle_sp, trace, trains, meta, run_info):
 
     synthetic = meta["model"] is not None
     clean = not cfg.attacks and cfg.dp is None
-    ridge0 = cfg.data.get("ridge", 0.0) == 0.0
+    ridge0 = cfg.data["ridge"] == 0.0
     sizes = [t.m for t in trains]
     if (
         oracle_sp is not None
@@ -788,7 +669,7 @@ def _bound_checks(cfg, g, p, oracle_sp, trace, trains, meta, run_info):
                     rel(variation_bound(p, noise_sq, sizes)),
                 )
             )
-        if meta["model"] == "clustered" and cfg.graph.get("kind") == "two_cluster":
+        if meta["model"] == "clustered" and cfg.graph["kind"] == "two_cluster":
             half = (p.n + 1) // 2
             radius = float(np.max(np.linalg.norm(oracle_sp.blocks, axis=1)))
             worst = None
@@ -822,7 +703,7 @@ def _bound_checks(cfg, g, p, oracle_sp, trace, trains, meta, run_info):
         if s.rho is not None and s.lam_bar_min > 0.0 and is_connected(g) and p.n >= 2:
             rng = seeds.stream(cfg.seed, "attacks", 2**20)
             perts = [0.1 * rng.standard_normal(t.m) for t in trains]
-            ridge = cfg.data.get("ridge", 0.0)
+            ridge = cfg.data["ridge"]
             # Shifted labels keep X, hence every Q_i: only the linear terms move.
             shifted = np.stack([
                 from_dataset(LocalDataset(t.X, t.y + perts[i]), ridge).q
@@ -990,7 +871,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     d = dims.pop()
 
     kind = cfg.algorithm["kind"]
-    if kind in ("fedavg", "fedprox"):
+    if kind in SERVER_KINDS:
         return _run_server(cfg, g, losses, trains, vals, d, meta)
     return _run_graph(cfg, g, losses, trains, vals, d, meta)
 
@@ -1146,10 +1027,10 @@ def _make_report(cfg, trace, rows, checks, meta, n, divergence=None):
         final_dist is not None and final_dist <= 1e-6
     )
     baseline = None
-    if meta.get("noise") is not None and cfg.data.get("kind", "synthetic") == "synthetic":
+    if meta.get("noise") is not None and cfg.data["kind"] == "synthetic":
         baseline = float(meta["noise"]) ** 2
     summary = {
-        "algorithm": cfg.algorithm.get("kind"),
+        "algorithm": cfg.algorithm["kind"],
         "baseline_err": baseline,
         "bound_checks": checks,
         "converged": bool(converged),

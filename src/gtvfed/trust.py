@@ -12,6 +12,8 @@ from gtvfed.localmodel import LocalDataset
 
 DATA_ATTACKS = ("label_poison", "feature_poison", "backdoor")
 MODEL_ATTACKS = ("model_poison", "dos")
+AGG_KINDS = ("mean", "clipped", "trimmed", "geomedian")
+NOISE_KINDS = ("gaussian", "laplace")
 # Every coordinate of a block a dos victim sends.
 DOS_VALUE = 1e6
 
@@ -64,7 +66,7 @@ class RobustAgg:
     max_iter: int = 1000
 
     def __post_init__(self):
-        if self.kind not in ("mean", "clipped", "trimmed", "geomedian"):
+        if self.kind not in AGG_KINDS:
             raise ValueError(f"unknown aggregation kind {self.kind!r}")
         if self.kind == "clipped" and not self.tau_l <= self.tau_u:
             raise ValueError(
@@ -107,7 +109,7 @@ class DPMechanism:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "laplace"):
+        if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown mechanism kind {self.kind!r}")
         if self.kind == "gaussian" and self.sigma < 0.0:
             raise ValueError(f"sigma must be nonnegative, got {self.sigma}")

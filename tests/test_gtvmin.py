@@ -449,3 +449,16 @@ def test_solve_direct_rejects_nonconvex_local_loss():
     losses = (QuadLoss([[-1.0]], [0.0]), QuadLoss([[4.0]], [0.0]))
     with pytest.raises(SingularProblemError, match="not convex"):
         solve_direct(GTVMinProblem(TWO_NODE_GRAPH, losses, 1.0))
+
+
+def test_eig_summaries_computed_once_per_problem(monkeypatch):
+    p = two_node_problem()
+    first = eig_summaries(p)
+    calls = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or real(a))
+    assert eig_summaries(p) is first
+    assert eig_bounds(p).summaries is first
+    assert calls == []
+    fresh = eig_summaries(two_node_problem())
+    assert len(calls) == 3 and fresh == first
