@@ -284,8 +284,9 @@ def generate(
 
     Kinds: erdos_renyi(p), star (center node 0), chain, and
     two_cluster(p_in, p_out) with the first ceil(n/2) nodes in cluster A.
-    Pairs are visited in lexicographic order with one uniform draw each, so
-    the same seed always yields the same graph.
+    Pairs are visited in lexicographic order with one uniform draw each,
+    drawn one row (i, j > i) per call, so the same seed always yields the
+    same graph.
     """
     n = int(n)
     if n < 1:
@@ -293,30 +294,26 @@ def generate(
     if not float(weight) > 0.0:
         raise GraphError(f"edge weight must be positive, got {weight}")
     rng = as_rng(seed)
-    edges = []
     if kind == "erdos_renyi":
         pr = _check_prob(p, "p")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < pr:
-                    edges.append((i, j, weight))
-    elif kind == "star":
-        edges = [(0, k, weight) for k in range(1, n)]
-    elif kind == "chain":
-        edges = [(k, k + 1, weight) for k in range(n - 1)]
+        row_probs = lambda i: pr
     elif kind == "two_cluster":
         pi = _check_prob(p_in, "p_in")
         po = _check_prob(p_out, "p_out")
-        half = (n + 1) // 2
-        for i in range(n):
-            for j in range(i + 1, n):
-                pr = pi if (i < half) == (j < half) else po
-                if rng.random() < pr:
-                    edges.append((i, j, weight))
+        in_a = np.arange(n) < (n + 1) // 2
+        row_probs = lambda i: np.where(in_a[i + 1 :] == in_a[i], pi, po)
+    elif kind == "star":
+        return EmpGraph(n, [(0, k, weight) for k in range(1, n)])
+    elif kind == "chain":
+        return EmpGraph(n, [(k, k + 1, weight) for k in range(n - 1)])
     else:
         raise GraphError(
             f"unknown graph kind {kind!r}; expected one of {', '.join(GENERATORS)}"
         )
+    edges = []
+    for i in range(n):
+        hits = np.flatnonzero(rng.random(n - i - 1) < row_probs(i)) + (i + 1)
+        edges += [(i, j, weight) for j in hits.tolist()]
     return EmpGraph(n, edges)
 
 

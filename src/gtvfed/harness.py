@@ -43,14 +43,13 @@ from gtvfed.algorithms import (
     run_async,
     run_sync,
 )
-from gtvfed.graph import EmpGraph, GraphError, is_connected
+from gtvfed.graph import EmpGraph, is_connected
 from gtvfed.gtvmin import (
     GTVMinProblem,
     SingularProblemError,
     StackedParams,
     clustered_bound,
     eig_bounds,
-    eig_summaries,
     objective_parts,
     ordered_sum,
     quad_operator,
@@ -201,8 +200,8 @@ CONFIG_KEYS = {
     "graph.path": Key(str, None, "edge-list file (kind = file)", check=_file),
     "graph.discrepancies": Key(str, None, "discrepancy CSV (kind = learned)", check=_file),
     "graph.method": Key(str, "budget", "how a learned graph is fitted", choices=("budget", "degree")),
-    "graph.budget": Key(_float, None, "ordered-pair weight budget (method = budget)"),
-    "graph.d_max": Key(_float, None, "target row sum (method = degree)"),
+    "graph.budget": Key(_float, None, "ordered-pair weight budget (method = budget)", bounds=">= 0"),
+    "graph.d_max": Key(_float, None, "target row sum (method = degree)", bounds=">= 0"),
     "data.kind": Key(str, "synthetic", "where the node datasets come from", choices=("synthetic", "csv")),
     "data.d": Key(int, None, "feature dimension (synthetic)", bounds=">= 1"),
     "data.m_min": Key(int, 10, "fewest samples per node (synthetic)", bounds=">= 1"),
@@ -303,15 +302,16 @@ _ATTACK_KEY = re.compile(r"^attack\.(\d+)\.([a-z_]+)$")
 _COMMENT = re.compile(r"(?:^|\s)#")
 
 
-def _broken(rules, v, prefix=""):
-    """The errors of the rules that apply to the values v and fail."""
+def _broken(rules, v, prefix="", failed=()):
+    """The errors of the rules that apply to the values v and fail. A key in
+    failed already has an error for its line, so it is not also missing."""
     errors = []
     for rule in rules:
         if any(v[k] not in allowed for k, allowed in rule.when.items()):
             continue
         message = rule.message
         if rule.holds is None:
-            ok = v[rule.key] is not None
+            ok = v[rule.key] is not None or prefix + rule.key in failed
             message = " and ".join(f"{prefix}{k} = {v[k]}" for k in rule.when)
             message = f"required for {message}" if message else "required"
         else:
@@ -326,7 +326,7 @@ def _broken(rules, v, prefix=""):
 
 def parse_config(text: str) -> ExperimentConfig:
     """Validated config from flat key-value text; collects every error."""
-    errors, values = [], {}
+    errors, values, failed = [], {}, set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
@@ -351,13 +351,14 @@ def parse_config(text: str) -> ExperimentConfig:
             except ValueError as exc:
                 problem = f"{key}: {exc}"
         errors.append(f"line {lineno}: {problem}")
+        failed.add(key)
 
     v = {key: values.get(key, spec.default) for key, spec in CONFIG_KEYS.items()}
-    errors += _broken(CONFIG_RULES, v)
+    errors += _broken(CONFIG_RULES, v, failed=failed)
     attacks = []
     for idx in sorted({int(m.group(1)) for m in map(_ATTACK_KEY.match, values) if m}):
         a = {f: values.get(f"attack.{idx}.{f}", spec.default) for f, spec in ATTACK_KEYS.items()}
-        errors += _broken(ATTACK_RULES, a, f"attack.{idx}.")
+        errors += _broken(ATTACK_RULES, a, f"attack.{idx}.", failed)
         attacks.append(a)
     if errors:
         raise ConfigError(errors)
@@ -609,12 +610,12 @@ def _dp_hook(mech: DPMechanism):
     return noise
 
 
-def _check_row(name, measured, bound, slack, lower=False):
+def _check_row(name, measured, bound, slack=None, lower=False):
+    """A check's report row; slack defaults to 1e-9 relative to the bound."""
     measured, bound = float(measured), float(bound)
-    if lower:
-        margin = measured - bound
-    else:
-        margin = bound - measured
+    if slack is None:
+        slack = 1e-9 * (1.0 + abs(bound))
+    margin = measured - bound if lower else bound - measured
     return {
         "name": name,
         "measured": measured,
@@ -624,151 +625,121 @@ def _check_row(name, measured, bound, slack, lower=False):
     }
 
 
+def _worst(rows):
+    """The row with the smallest margin, the first of equals; None for none."""
+    return min(rows, key=lambda row: row["margin"], default=None)
+
+
+def _accepted(measure, *args):
+    """measure(*args), or None where a bound function rejects the problem
+    (ValueError, which GraphError and SingularProblemError subclass)."""
+    try:
+        return measure(*args)
+    except ValueError:
+        return None
+
+
 def _consensus_dev(blocks) -> float:
     mean = blocks.mean(axis=0)
     return float(np.sum((blocks - mean) ** 2))
 
 
-def _bound_checks(cfg, g, p, oracle_sp, trace, trains, meta, run_info):
-    """Every analytic check whose preconditions the run satisfies."""
-    checks = []
-    if p is None or not p.is_quadratic():
-        return checks
-    rel = lambda b: 1e-9 * (1.0 + abs(b))
+def _bound_checks(cfg, g, p, oracle_sp, trace, trains, meta, eta):
+    """One row per analytic check that applies to the run, in report order.
 
+    Each check's bound function owns its scope (alpha > 0, n >= 2, lam2 > 0,
+    sample counts, a positive-definite average loss, a contraction factor
+    below 1) and a check it rejects is left out. The conditions tested here
+    are the run-level ones no bound function sees. eta is the constant step
+    size, None under a diminishing schedule.
+    """
+    if p is None or not p.is_quadratic():
+        return []
     quad = quad_operator(p)
     lam_min, lam_max = quad.extreme_eigenvalues()
     b = eig_bounds(p)
-    checks.append(_check_row("eig_upper", lam_max, b.upper, rel(b.upper)))
-    if b.lower is not None:
-        checks.append(_check_row("eig_lower", lam_min, b.lower, rel(b.lower), lower=True))
-
-    synthetic = meta["model"] is not None
-    clean = not cfg.attacks and cfg.dp is None
-    ridge0 = cfg.data["ridge"] == 0.0
     sizes = [t.m for t in trains]
-    if (
-        oracle_sp is not None
-        and synthetic
-        and ridge0
-        and p.alpha > 0.0
-        and p.n >= 2
-        and all(m >= 1 for m in sizes)
-        and is_connected(g)
-    ):
+    filled = all(m >= 1 for m in sizes)
+    oracle = oracle_sp is not None
+    # The consensus bounds assume the oracle fits the truth model's data unridged.
+    truth = meta["model"] if oracle and cfg.data["ridge"] == 0.0 else None
+    kind, mode = cfg.algorithm["kind"], cfg.async_spec["mode"]
+    clean = oracle and not cfg.attacks and cfg.defense.kind == "mean"
+
+    def noise_sq(nodes):
         wbars = meta["wbars"]
-        noise_sq = [
-            float(np.sum((t.y - t.X @ wbars[i]) ** 2)) for i, t in enumerate(trains)
-        ]
-        if meta["model"] == "shared":
-            checks.append(
-                _check_row(
-                    "variation",
-                    _consensus_dev(oracle_sp.blocks),
-                    variation_bound(p, noise_sq, sizes),
-                    rel(variation_bound(p, noise_sq, sizes)),
-                )
-            )
-        if meta["model"] == "clustered" and cfg.graph["kind"] == "two_cluster":
-            half = (p.n + 1) // 2
-            radius = float(np.max(np.linalg.norm(oracle_sp.blocks, axis=1)))
-            worst = None
-            for cluster in (list(range(half)), list(range(half, p.n))):
-                if len(cluster) < 2:
-                    continue
-                try:
-                    bound = clustered_bound(
-                        p,
-                        cluster,
-                        [noise_sq[i] for i in cluster],
-                        [sizes[i] for i in cluster],
-                        float(wbars[cluster[0]] @ wbars[cluster[0]]),
-                        radius,
-                    )
-                except (ValueError, GraphError):
-                    continue
-                row = _check_row(
-                    "clustered_variation",
-                    _consensus_dev(oracle_sp.blocks[cluster]),
-                    bound,
-                    rel(bound),
-                )
-                if worst is None or row["margin"] < worst["margin"]:
-                    worst = row
-            if worst is not None:
-                checks.append(worst)
+        return [float(np.sum((trains[i].y - trains[i].X @ wbars[i]) ** 2)) for i in nodes]
 
-    if oracle_sp is not None and p.alpha > 0.0 and all(m >= 1 for m in sizes):
-        s = eig_summaries(p)
-        if s.rho is not None and s.lam_bar_min > 0.0 and is_connected(g) and p.n >= 2:
-            rng = seeds.stream(cfg.seed, "attacks", 2**20)
-            perts = [0.1 * rng.standard_normal(t.m) for t in trains]
-            ridge = cfg.data["ridge"]
-            # Shifted labels keep X, hence every Q_i: only the linear terms move.
-            shifted = np.stack([
-                from_dataset(LocalDataset(t.X, t.y + perts[i]), ridge).q
-                for i, t in enumerate(trains)
-            ])
-            try:
-                moved = quad.solve(shifted)
-                bound = sensitivity_bound(p, perts)
-            except (SingularProblemError, ValueError, GraphError):
-                moved = None
-            if moved is not None:
-                measured = float(np.sum((moved.blocks - oracle_sp.blocks) ** 2))
-                checks.append(_check_row("label_sensitivity", measured, bound, rel(bound)))
+    def eig_upper():
+        return _check_row("eig_upper", lam_max, b.upper)
 
-    maxdists = trace.extras.get("maxdist")
-    if (
-        run_info.get("mode") == "partial"
-        and run_info.get("kind") == "fedrelax"
-        and oracle_sp is not None
-        and clean
-        and cfg.defense.kind == "mean"
-        and maxdists
-    ):
-        try:
-            kappa = contraction_factor(p)
-        except ValueError:
-            kappa = None
-        if kappa is not None and kappa < 1.0:
-            B = cfg.async_spec["B"]
-            r0 = maxdists[0]
-            worst = None
-            for idx, k in enumerate(trace.ks):
-                bnd = async_bound(kappa, B, k, r0)
-                row = _check_row("async_contraction", maxdists[idx], bnd, 1e-6)
-                if worst is None or row["margin"] < worst["margin"]:
-                    worst = row
-            checks.append(worst)
+    def eig_lower():
+        return _check_row("eig_lower", lam_min, b.lower, lower=True)
 
-    norms = trace.extras.get("noise_norms")
-    if (
-        cfg.dp is not None
-        and run_info.get("kind") == "fedgd"
-        and run_info.get("mode") == "sync"
-        and cfg.record_every == 1
-        and run_info.get("eta") is not None
-        and oracle_sp is not None
-        and not cfg.attacks
-        and cfg.defense.kind == "mean"
-        and norms
-        and trace.dists
-        and trace.dists[0] is not None
-        and lam_min > 0.0
-    ):
-        kappa = contraction(run_info["eta"], lam_min, lam_max)
-        if kappa < 1.0:
-            worst = None
-            for idx, k in enumerate(trace.ks):
-                bnd = perturbed_bound(kappa, trace.dists[0], norms[:k])
-                row = _check_row(
-                    "noisy_descent", trace.dists[idx], bnd, 1e-9 * (1.0 + bnd)
-                )
-                if worst is None or row["margin"] < worst["margin"]:
-                    worst = row
-            checks.append(worst)
-    return checks
+    def variation():
+        bound = variation_bound(p, noise_sq(range(p.n)), sizes)
+        return _check_row("variation", _consensus_dev(oracle_sp.blocks), bound)
+
+    def cluster_row(cluster, radius):
+        wbar = meta["wbars"][cluster[0]]
+        sub_sizes = [sizes[i] for i in cluster]
+        bound = clustered_bound(p, cluster, noise_sq(cluster), sub_sizes, float(wbar @ wbar), radius)
+        return _check_row("clustered_variation", _consensus_dev(oracle_sp.blocks[cluster]), bound)
+
+    def clustered_variation():
+        half = (p.n + 1) // 2
+        radius = float(np.max(np.linalg.norm(oracle_sp.blocks, axis=1)))
+        # Cluster A is the first ceil(n/2) nodes; with n = 1, B is empty.
+        clusters = [c for c in (list(range(half)), list(range(half, p.n))) if c]
+        rows = [_accepted(cluster_row, c, radius) for c in clusters]
+        return _worst(row for row in rows if row is not None)
+
+    def label_sensitivity():
+        rng = seeds.stream(cfg.seed, "attacks", 2**20)
+        perts = [0.1 * rng.standard_normal(t.m) for t in trains]
+        bound = sensitivity_bound(p, perts)
+        # Shifted labels keep X, hence every Q_i: only the linear terms move.
+        shifted = np.stack([
+            from_dataset(LocalDataset(t.X, t.y + e), cfg.data["ridge"]).q
+            for t, e in zip(trains, perts)
+        ])
+        moved = quad.solve(shifted).blocks
+        return _check_row("label_sensitivity", np.sum((moved - oracle_sp.blocks) ** 2), bound)
+
+    def async_contraction():
+        kappa, B, dists = contraction_factor(p), cfg.async_spec["B"], trace.extras["maxdist"]
+        return _worst(
+            _check_row("async_contraction", dist, async_bound(kappa, B, k, dists[0]), 1e-6)
+            for k, dist in zip(trace.ks, dists)
+        )
+
+    def noisy_descent():
+        kappa, norms = contraction(eta, lam_min, lam_max), trace.extras["noise_norms"]
+        return _worst(
+            _check_row("noisy_descent", dist, perturbed_bound(kappa, trace.dists[0], norms[:k]))
+            for k, dist in zip(trace.ks, trace.dists)
+        )
+
+    table = (
+        (True, eig_upper),
+        (b.lower is not None, eig_lower),
+        (truth == "shared", variation),
+        (
+            truth == "clustered" and cfg.graph["kind"] == "two_cluster" and filled
+            and is_connected(g),
+            clustered_variation,
+        ),
+        (oracle and filled, label_sensitivity),
+        (clean and cfg.dp is None and kind == "fedrelax" and mode == "partial", async_contraction),
+        (
+            clean and cfg.dp is not None and kind == "fedgd" and mode == "sync"
+            and cfg.record_every == 1 and eta is not None
+            and bool(trace.extras.get("noise_norms")),
+            noisy_descent,
+        ),
+    )
+    rows = (_accepted(measure) for applies, measure in table if applies)
+    return [row for row in rows if row is not None]
 
 
 def _nanmean(values) -> float:
@@ -909,7 +880,6 @@ def _run_graph(cfg, g, losses, trains, vals, d, meta):
     noise = _dp_hook(cfg.dp) if cfg.dp is not None else None
     w0 = StackedParams.zeros(n, d)
     mode = cfg.async_spec["mode"]
-    run_info = {"kind": kind, "mode": mode, "eta": eta if sched.kind == "constant" else None}
     common = dict(
         objective=probes.objective,
         oracle=oracle_sp,
@@ -946,7 +916,8 @@ def _run_graph(cfg, g, losses, trains, vals, d, meta):
 
     checks = []
     if divergence is None:
-        checks = _bound_checks(cfg, g, p, oracle_sp, trace, trains, meta, run_info)
+        const_eta = eta if sched.kind == "constant" else None
+        checks = _bound_checks(cfg, g, p, oracle_sp, trace, trains, meta, const_eta)
     probes = [trace.extras.get(key, []) for key in ("node_objs", "gtv", "train_err", "val_err")]
     rows = _rows_from_trace(trace, n, *probes)
     return _make_report(cfg, trace, rows, checks, meta, n, divergence)

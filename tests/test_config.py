@@ -95,6 +95,8 @@ OUT_OF_RANGE = {
     "graph.weight": "0",
     "graph.path": "/nonexistent/edges.txt",
     "graph.discrepancies": "/nonexistent/d.csv",
+    "graph.budget": "-1",
+    "graph.d_max": "-0.5",
     "data.d": "0",
     "data.m_min": "0",
     "data.noise": "-0.1",
@@ -239,6 +241,25 @@ def test_rule_needing_a_value_is_quiet_when_set(tmp_path):
         "graph.method": "degree", "graph.d_max": "1.0",
     }))
     assert cfg.graph["d_max"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"graph.n": "four"}, "graph.n"),
+        ({"graph.kind": "ring"}, "graph.kind"),
+        ({"graph.n": None, "graph.kind": "learned", "graph.discrepancies": __file__,
+          "graph.budget": "-1"}, "graph.budget"),
+        (ATTACK | {"attack.0.nodes": "one"}, "attack.0.nodes"),
+        (ATTACK | {"attack.0.kind": "rowhammer"}, "attack.0.kind"),
+    ],
+)
+def test_failed_required_line_is_reported_once(overrides, key):
+    # The key's line already failed, so no rule adds "required" for it.
+    lines = BASE | overrides
+    lineno = [k for k, v in lines.items() if v is not None].index(key) + 1
+    errors = errors_of(text_of(lines))
+    assert len(errors) == 1 and errors[0].startswith(f"line {lineno}: {key}: "), errors
 
 
 # ------------------------------------------------------------------- fuzz
