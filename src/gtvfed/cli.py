@@ -21,6 +21,7 @@ from gtvfed import graphlearn
 from gtvfed.graph import GraphError
 from gtvfed.harness import (
     CONFIG_KEYS,
+    CONFIG_RULES,
     ConfigError,
     export,
     gen_node_datasets,
@@ -31,19 +32,52 @@ from gtvfed.harness import (
 from gtvfed.localmodel import save_dataset_csv
 
 
+def _dest(key: str) -> str:
+    return key.rsplit(".", 1)[-1]
+
+
+def _flag(key: str) -> str:
+    return "--" + _dest(key).replace("_", "-")
+
+
 def _key_options(parser, *keys, required=False) -> None:
     """One --flag per config key, named after the key's last part, with the
-    key's parser, default, choices and help from CONFIG_KEYS."""
+    key's parser, default, choices and help from CONFIG_KEYS. The parser
+    records the keys; _option_errors checks their values after parsing."""
     for key in keys:
         spec = CONFIG_KEYS[key]
         parser.add_argument(
-            "--" + key.rsplit(".", 1)[-1].replace("_", "-"),
+            _flag(key),
             type=spec.parse,
             default=spec.default,
             choices=spec.choices or None,
             required=required,
             help=spec.help,
         )
+    parser.set_defaults(table_keys=(parser.get_default("table_keys") or ()) + keys)
+
+
+def _option_errors(args) -> list:
+    """Each given table option checked against its key's range, and each
+    CONFIG_RULES entry that requires one of the options; errors name the
+    option. args.fixed holds keys the subcommand itself sets."""
+    keys = getattr(args, "table_keys", ())
+    values = dict(getattr(args, "fixed", {}))
+    values.update((key, getattr(args, _dest(key))) for key in keys)
+    errors = []
+    for key in keys:
+        if values[key] is not None:
+            try:
+                CONFIG_KEYS[key].accept(values[key])
+            except ValueError as exc:
+                errors.append(f"{_flag(key)}: {exc}")
+    for rule in CONFIG_RULES:
+        if rule.key not in keys or rule.holds is not None or values[rule.key] is not None:
+            continue
+        if all(values.get(k) in allowed for k, allowed in rule.when.items()):
+            given = " and ".join(f"{_flag(k)} {values[k]}" for k in rule.when if k in keys)
+            errors.append(f"{_flag(rule.key)} is required" + (f" for {given}" if given else ""))
+    return errors
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,6 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     lg = sub.add_parser("learn-graph", help="fit edge weights to discrepancies")
     _key_options(lg, "graph.discrepancies", required=True)
     _key_options(lg, "graph.method", "graph.budget", "graph.d_max", "seed")
+    lg.set_defaults(fixed={"graph.kind": "learned"})
     lg.add_argument("--out", required=True, help="edge-list path")
 
     rn = sub.add_parser("run", help="run a config file and export reports")
@@ -122,12 +157,8 @@ def _cmd_gen_data(args) -> int:
 def _cmd_learn_graph(args) -> int:
     D = graphlearn.load_discrepancy_csv(args.discrepancies)
     if args.method == "budget":
-        if args.budget is None:
-            raise ConfigError(["--budget is required for --method budget"])
         g = graphlearn.learn_graph_budget(D, args.budget)
     else:
-        if args.d_max is None:
-            raise ConfigError(["--d-max is required for --method degree"])
         g = graphlearn.learn_graph_degree(
             D, args.d_max, seed=seeds.stream(args.seed, "graph")
         )
@@ -220,6 +251,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        errors = _option_errors(args)
+        if errors:
+            raise ConfigError(errors)
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         where = f"{args.config}: " if args.command == "run" else ""

@@ -28,6 +28,15 @@ SINGULAR_TOL = 1e-10
 CG_RTOL = 1e-14
 CG_STALL = 50
 
+# Lanczos stops at extreme Ritz residuals of LANCZOS_RTOL max |theta|. It
+# solves its tridiagonal first at step LANCZOS_FIRST, then whenever the step
+# count has grown by the factor LANCZOS_GROWTH, and gives up after
+# LANCZOS_STEPS steps per dimension.
+LANCZOS_RTOL = 1e-13
+LANCZOS_FIRST = 8
+LANCZOS_GROWTH = 1.25
+LANCZOS_STEPS = 10
+
 
 class SingularProblemError(ValueError):
     """The assembled quadratic has no unique minimizer."""
@@ -390,30 +399,57 @@ class QuadOperator:
         return StackedParams(x)
 
     def extreme_eigenvalues(self):
-        """(lambda_min, lambda_max) of Q by Lanczos from a fixed start vector.
-
-        A 1 x 1 Q, too small for ARPACK, is read off one product.
-        """
+        """(lambda_min, lambda_max) of Q by one Lanczos pass from a fixed start vector."""
         if self._eigs is None:
-            size = self.n * self.d
-            if size == 1:
-                val = float(self.apply(np.ones((1, 1)))[0, 0])
-                self._eigs = (val, val)
-            else:
-                from scipy.sparse.linalg import LinearOperator, eigsh
-
-                op = LinearOperator(
-                    (size, size),
-                    matvec=lambda v: self.apply(v.reshape(self.n, self.d)).reshape(-1),
-                    dtype=float,
-                )
-                v0 = np.random.default_rng(0).standard_normal(size)
-                ends = (
-                    eigsh(op, k=1, which=which, v0=v0, tol=0.0, return_eigenvectors=False)[0]
-                    for which in ("SA", "LA")
-                )
-                self._eigs = tuple(float(v) for v in ends)
+            n, d = self.n, self.d
+            self._eigs = _lanczos_ends(
+                lambda v: self.apply(v.reshape(n, d)).reshape(-1),
+                np.random.default_rng(0).standard_normal(n * d),
+            )
         return self._eigs
+
+
+def _lanczos_ends(matvec, v0):
+    """(smallest, largest) eigenvalue of a symmetric map by plain Lanczos.
+
+    Three-term Lanczos without reorthogonalization: lost orthogonality only
+    adds copies of converged Ritz values, while the extreme ones still
+    converge to full accuracy (Paige 1980). The tridiagonal is solved on a
+    geometric schedule. An end has converged once its Ritz residual
+    beta |s_m| is at most LANCZOS_RTOL max |theta|; it stays converged, since
+    the extreme Ritz values move monotonically toward the spectrum's ends,
+    though a later copy may blur its residual. The pass stops once both ends
+    have converged, when beta vanishes (an invariant subspace), or after
+    LANCZOS_STEPS steps per dimension.
+    """
+    from scipy.linalg import eigh_tridiagonal
+
+    v = v0 / np.linalg.norm(v0)
+    prev = np.zeros_like(v)
+    alphas, betas = [], []
+    beta, scale, check, done = 0.0, 0.0, LANCZOS_FIRST, [False, False]
+    limit = LANCZOS_STEPS * v.size
+    for step in range(1, limit + 1):
+        w = matvec(v) - beta * prev
+        alpha = float(w @ v)
+        w -= alpha * v
+        beta = float(np.linalg.norm(w))
+        alphas.append(alpha)
+        betas.append(beta)
+        scale = max(scale, abs(alpha), beta)
+        stop = beta <= LANCZOS_RTOL * scale or step == limit
+        if stop or step == check:
+            ends = [
+                eigh_tridiagonal(alphas, betas[:-1], select="i", select_range=(i, i))
+                for i in (0, step - 1)
+            ]
+            top = max(abs(float(theta[0])) for theta, _ in ends)
+            for i, (_, s) in enumerate(ends):
+                done[i] = done[i] or beta * abs(s[-1, 0]) <= LANCZOS_RTOL * top
+            if stop or all(done):
+                return tuple(float(theta[0]) for theta, _ in ends)
+            check = max(step + 1, int(LANCZOS_GROWTH * step))
+        prev, v = v, w / beta
 
 
 def _pcg(apply, precond, b) -> np.ndarray:

@@ -112,7 +112,8 @@ class Report:
     """Per-event metric rows plus a run summary and environment stamp.
 
     rows holds one (event, node, objective, gtv, train_err, val_err,
-    dist_oracle) tuple of Python ints and floats per recorded event and node.
+    dist_oracle) tuple per recorded event and node: event and node are Python
+    ints, the five metrics Python floats.
     """
 
     rows: list
@@ -177,7 +178,10 @@ class Key:
     check: object = None
 
     def read(self, raw: str):
-        val = self.parse(raw)
+        return self.accept(self.parse(raw))
+
+    def accept(self, val):
+        """val if it satisfies the key's choices, bounds and check."""
         if self.choices and val not in self.choices:
             raise ValueError(f"expected one of {', '.join(self.choices)}; got {val!r}")
         if self.bounds and not _in_bounds(self.bounds, val):
@@ -698,11 +702,9 @@ def _bound_checks(cfg, g, p, oracle_sp, trace, trains, meta, eta):
         rng = seeds.stream(cfg.seed, "attacks", 2**20)
         perts = [0.1 * rng.standard_normal(t.m) for t in trains]
         bound = sensitivity_bound(p, perts)
-        # Shifted labels keep X, hence every Q_i: only the linear terms move.
-        shifted = np.stack([
-            from_dataset(LocalDataset(t.X, t.y + e), cfg.data["ridge"]).q
-            for t, e in zip(trains, perts)
-        ])
+        # Shifted labels keep X, hence every Q_i: only the linear terms
+        # -2/m X'y move (as from_dataset computes them).
+        shifted = np.stack([-2.0 / t.m * (t.X.T @ (t.y + e)) for t, e in zip(trains, perts)])
         moved = quad.solve(shifted).blocks
         return _check_row("label_sensitivity", np.sum((moved - oracle_sp.blocks) ** 2), bound)
 
@@ -1024,18 +1026,52 @@ def _make_report(cfg, trace, rows, checks, meta, n, divergence=None):
     return Report(rows=rows, summary=summary, environment=environment)
 
 
-# One report row in each format. The JSON template is the layout
-# json.dump(..., indent=2) gives a row two levels deep; %r of a float is
-# the repr json writes, except for non-finite values (see _json_rows).
-_CSV_ROW = "%d,%d" + ",%.11e" * 5 + "\n"
-_JSON_ROW = "    [\n      %d,\n      %d" + ",\n      %r" * 5 + "\n    ]"
 # Rows formatted and written per chunk, so no whole file is held as one string.
 _EXPORT_CHUNK = 4096
+# The rows of one event share its event, gtv and dist: each run of rows that
+# shares them is written through one template holding them, so a row formats
+# only its node id and its own three floats. In JSON the layout is that of
+# json.dump(..., indent=2) two levels deep, and a number is its repr except
+# for nan and +-inf, which json spells NaN, Infinity and -Infinity.
+_CSV_RUN = "%d,%%d,%%.11e,%.11e,%%.11e,%%.11e,%.11e\n"
+_JSON_RUN = "    [\n      %d,\n      %%d,\n      %%s,\n      %s,\n      %%s,\n      %%s,\n      %s\n    ]"
+_JSON_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _chunks(rows):
+def _json_number(value) -> str:
+    text = repr(value)
+    return _JSON_WORDS.get(text, text)
+
+
+def _formatted_chunks(rows, json_layout: bool):
+    """Each chunk of rows as a list of formatted rows."""
     for start in range(0, len(rows), _EXPORT_CHUNK):
-        yield rows[start : start + _EXPORT_CHUNK]
+        chunk = rows[start : start + _EXPORT_CHUNK]
+        event, node, obj, gtv, e_t, e_v, dist = zip(*chunk)
+        own = [obj, e_t, e_v]
+        if json_layout:
+            for k, col in enumerate(own):
+                bad = np.flatnonzero(~np.isfinite(np.array(col, dtype=float))).tolist()
+                if bad:
+                    own[k] = col = list(col)
+                    for i in bad:
+                        col[i] = _json_number(col[i])
+        # A run starts where any shared value changes bits, so 0.0 and -0.0
+        # start different runs and equal NaNs share one.
+        starts = np.zeros(len(chunk), dtype=bool)
+        starts[0] = True
+        for col, dtype in ((event, np.int64), (gtv, np.float64), (dist, np.float64)):
+            bits = np.array(col, dtype=dtype).view(np.uint64)
+            starts[1:] |= bits[1:] != bits[:-1]
+        bounds = np.flatnonzero(starts).tolist() + [len(chunk)]
+        lines = []
+        for a, b in zip(bounds, bounds[1:]):
+            if json_layout:
+                template = _JSON_RUN % (event[a], _json_number(gtv[a]), _json_number(dist[a]))
+            else:
+                template = _CSV_RUN % (event[a], gtv[a], dist[a])
+            lines += [template % vals for vals in zip(node[a:b], *(col[a:b] for col in own))]
+        yield lines
 
 
 def _json_nested(value) -> str:
@@ -1050,11 +1086,8 @@ def _json_rows(fh, rows) -> None:
         return
     fh.write("[\n")
     sep = ""
-    for chunk in _chunks(rows):
-        text = sep + ",\n".join([_JSON_ROW % tuple(row) for row in chunk])
-        # Rows hold only numbers, so these words come from nan and +-inf;
-        # json spells them NaN, Infinity and -Infinity.
-        fh.write(text.replace("nan", "NaN").replace("inf", "Infinity"))
+    for lines in _formatted_chunks(rows, json_layout=True):
+        fh.write(sep + ",\n".join(lines))
         sep = ",\n"
     fh.write("\n  ]")
 
@@ -1063,14 +1096,14 @@ def export(report: Report, fmt: str, path) -> str:
     """Write the report as CSV rows or a JSON mirror; returns the path.
 
     The JSON bytes are those of json.dump(report.to_dict(), sort_keys=True,
-    indent=2) plus a newline; rows are written in chunks through a row
-    template instead of the pure-Python encoder.
+    indent=2) plus a newline; rows are written in chunks through per-event
+    row templates instead of the pure-Python encoder.
     """
     if fmt == "csv":
         with open(path, "w") as fh:
             fh.write(",".join(CSV_HEADER) + "\n")
-            for chunk in _chunks(report.rows):
-                fh.write("".join([_CSV_ROW % tuple(row) for row in chunk]))
+            for lines in _formatted_chunks(report.rows, json_layout=False):
+                fh.write("".join(lines))
         return str(path)
     if fmt == "json":
         with open(path, "w") as fh:

@@ -131,7 +131,8 @@ class DPMechanism:
 
         Row i equals draw((d,), node=i, counter=counter) bit for bit: the n
         stream states come from one seeds.stream_states pass and feed one
-        reused generator.
+        reused generator. Gaussian rows are standard normals scaled once as
+        0.0 + sigma * z, which is how Generator.normal computes them.
         """
         n, d = int(n), int(d)
         scale = self.sigma if self.kind == "gaussian" else self.b
@@ -139,15 +140,21 @@ class DPMechanism:
             return np.zeros((n, d))
         gen = np.random.Generator(np.random.PCG64(0))
         bitgen = gen.bit_generator
-        sample = gen.normal if self.kind == "gaussian" else gen.laplace
+        gaussian = self.kind == "gaussian"
         out = np.empty((n, d))
-        state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
-        for i, (s, inc) in enumerate(
-            seeds.stream_states(self.seed, "noise", n, int(counter))
-        ):
-            state["state"] = {"state": s, "inc": inc}
+        pair = {}
+        state = {"bit_generator": "PCG64", "state": pair, "has_uint32": 0, "uinteger": 0}
+        states = seeds.stream_states(self.seed, "noise", n, int(counter))
+        for row, (s, inc) in zip(out, states):
+            pair["state"], pair["inc"] = s, inc
             bitgen.state = state
-            out[i] = sample(0.0, scale, size=d)
+            if gaussian:
+                gen.standard_normal(out=row)
+            else:
+                row[:] = gen.laplace(0.0, scale, size=d)
+        if gaussian:
+            out *= scale
+            out += 0.0
         return out
 
 

@@ -313,6 +313,34 @@ def test_cli_options_come_from_the_table():
         ap.parse_args(["gen-data", "--n", "3", "--d", "2", "--model", "ring", "--out", "d"])
 
 
+def test_cli_node_count_out_of_range_names_its_option(tmp_path, capsys):
+    out = tmp_path / "g.txt"
+    assert cli.main(["gen-graph", "--kind", "erdos_renyi", "--n", "0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["config error: --n: must be >= 1, got 0"]
+    assert not out.exists()
+
+
+def test_cli_learn_graph_budget_out_of_range_names_its_option(tmp_path, capsys):
+    disc = tmp_path / "d.csv"
+    disc.write_text("0,1\n1,0\n")
+    out = tmp_path / "g.txt"
+    base = ["learn-graph", "--discrepancies", str(disc), "--out", str(out)]
+    assert cli.main(base + ["--method", "budget", "--budget", "-1"]) == 1
+    assert capsys.readouterr().err.splitlines() == ["config error: --budget: must be >= 0, got -1.0"]
+    # The two required-key rules of CONFIG_RULES, in the CLI's own words.
+    assert cli.main(base + ["--method", "budget"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: --budget is required for --method budget"
+    ]
+    assert cli.main(base + ["--method", "degree", "--budget", "3"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: --d-max is required for --method degree"
+    ]
+    assert not out.exists()
+    assert cli.main(base + ["--method", "budget", "--budget", "2"]) == 0
+    assert out.exists()
+
+
 def _readme_block():
     path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(path, encoding="utf-8") as fh:

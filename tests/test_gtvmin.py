@@ -431,9 +431,35 @@ def test_oracle_reuses_operator_for_new_linear_terms():
     assert np.max(np.abs(got - np.linalg.solve(2.0 * Q, -qs.reshape(-1)))) <= 1e-10
 
 
-@pytest.mark.parametrize("alpha", [0.0, 1.0, 1e6])
-def test_operator_extreme_eigenvalues_match_dense(alpha):
-    p = random_problem(37, alpha=alpha)
+def _identical_local_losses():
+    # alpha = 0 and one Q at every node: the Krylov space has dimension d,
+    # so Lanczos breaks down after d steps.
+    loss = QuadLoss([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 3.0]], [0.0, 1.0, 0.0])
+    return GTVMinProblem(generate("chain", 8), [loss] * 8, 0.0)
+
+
+def _size_two():
+    return GTVMinProblem(TWO_NODE_GRAPH, (QuadLoss([[1.5]], [0.0]), QuadLoss([[4.0]], [1.0])), 0.7)
+
+
+def _singular_local_loss():
+    # One sample at a d = 3 node leaves its Q singular; with alpha = 0 the
+    # assembled quadratic has lambda_min = 0.
+    p = random_problem(5, d=3, alpha=0.0)
+    ds = generate_local(np.ones(3), 1, 0.1, seed=3)
+    return GTVMinProblem(p.graph, [from_dataset(ds)] + list(p.losses[1:]), 0.0)
+
+
+EXTRA_SPECTRA = {
+    "breakdown": _identical_local_losses,
+    "size2": _size_two,
+    "singular": _singular_local_loss,
+}
+
+
+@pytest.mark.parametrize("case", [0.0, 1.0, 1e6, *EXTRA_SPECTRA])
+def test_operator_extreme_eigenvalues_match_dense(case):
+    p = EXTRA_SPECTRA[case]() if case in EXTRA_SPECTRA else random_problem(37, alpha=case)
     vals = np.linalg.eigvalsh(assemble(p)[0])
     lo, hi = quad_operator(p).extreme_eigenvalues()
     assert abs(lo - vals[0]) <= 1e-12 * vals[-1]

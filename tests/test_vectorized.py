@@ -54,16 +54,28 @@ def test_draw_block_equals_per_node_draws_bitwise(kind, scale, seed, counter, n,
 
 
 def test_stream_states_rebuild_the_named_streams():
-    for seed, members in ((0, ()), (11, (7,)), (2**64 + 5, (0, 2**33))):
+    # Calls alternate between names, counts n and n + 1, one-word and
+    # three-word seeds, so a cached pool is reused and set aside in turn.
+    cases = [(0, "data", 5, ()), (11, "data", 5, (7,)), (2**64 + 5, "data", 5, (0, 2**33))]
+    cases += [
+        (seed, name, count, members)
+        for members in ((3,), (2**40 + 1,), (3,))
+        for seed in (11, 2**64 + 5)
+        for name in ("noise", "data")
+        for count in (5, 6)
+    ]
+    for seed, name, count, members in cases:
         gen = np.random.Generator(np.random.PCG64(0))
-        for i, (state, inc) in enumerate(seeds.stream_states(seed, "data", 5, *members)):
+        states = seeds.stream_states(seed, name, count, *members)
+        assert len(states) == count
+        for i, (state, inc) in enumerate(states):
             gen.bit_generator.state = {
                 "bit_generator": "PCG64",
                 "state": {"state": state, "inc": inc},
                 "has_uint32": 0,
                 "uinteger": 0,
             }
-            want = seeds.stream(seed, "data", i, *members).bit_generator.state
+            want = seeds.stream(seed, name, i, *members).bit_generator.state
             assert gen.bit_generator.state == want
 
 
@@ -236,7 +248,18 @@ def test_export_bytes_equal_reference_encoders(tmp_path):
 def test_export_maps_non_finite_values_like_json(tmp_path):
     inf, nan = float("inf"), float("nan")
     report = Report(
-        rows=[(0, 0, inf, -inf, nan, -0.0, 1e-310), (7, 1, 1e300, 0.1, 2.5, -3.0, 123456789.0)],
+        rows=[
+            (0, 0, inf, -inf, nan, -0.0, 1e-310),
+            (7, 1, 1e300, 0.1, 2.5, -3.0, 123456789.0),
+            # Rows share an export template only where event, gtv and dist
+            # have the same bits: 0.0 and -0.0 differ, equal NaNs do not.
+            (7, 2, 0.5, 0.0, 1.0, 2.0, 0.0),
+            (7, 3, -0.5, -0.0, nan, 2.0, 0.0),
+            (7, 4, 0.25, 0.0, 1.0, 2.0, -0.0),
+            (7, 5, 0.125, nan, 1.0, inf, nan),
+            (7, 6, -inf, nan, 1.0, 2.0, nan),
+            (8, 6, 1.0, nan, 1.0, 2.0, nan),
+        ],
         summary={"final": nan, "big": -inf, "checks": [{"name": "x", "holds": True}], "none": None},
         environment={},
     )
