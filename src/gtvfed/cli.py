@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lg = sub.add_parser("learn-graph", help="fit edge weights to discrepancies")
     _key_options(lg, "graph.discrepancies", required=True)
-    _key_options(lg, "graph.method", "graph.budget", "graph.d_max", "seed")
+    _key_options(lg, "graph.method", "graph.budget", "graph.d_max")
     lg.set_defaults(fixed={"graph.kind": "learned"})
     lg.add_argument("--out", required=True, help="edge-list path")
 
@@ -159,9 +159,7 @@ def _cmd_learn_graph(args) -> int:
     if args.method == "budget":
         g = graphlearn.learn_graph_budget(D, args.budget)
     else:
-        g = graphlearn.learn_graph_degree(
-            D, args.d_max, seed=seeds.stream(args.seed, "graph")
-        )
+        g = graphlearn.learn_graph_degree(D, args.d_max)
     graphmod.save_edge_list(g, args.out)
     print(f"wrote {args.out} ({g.n} nodes, {g.num_edges} edges)")
     return 0

@@ -7,8 +7,7 @@ import math
 
 import numpy as np
 
-from gtvfed.graph import EmpGraph, GraphError
-from gtvfed.seeds import as_rng
+from gtvfed.graph import EmpGraph
 
 DISCREPANCY_KINDS = ("scalar", "param", "gradient", "prediction")
 
@@ -101,99 +100,20 @@ def discrepancy_matrix(kind: str, payloads, v=None, testX=None) -> np.ndarray:
     return D
 
 
-def _pairs(n: int):
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
-def project_constraints(A, d_max: float, tol: float = 1e-7, max_iters: int = 100):
-    """Nearest matrix with entries in [0,1], zero diagonal, row sums d_max.
-
-    The projection of the pair vector a onto {x in [0,1]^E : M x = d_max}
-    (M the node-pair incidence) is x(lam) = clip(a - lam_i - lam_j, 0, 1)
-    at the maximizer lam of the concave dual, whose gradient is the row-sum
-    residual M x(lam) - d_max. Semismooth Newton steps with a backtracking
-    line search find lam; the set is nonempty (d_max/(n-1) off the diagonal
-    is feasible), so the iteration ends when the residual is at most tol.
-    The returned matrix is exactly inside the box.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    n = A.shape[0]
-    d_max = float(d_max)
-    if d_max < 0.0 or d_max > n - 1:
-        raise ValueError(
-            f"row-sum target {d_max} is infeasible for n={n} "
-            f"(needs 0 <= d_max <= {n - 1})"
-        )
-    A = (A + A.T) / 2.0
-    if n == 1:
-        return np.zeros((1, 1))
-    ii, jj = np.triu_indices(n, k=1)
-    a = A[ii, jj]
-
-    def state(lam):
-        x = np.clip(a - lam[ii] - lam[jj], 0.0, 1.0)
-        resid = np.bincount(ii, x, n) + np.bincount(jj, x, n) - d_max
-        dual = 0.5 * float((x - a) @ (x - a)) + float(lam @ resid)
-        return x, resid, dual
-
-    lam = np.zeros(n)
-    x, resid, dual = state(lam)
-    viol = float(np.max(np.abs(resid)))
-    for _ in range(int(max_iters)):
-        if viol <= tol:
-            break
-        # Generalized Hessian of the dual: M D M' over the unclipped pairs,
-        # damped by the residual size so the step stays defined.
-        z = a - lam[ii] - lam[jj]
-        f = (z > 0.0) & (z < 1.0)
-        H = np.zeros((n, n))
-        np.add.at(H, (ii[f], jj[f]), 1.0)
-        H = H + H.T
-        H[np.diag_indices(n)] += (
-            np.bincount(ii[f], minlength=n) + np.bincount(jj[f], minlength=n) + min(1.0, viol)
-        )
-        step = np.linalg.solve(H, resid)
-        slope = float(resid @ step)
-        t = 1.0
-        for _ in range(60):
-            cand = state(lam + t * step)
-            if cand[2] >= dual + 1e-4 * t * slope:
-                break
-            t /= 2.0
-        else:
-            break
-        lam = lam + t * step
-        x, resid, dual = cand
-        viol = float(np.max(np.abs(resid)))
-    if viol > tol:
-        raise ValueError(
-            f"constraint projection did not converge (row-sum violation {viol:.3e} "
-            f"after {int(max_iters)} Newton steps); the constraint set is not empty, "
-            "so the input is numerically extreme"
-        )
-    out = np.zeros((n, n))
-    out[ii, jj] = x
-    out[jj, ii] = x
-    return out
-
-
-def learn_graph_degree(
-    D,
-    d_max: float,
-    iters: int = 3000,
-    restarts: int = 3,
-    step: float | None = None,
-    seed: int = 0,
-) -> EmpGraph:
+def learn_graph_degree(D, d_max: float) -> EmpGraph:
     """Edge weights minimizing total weighted discrepancy at fixed row sums.
 
-    Projected gradient descent on the linear objective sum_{i,j} A_ij D_ij
-    over {A symmetric, zero diagonal, entries in [0,1], row sums = d_max},
-    restarted from seeded points; the best feasible iterate wins. Weights
-    below 1e-6 are pruned.
+    The objective sum_{i,j} A_ij D_ij over {A symmetric, zero diagonal,
+    entries in [0,1], row sums = d_max} is a linear program in the
+    upper-triangle weights, solved exactly by HiGHS. Its optimum is a vertex:
+    most weights are 0 or 1 and a few are fractional. Weights below
+    PRUNE_TOL are pruned.
     """
+    # Imported here: scipy.optimize would add most of a second to every
+    # start of the package, and only this learner needs it.
+    import scipy.optimize
+    import scipy.sparse
+
     D = as_discrepancy(D)
     n = D.shape[0]
     d_max = float(d_max)
@@ -203,52 +123,30 @@ def learn_graph_degree(
         raise ValueError(f"d_max must be nonnegative, got {d_max}")
     if n == 1 or d_max == 0.0:
         return EmpGraph(n, [])
-    pairs = _pairs(n)
+    ii, jj = np.triu_indices(n, k=1)
+    E = ii.shape[0]
+    # Node-pair incidence: column e is 1 at both ends of pair e, so M x is
+    # the row-sum vector of the symmetric matrix with upper triangle x.
+    M = scipy.sparse.csr_array(
+        (np.ones(2 * E), (np.concatenate([ii, jj]), np.tile(np.arange(E), 2))),
+        shape=(n, E),
+    )
     # Ordered-pair objective: each unordered pair appears twice in the sum.
-    c = np.array([2.0 * D[i, j] for i, j in pairs])
-    if step is None:
-        step = 10.0 / max(float(np.max(c)), 1e-12)
-    rng = as_rng(seed)
-    grad = np.zeros((n, n))
-    for e, (i, j) in enumerate(pairs):
-        grad[i, j] = grad[j, i] = c[e]
-
-    def value(A):
-        return float(sum(c[e] * A[i, j] for e, (i, j) in enumerate(pairs)))
-
-    best_val, best_A = np.inf, None
-    for r in range(max(1, int(restarts))):
-        if r == 0:
-            A0 = np.zeros((n, n))
-        else:
-            raw = rng.random((n, n))
-            A0 = (raw + raw.T) / 2.0
-            np.fill_diagonal(A0, 0.0)
-        A = project_constraints(A0, d_max)
-        for _ in range(int(iters)):
-            val = value(A)
-            if val < best_val:
-                best_val, best_A = val, A
-            A_next = project_constraints(A - step * grad, d_max)
-            # Constant gradient: once the projected iterate stops moving it
-            # never will again, so the remaining budget is wasted work.
-            if float(np.max(np.abs(A_next - A))) < 1e-12:
-                A = A_next
-                break
-            A = A_next
-        val = value(A)
-        if val < best_val:
-            best_val, best_A = val, A
-    edges = [
-        (i, j, best_A[i, j]) for i, j in pairs if best_A[i, j] >= PRUNE_TOL
-    ]
-    g = EmpGraph(n, edges)
-    sums = best_A.sum(axis=1)
+    res = scipy.optimize.linprog(
+        2.0 * D[ii, jj], A_eq=M, b_eq=np.full(n, d_max), bounds=(0.0, 1.0), method="highs"
+    )
+    if res.status != 0:
+        raise ValueError(
+            f"degree-constrained LP failed: HiGHS status {res.status}: {res.message}"
+        )
+    x = res.x
+    sums = np.bincount(ii, x, n) + np.bincount(jj, x, n)
     if float(np.max(np.abs(sums - d_max))) > 1e-4:
         raise ValueError(
             "learned weights violate the row-sum constraint beyond 1e-4"
         )
-    return g
+    keep = x >= PRUNE_TOL
+    return EmpGraph(n, zip(ii[keep].tolist(), jj[keep].tolist(), x[keep].tolist()))
 
 
 def learn_graph_budget(D, E_max: float) -> EmpGraph:
@@ -267,7 +165,8 @@ def learn_graph_budget(D, E_max: float) -> EmpGraph:
         raise ValueError(
             f"budget {E_max} exceeds the ordered-pair capacity {n * (n - 1)}"
         )
-    ranked = sorted(_pairs(n), key=lambda e: (D[e[0], e[1]], e[0], e[1]))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    ranked = sorted(pairs, key=lambda e: (D[e[0], e[1]], e[0], e[1]))
     W = E_max / 2.0
     full = min(int(math.floor(W + 1e-12)), len(ranked))
     rem = W - full

@@ -395,9 +395,7 @@ def build_graph(cfg: ExperimentConfig) -> EmpGraph:
         D = graphlearn.load_discrepancy_csv(g["discrepancies"])
         if g["method"] == "budget":
             return graphlearn.learn_graph_budget(D, g["budget"])
-        return graphlearn.learn_graph_degree(
-            D, g["d_max"], seed=seeds.stream(cfg.seed, "graph")
-        )
+        return graphlearn.learn_graph_degree(D, g["d_max"])
     return graphmod.generate(
         kind,
         g["n"],

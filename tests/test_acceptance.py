@@ -420,7 +420,7 @@ def test_learned_graphs_match_exhaustive_search():
 
         for s in range(5):
             D = random_discrepancies(4, 50 + s)
-            got = graph_objective(D, learn_graph_degree(D, 1.0, iters=4000, restarts=3))
+            got = graph_objective(D, learn_graph_degree(D, 1.0))
             assert abs(got - degree_grid_minimum_n4(D)) <= 1e-3
 
 

@@ -1,8 +1,12 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gtvfed
 from gtvfed.graphlearn import (
     DiscrepancyMatrix,
     discrepancy,
@@ -11,7 +15,6 @@ from gtvfed.graphlearn import (
     learn_graph_budget,
     learn_graph_degree,
     load_discrepancy_csv,
-    project_constraints,
     save_discrepancy_csv,
 )
 from gtvfed.localmodel import LocalDataset, from_dataset, generate_local
@@ -91,40 +94,6 @@ def test_discrepancy_matrix_is_symmetric_hollow():
     assert D[0, 1] == pytest.approx(float(np.linalg.norm(params[0] - params[1])))
 
 
-def test_project_constraints_zero_input_spreads_uniformly():
-    out = project_constraints(np.zeros((3, 3)), 2.0)
-    expect = np.ones((3, 3)) - np.eye(3)
-    assert np.max(np.abs(out - expect)) <= 1e-6
-
-
-def test_project_constraints_keeps_feasible_points():
-    # A perfect matching on 4 nodes: every row already sums to 1.
-    A = np.zeros((4, 4))
-    A[0, 1] = A[1, 0] = 1.0
-    A[2, 3] = A[3, 2] = 1.0
-    out = project_constraints(A, 1.0)
-    assert np.max(np.abs(out - A)) <= 1e-6
-
-
-def test_project_constraints_rejects_infeasible_target():
-    with pytest.raises(ValueError, match="infeasible"):
-        project_constraints(np.zeros((3, 3)), 2.5)
-    with pytest.raises(ValueError, match="square"):
-        project_constraints(np.zeros((2, 3)), 1.0)
-    assert np.array_equal(project_constraints(np.zeros((1, 1)), 0.0), np.zeros((1, 1)))
-
-
-def test_project_constraints_output_is_feasible():
-    rng = np.random.default_rng(7)
-    for n, d_max in ((4, 1.5), (5, 2.0), (6, 3.3)):
-        raw = rng.uniform(-1.0, 2.0, size=(n, n))
-        out = project_constraints(raw, d_max)
-        assert np.max(np.abs(out - out.T)) == 0.0
-        assert np.all(np.diag(out) == 0.0)
-        assert np.min(out) >= 0.0 and np.max(out) <= 1.0
-        assert np.max(np.abs(out.sum(axis=1) - d_max)) <= 1e-6
-
-
 def test_degree_learner_converges_where_projection_once_stalled():
     # Twenty random parameter vectors at d_max = 3: a feasible problem that
     # the 500-sweep alternating projection used to give up on.
@@ -135,6 +104,44 @@ def test_degree_learner_converges_where_projection_once_stalled():
         sums[i] += w
         sums[j] += w
     assert np.max(np.abs(sums - 3.0)) <= 1e-4
+
+
+def test_degree_learner_has_exact_row_sums_at_a_hundred_nodes():
+    # The projected-gradient learner raised "constraint projection did not
+    # converge" on this feasible input; the LP optimum meets the rows exactly.
+    D = discrepancy_matrix("param", np.random.default_rng(0).standard_normal((100, 3)))
+    g = learn_graph_degree(D, 3)
+    sums = np.zeros(g.n)
+    for i, j, w in g.edges:
+        sums[i] += w
+        sums[j] += w
+    assert np.max(np.abs(sums - 3.0)) <= 1e-9
+
+
+def test_degree_learner_reports_a_failed_solve(monkeypatch):
+    import scipy.optimize
+
+    def failed(*args, **kwargs):
+        return scipy.optimize.OptimizeResult(status=4, message="numerical difficulties")
+
+    monkeypatch.setattr(scipy.optimize, "linprog", failed)
+    with pytest.raises(ValueError, match="HiGHS status 4: numerical difficulties"):
+        learn_graph_degree(D3, 1.0)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # The learner imports scipy.optimize lazily; hoisting it would add most
+    # of a second to every command's start.
+    src = os.path.dirname(os.path.dirname(gtvfed.__file__))
+    code = "import sys, gtvfed.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_budget_learner_examples():
@@ -196,7 +203,7 @@ def test_degree_learner_matches_exhaustive_matchings():
         ((0, 3), (1, 2)),
     )
     best = min(sum(2.0 * D[i, j] for i, j in m) for m in matchings)
-    g = learn_graph_degree(D, 1.0, iters=4000, restarts=3)
+    g = learn_graph_degree(D, 1.0)
     assert graph_objective(D, g) == pytest.approx(best, abs=1e-3)
 
 
