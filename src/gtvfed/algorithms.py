@@ -263,7 +263,7 @@ def fedgd_op(p: GTVMinProblem, sched=None, agg: RobustAgg | None = None):
         if agg is None:
             update = _gd_update(loss, wts, sch, alpha)
         else:
-            deg = float(wts.sum())
+            deg = float(p.graph.degree[i])
 
             def update(
                 own, nbrs, k, loss=loss, wts=wts, sch=sch, alpha=alpha, deg=deg, agg=agg
@@ -350,16 +350,14 @@ def fedrelax_op(p: GTVMinProblem, agg: RobustAgg | None = None):
     # Shared by the closures and the round maps: P_i = (2 Q_i + rho_i I)^-1
     # (the identity at lone nodes) and each lone node's minimizer or None.
     Ps = np.broadcast_to(np.eye(d), (n, d, d)).copy()
-    rhos = np.zeros(n)
+    rhos = 2.0 * p.alpha * p.graph.degree
     lone = {}
     ops = []
     for i in range(n):
         ids, wts = p.neighbor_arrays(i)
         loss = p.losses[i]
-        deg = float(wts.sum())
-        rho = 2.0 * p.alpha * deg
-        rhos[i] = rho
-        if deg == 0.0 or rho == 0.0:
+        rho = float(rhos[i])
+        if rho == 0.0:
             w_star = lone[i] = _lone_minimizer(loss)
 
             def update(own, nbrs, k, w_star=w_star):
@@ -405,7 +403,8 @@ def _relax_round(p: GTVMinProblem, agg, Ps, rhos, lone):
     dense = None
     if agg.kind == "mean":
         adj = p.graph.adjacency()
-        safe_deg = np.where(p._deg == 0.0, 1.0, p._deg).reshape(-1, 1)
+        deg = p.graph.degree
+        safe_deg = np.where(deg == 0.0, 1.0, deg)[:, None]
 
         def dense(W, k):
             avg = (adj @ W) / safe_deg
@@ -414,7 +413,7 @@ def _relax_round(p: GTVMinProblem, agg, Ps, rhos, lone):
                 new[i] = W[i] if w_star is None else w_star
             return new
 
-    counts = _degrees(p)
+    counts = np.diff(p.graph.indptr)
     if (
         counts[list(lone)].any()
         or agg.kind == "geomedian"
@@ -433,7 +432,7 @@ def _relax_round(p: GTVMinProblem, agg, Ps, rhos, lone):
         rhs = rhos[ids, None] * avg - qs[ids]
         return (Ps[ids] @ rhs[:, :, None])[:, :, 0]
 
-    return _ArrayRound(p, counts, agg, finish, dense)
+    return _ArrayRound(p.graph, agg, finish, dense)
 
 
 class _ArrayRound:
@@ -450,12 +449,9 @@ class _ArrayRound:
     it is one synchronous round, or the dense map when one is given.
     """
 
-    def __init__(self, p: GTVMinProblem, counts, agg, finish, dense=None):
-        nbr = [p.neighbor_arrays(i) for i in range(p.n)]
-        self.counts = counts
-        self.indptr = np.concatenate(([0], np.cumsum(counts)))
-        self.indices = np.concatenate([ids for ids, _ in nbr] + [np.empty(0, np.intp)])
-        self.weights = np.concatenate([wts for _, wts in nbr] + [np.empty(0)])
+    def __init__(self, g, agg, finish, dense=None):
+        self.indptr, self.indices, self.weights = g.indptr, g.indices, g.weights
+        self.counts = np.diff(self.indptr)
         self.agg, self.finish, self.dense = agg, finish, dense
 
     @cached_property
@@ -754,10 +750,6 @@ def run_async(
     return StackedParams(blocks), trace
 
 
-def _degrees(g) -> np.ndarray:
-    return np.array([g.neighbor_arrays(i)[0].shape[0] for i in range(g.n)], dtype=np.intp)
-
-
 def _everyone_reads(deg, r) -> AsyncEvent:
     """Every node active, reading all its neighbors at event r."""
     return AsyncEvent.from_arrays(
@@ -767,7 +759,7 @@ def _everyone_reads(deg, r) -> AsyncEvent:
 
 def zero_delay_schedule(g, horizon: int) -> AsyncSchedule:
     """All nodes active at every event, reading current (round-k) state."""
-    deg = _degrees(g)
+    deg = np.diff(g.indptr)
     events = tuple(_everyone_reads(deg, k) for k in range(int(horizon)))
     return AsyncSchedule(n=g.n, B=0, events=events)
 
@@ -791,7 +783,7 @@ def gen_partially_async(
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     rng = seeds.as_rng(seed)
     n = g.n
-    deg = _degrees(g)
+    deg = np.diff(g.indptr)
     events = [_everyone_reads(deg, 0)]
     last = np.zeros(n, dtype=np.int64)
     for k in range(1, horizon):
@@ -820,7 +812,7 @@ def gen_totally_async(
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     rng = seeds.as_rng(seed)
     n = g.n
-    deg = _degrees(g)
+    deg = np.diff(g.indptr)
     events = [_everyone_reads(deg, 0)]
     seen = np.zeros(n, dtype=bool)
     for k in range(1, horizon):
@@ -864,11 +856,8 @@ def contraction_factor(p: GTVMinProblem) -> float:
             raise ValueError(f"node {i}: loss has no strong-convexity modulus")
         if sigma <= 0.0:
             raise ValueError(f"node {i}: loss is not strongly convex")
-        deg = float(p._deg[i])
-        if deg == 0.0:
-            kappas.append(0.0)
-        else:
-            kappas.append(1.0 / (1.0 + sigma / (2.0 * p.alpha * deg)))
+        deg = float(p.graph.degree[i])
+        kappas.append(1.0 / (1.0 + sigma / (2.0 * p.alpha * deg)) if deg > 0.0 else 0.0)
     return max(kappas)
 
 

@@ -192,6 +192,7 @@ def _summary_lines(summary: dict) -> list:
         lines.append(
             f"check {c['name']}: {state} measured={c['measured']:.6e} "
             f"bound={c['bound']:.6e} margin={c['margin']:.6e}"
+            + (f" event={c['event']}" if "event" in c else "")
         )
     return lines
 

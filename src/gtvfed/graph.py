@@ -27,9 +27,15 @@ class EmpGraph:
     Weights are strictly positive and each unordered pair appears at most
     once. The sorted layout makes iteration order (and everything downstream,
     e.g. message schedules) stable.
+
+    The graph is also held, once, as read-only arrays that every solver
+    reads: the CSR adjacency ``indptr``/``indices``/``weights``, with node
+    i's neighbours in ``indices[indptr[i]:indptr[i + 1]]`` in ascending
+    order, and ``degree``, the weighted degrees. Node i's degree adds its
+    neighbour weights left to right in that order, which is also edge order.
     """
 
-    __slots__ = ("n", "edges", "_neighbors", "_adj", "_edge_idx", "_spectrum")
+    __slots__ = ("n", "edges", "indptr", "indices", "weights", "degree", "_ends", "_adj", "_spectrum")
 
     def __init__(self, n, edges=()):
         n = int(n)
@@ -61,13 +67,18 @@ class EmpGraph:
             norm.append((i, j, w))
         self.n = n
         self.edges = tuple(sorted(norm))
-        nbrs = [[] for _ in range(n)]
-        for i, j, w in self.edges:
-            nbrs[i].append((j, w))
-            nbrs[j].append((i, w))
-        self._neighbors = tuple(tuple(sorted(lst)) for lst in nbrs)
+        ends = np.array(self.edges, dtype=float).reshape(-1, 3)
+        ii, jj, ww = ends[:, 0].astype(np.intp), ends[:, 1].astype(np.intp), ends[:, 2].copy()
+        rows, cols = np.concatenate([ii, jj]), np.concatenate([jj, ii])
+        order = np.lexsort((cols, rows))
+        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+        self.indices = cols[order]
+        self.weights = np.concatenate([ww, ww])[order]
+        self.degree = np.bincount(rows[order], self.weights, minlength=n)
+        self._ends = (ii, jj, ww)
+        for arr in (self.indptr, self.indices, self.weights, self.degree, *self._ends):
+            arr.flags.writeable = False
         self._adj = None
-        self._edge_idx = None
         self._spectrum = None
 
     @property
@@ -76,14 +87,13 @@ class EmpGraph:
 
     def neighbors(self, i) -> tuple:
         """Sorted tuple of (neighbor id, weight) pairs of node i."""
-        return self._neighbors[i]
+        ids, wts = self.neighbor_arrays(i)
+        return tuple(zip(ids.tolist(), wts.tolist()))
 
     def neighbor_arrays(self, i):
-        """Neighbor ids and weights of node i as aligned numpy arrays."""
-        pairs = self._neighbors[i]
-        ids = np.array([j for j, _ in pairs], dtype=np.intp)
-        wts = np.array([w for _, w in pairs], dtype=float)
-        return ids, wts
+        """Neighbor ids and weights of node i: read-only slices of the CSR."""
+        s = slice(self.indptr[i], self.indptr[i + 1])
+        return self.indices[s], self.weights[s]
 
     def adjacency(self) -> np.ndarray:
         """Dense symmetric weight matrix with zero diagonal."""
@@ -96,13 +106,8 @@ class EmpGraph:
         return self._adj
 
     def edge_arrays(self):
-        """Edge endpoints and weights as three aligned arrays (ii, jj, ww)."""
-        if self._edge_idx is None:
-            ii = np.array([e[0] for e in self.edges], dtype=np.intp)
-            jj = np.array([e[1] for e in self.edges], dtype=np.intp)
-            ww = np.array([e[2] for e in self.edges], dtype=float)
-            self._edge_idx = (ii, jj, ww)
-        return self._edge_idx
+        """Edge endpoints and weights as three aligned read-only arrays (ii, jj, ww)."""
+        return self._ends
 
     def __repr__(self):
         return f"EmpGraph(n={self.n}, edges={self.num_edges})"
@@ -136,18 +141,13 @@ class ConsensusSplit:
 
 
 def degrees(g: EmpGraph):
-    """Weighted node degrees and the maximum degree."""
-    d = np.zeros(g.n)
-    for i, j, w in g.edges:
-        d[i] += w
-        d[j] += w
-    return d, float(d.max()) if g.n else 0.0
+    """The graph's weighted degree array (read-only) and the maximum degree."""
+    return g.degree, float(g.degree.max())
 
 
 def laplacian(g: EmpGraph) -> np.ndarray:
     """Graph Laplacian: degree matrix minus weight matrix."""
-    A = g.adjacency()
-    return np.diag(A.sum(axis=1)) - A
+    return np.diag(g.degree) - g.adjacency()
 
 
 def spectrum(g: EmpGraph) -> Spectrum:
@@ -170,6 +170,7 @@ def spectrum(g: EmpGraph) -> Spectrum:
 
 def components(g: EmpGraph):
     """Connected components as sorted node lists, ordered by smallest member."""
+    indptr, indices = g.indptr.tolist(), g.indices.tolist()
     seen = [False] * g.n
     comps = []
     for start in range(g.n):
@@ -181,7 +182,7 @@ def components(g: EmpGraph):
         while stack:
             u = stack.pop()
             comp.append(u)
-            for v, _ in g.neighbors(u):
+            for v in indices[indptr[u] : indptr[u + 1]]:
                 if not seen[v]:
                     seen[v] = True
                     stack.append(v)
@@ -266,8 +267,7 @@ def lambda2_degree_check(g: EmpGraph):
     if g.n < 2:
         raise GraphError("degree bound needs at least 2 nodes")
     lam2 = spectrum(g).lam2
-    d, _ = degrees(g)
-    bound = g.n / (g.n - 1) * float(d.min())
+    bound = g.n / (g.n - 1) * float(g.degree.min())
     return lam2, bound, bool(lam2 <= bound + 1e-9)
 
 

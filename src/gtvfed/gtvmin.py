@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gtvfed import graph as graphmod
-from gtvfed.graph import EmpGraph, GraphError, degrees, gtv_value, laplacian, spectrum
+from gtvfed.graph import EmpGraph, GraphError, gtv_value, laplacian, spectrum
 from gtvfed.localmodel import CallableLoss, QuadLoss, QuadStack
 
 SINGULAR_TOL = 1e-10
@@ -116,10 +116,7 @@ class EigBounds:
 class GTVMinProblem:
     """A graph, one loss per node, a coupling strength, and a penalty kind."""
 
-    __slots__ = (
-        "graph", "losses", "alpha", "penalty", "d", "_nbr", "_deg", "_quadratic", "_quad", "_stack",
-        "_eig",
-    )
+    __slots__ = ("graph", "losses", "alpha", "penalty", "d", "_quadratic", "_quad", "_stack", "_eig")
 
     def __init__(self, graph: EmpGraph, losses, alpha: float, penalty: str = "sq_norm", d=None):
         if penalty not in graphmod.PENALTIES:
@@ -146,8 +143,6 @@ class GTVMinProblem:
         self.alpha = alpha
         self.penalty = penalty
         self.d = dims.pop()
-        self._nbr = tuple(graph.neighbor_arrays(i) for i in range(graph.n))
-        self._deg = np.array([w.sum() for _, w in self._nbr])
         self._quadratic = all(isinstance(loss, QuadLoss) for loss in losses)
         self._quad = None
         self._stack = None
@@ -158,7 +153,7 @@ class GTVMinProblem:
         return self.graph.n
 
     def neighbor_arrays(self, i):
-        return self._nbr[i]
+        return self.graph.neighbor_arrays(i)
 
     def is_quadratic(self) -> bool:
         return self._quadratic
@@ -231,7 +226,7 @@ def node_gradient(p: GTVMinProblem, i: int, params) -> np.ndarray:
     if p.penalty != "sq_norm":
         raise ValueError("node gradients are defined for the sq_norm penalty")
     W = p.as_blocks(params)
-    ids, wts = p._nbr[i]
+    ids, wts = p.graph.neighbor_arrays(i)
     return _node_grad(p.losses[i], W[i], W[ids], wts, p.alpha)
 
 
@@ -246,7 +241,7 @@ def batch_gradient_fn(p: GTVMinProblem):
     stack = loss_stack(p)
     Qs, qs = stack.Qs, stack.qs
     adj = p.graph.adjacency()
-    deg = p._deg.reshape(-1, 1)
+    deg = p.graph.degree[:, None]
     alpha2 = 2.0 * p.alpha
 
     def grad(W):
@@ -326,7 +321,6 @@ class QuadOperator:
         self.n, self.d, self.alpha = n, d, p.alpha
         self.graph = p.graph
         self.Qs = loss_stack(p).Qs
-        self.deg = p._deg
         ii, jj, self.weights = p.graph.edge_arrays()
         self.ends = (ii, jj)
         # Signed node-edge incidence: column e is +1 at ii[e] and -1 at jj[e].
@@ -377,7 +371,7 @@ class QuadOperator:
                     f"a singular quadratic (lambda_min = {lam[worst]:.3e}); "
                     "the minimizer is not unique"
                 )
-            blocks = self.Qs + self.alpha * self.deg[:, None, None] * np.eye(self.d)
+            blocks = self.Qs + self.alpha * self.graph.degree[:, None, None] * np.eye(self.d)
             self._pre = np.linalg.inv(blocks)
         return self._pre
 
@@ -531,7 +525,7 @@ def eig_bounds(p: GTVMinProblem) -> EigBounds:
     graph and lam_bar_min > 0; otherwise lower is None.
     """
     s = eig_summaries(p)
-    _, d_max = degrees(p.graph)
+    d_max = float(p.graph.degree.max())
     upper = s.lam_max + 2.0 * p.alpha * d_max
     lower = None
     if s.rho is not None and s.lam_bar_min > 0.0 and p.n >= 2:

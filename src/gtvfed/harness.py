@@ -419,12 +419,13 @@ def _check_trim_degrees(cfg: ExperimentConfig, g: EmpGraph) -> None:
     if cfg.algorithm["kind"] == "fedrelax" and cfg.algorithm["alpha"] == 0.0:
         return
     k = cfg.defense.trim_k
-    short = [i for i in range(g.n) if 0 < len(g.neighbors(i)) <= 2 * k]
-    if short:
-        i = short[0]
-        more = f" ({len(short) - 1} more nodes too)" if len(short) > 1 else ""
+    counts = np.diff(g.indptr)
+    short = np.flatnonzero((counts > 0) & (counts <= 2 * k))
+    if short.size:
+        i = int(short[0])
+        more = f" ({short.size - 1} more nodes too)" if short.size > 1 else ""
         raise ConfigError([
-            f"defense.trim_k: node {i} has {len(g.neighbors(i))} neighbours, but "
+            f"defense.trim_k: node {i} has {counts[i]} neighbours, but "
             f"trim_k = {k} needs more than {2 * k} at every node that aggregates{more}"
         ])
 
@@ -706,18 +707,20 @@ def _bound_checks(cfg, g, p, oracle_sp, trace, trains, meta, eta):
         moved = quad.solve(shifted).blocks
         return _check_row("label_sensitivity", np.sum((moved - oracle_sp.blocks) ** 2), bound)
 
+    # At event 0 both event bounds equal the measured distance, so these
+    # checks take the worst later event and name it in the row.
     def async_contraction():
         kappa, B, dists = contraction_factor(p), cfg.async_spec["B"], trace.extras["maxdist"]
         return _worst(
-            _check_row("async_contraction", dist, async_bound(kappa, B, k, dists[0]), 1e-6)
-            for k, dist in zip(trace.ks, dists)
+            dict(_check_row("async_contraction", dist, async_bound(kappa, B, k, dists[0]), 1e-6), event=k)
+            for k, dist in zip(trace.ks[1:], dists[1:])
         )
 
     def noisy_descent():
         kappa, norms = contraction(eta, lam_min, lam_max), trace.extras["noise_norms"]
         return _worst(
-            _check_row("noisy_descent", dist, perturbed_bound(kappa, trace.dists[0], norms[:k]))
-            for k, dist in zip(trace.ks, trace.dists)
+            dict(_check_row("noisy_descent", dist, perturbed_bound(kappa, trace.dists[0], norms[:k])), event=k)
+            for k, dist in zip(trace.ks[1:], trace.dists[1:])
         )
 
     table = (
