@@ -19,7 +19,7 @@ from gtvfed.gtvmin import (
 )
 from gtvfed.localmodel import QuadLoss
 from gtvfed.optim import DivergenceError, LRSchedule, StopRule, Trace, DIVERGENCE_FACTOR
-from gtvfed.trust import RobustAgg, SenderRewrite, aggregate, aggregate_stack
+from gtvfed.trust import RobustAgg, SenderRewrite, aggregate, aggregate_segments
 
 
 @dataclass
@@ -395,8 +395,8 @@ def _lone_minimizer(loss):
 def _relax_round(p: GTVMinProblem, agg, Ps, rhos, lone):
     """The round map shared by FedRelax operators on a quadratic problem:
     the dense mean map for synchronous rounds and, when only the nodes
-    without neighbors skip the aggregate and aggregate_stack can apply the
-    rule at every other node, the array form of every event."""
+    without neighbors skip the aggregate and aggregate_segments can apply
+    the rule at every other node, the array form of every event."""
     if not p.is_quadratic():
         return None
     qs = loss_stack(p).qs
@@ -438,15 +438,15 @@ def _relax_round(p: GTVMinProblem, agg, Ps, rhos, lone):
 class _ArrayRound:
     """One event of quadratic FedRelax as array code.
 
-    The active nodes are ordered by degree. One fancy index gathers all
-    their neighbor rows (from the current blocks, or from the snapshot ring
-    at the scheduled events); a SenderRewrite overwrites the victims' rows;
-    aggregate_stack reduces each same-degree group; finish(k, ids, own,
-    avg) then gives the new blocks of all readers at once, and of the nodes
-    without neighbors with avg None. The result equals the per-node
-    closures bit for bit: each product is a stacked matmul that hands its
-    slices to the BLAS kernel the per-node product calls. Called as (W, k),
-    it is one synchronous round, or the dense map when one is given.
+    One take gathers the active nodes' neighbor rows in event and CSR slot
+    order, from the blocks or from the flattened snapshot ring at the
+    scheduled events; a SenderRewrite overwrites the victims' rows; one
+    trust.aggregate_segments call reduces each node's segment; finish(k,
+    ids, own, avg) gives the new blocks of all readers at once, and of the
+    nodes without neighbors with avg None. The per-node closures call the
+    same kernel on one segment, and finish's stacked matmul hands each
+    slice to their BLAS kernel, so both agree bit for bit. Called as (W,
+    k), it is one synchronous round, or the dense map when one is given.
     """
 
     def __init__(self, g, agg, finish, dense=None):
@@ -465,54 +465,31 @@ class _ArrayRound:
         return self.step(k, W, W, self.synchronous)
 
     def plan(self, nodes, flat):
-        """The gather of one event: (nodes, senders, weights, refs, groups)
-        with the nodes ordered by degree, one sender, weight and ref (None
-        when synchronous) per neighbor slot, and groups the runs (first,
-        end, degree) of equal degree."""
-        counts = self.counts[nodes]
-        order = np.argsort(counts, kind="stable")
-        nodes, cnt = nodes[order], counts[order]
+        """The gather of one event: (nodes, senders, weights, refs, counts)
+        with one sender, weight and ref (flat; None when synchronous) per
+        neighbor slot of the nodes in order, and their slot counts."""
+        cnt = self.counts[nodes]
         ends = np.cumsum(cnt)
         within = np.arange(ends[-1] if ends.size else 0) - np.repeat(ends - cnt, cnt)
         slots = np.repeat(self.indptr[nodes], cnt) + within
-        refs = None
-        if flat is not None:
-            starts = np.cumsum(counts) - counts
-            refs = flat[np.repeat(starts[order], cnt) + within]
-        bounds = [0, *(np.flatnonzero(np.diff(cnt)) + 1).tolist(), nodes.shape[0]]
-        groups = [(a, b, int(cnt[a])) for a, b in zip(bounds, bounds[1:]) if b > a]
-        return nodes, self.indices[slots], self.weights[slots], refs, groups
+        return nodes, self.indices[slots], self.weights[slots], flat, cnt
 
     def step(self, k, blocks, source, plan, rewrite=None):
         """The next blocks; source is the blocks, or the snapshot ring that
         the plan's refs index modulo its length."""
-        nodes, senders, weights, refs, groups = plan
-        if refs is None:
-            rows = source[senders]
-        else:
-            rows = source[refs % source.shape[0], senders]
+        nodes, senders, weights, refs, cnt = plan
+        index = senders if refs is None else refs % source.shape[0] * source.shape[1] + senders
+        rows = source.reshape(-1, blocks.shape[1]).take(index, axis=0)
         if rewrite is not None:
             rewrite.apply(rows, senders)
-        d = blocks.shape[1]
-        own = blocks[nodes]
-        avg = np.empty_like(own)
         new = blocks.copy()
-        lone, r = 0, 0
-        for a, b, deg in groups:
-            if deg == 0:
-                lone = b
-                continue
-            size = (b - a) * deg
-            avg[a:b] = aggregate_stack(
-                rows[r : r + size].reshape(b - a, deg, d),
-                weights[r : r + size].reshape(b - a, deg),
-                self.agg,
-            )
-            r += size
-        if lone:
-            new[nodes[:lone]] = self.finish(k, nodes[:lone], own[:lone], None)
-        if lone < nodes.shape[0]:
-            new[nodes[lone:]] = self.finish(k, nodes[lone:], own[lone:], avg[lone:])
+        lone = cnt == 0
+        if lone.any():
+            ids = nodes[lone]
+            new[ids] = self.finish(k, ids, blocks[ids], None)
+            nodes, cnt = nodes[~lone], cnt[~lone]
+        avg = aggregate_segments(rows, weights, cnt, self.agg)
+        new[nodes] = self.finish(k, nodes, blocks[nodes], avg)
         return new
 
 

@@ -267,84 +267,104 @@ def aggregate(blocks, weights, agg: RobustAgg) -> np.ndarray:
     per coordinate, drop the trim_k largest and smallest values, then take
     the weighted average of the survivors rescaled by c = count/kept so
     unit weights give the plain trimmed mean. geomedian: minimizer of the
-    summed Euclidean distances (weights ignored; block-level rule).
+    summed Euclidean distances (weights ignored; block-level rule). Each
+    other rule is aggregate_segments over one segment.
     """
     stack = np.asarray(blocks, dtype=float)
     if stack.ndim == 1:
         stack = stack.reshape(-1, 1)
-    count = stack.shape[0]
-    if count < 1:
-        raise ValueError("aggregation needs at least one neighbor block")
     wts = np.asarray(weights, dtype=float)
-    if wts.shape != (count,):
-        raise ValueError(f"got {wts.shape} weights for {count} blocks")
-    total = wts.sum()
-    if not total > 0.0:
+    if wts.shape != stack.shape[:1]:
+        raise ValueError(f"got {wts.shape} weights for {stack.shape[0]} blocks")
+    if agg.kind != "geomedian":
+        return aggregate_segments(stack, wts, stack.shape[:1], agg)[0]
+    if not wts.sum() > 0.0:
         raise ValueError("aggregation weights must have positive sum")
-    if agg.kind == "mean":
-        return (wts @ stack) / total
-    if agg.kind == "clipped":
-        return (wts @ np.clip(stack, agg.tau_l, agg.tau_u)) / total
-    if agg.kind == "trimmed":
-        t = agg.trim_k
-        if not count > 2 * t:
-            raise ValueError(
-                f"trimming {t} from each end needs more than {2 * t} blocks, "
-                f"got {count}"
-            )
-        if t == 0:
-            return (wts @ stack) / total
-        order = np.argsort(stack, axis=0, kind="stable")
-        kept = order[t : count - t]
-        c = count / (count - 2 * t)
-        out = np.empty(stack.shape[1])
-        for col in range(stack.shape[1]):
-            rows = kept[:, col]
-            out[col] = c * (wts[rows] @ stack[rows, col]) / total
-        return out
     point, _ = geometric_median(stack, tol=agg.tol, max_iter=agg.max_iter)
     return point
 
 
 def aggregate_stack(blocks, weights, agg: RobustAgg) -> np.ndarray:
-    """aggregate over a group of same-degree nodes at once.
-
-    blocks is (G, count, d) and weights (G, count); row g of the (G, d)
-    result equals aggregate(blocks[g], weights[g], agg) bit for bit, for
-    the mean, clipped and trimmed rules. Every weighted sum is a stacked
-    matmul over contiguous operands, which hands each slice to the BLAS
-    gemv or dot the per-node product calls. Geomedian has no stacked form.
-    """
+    """aggregate_segments over G segments of one length: blocks is (G,
+    count, d) and weights (G, count); row g of the (G, d) result equals
+    aggregate(blocks[g], weights[g], agg) bit for bit."""
     stack = np.asarray(blocks, dtype=float)
     wts = np.asarray(weights, dtype=float)
     G, count, d = stack.shape
-    if count < 1:
-        raise ValueError("aggregation needs at least one neighbor block")
     if wts.shape != (G, count):
         raise ValueError(f"got {wts.shape} weights for {(G, count)} blocks")
-    total = wts.sum(axis=1)[:, None]
-    if not (total > 0.0).all():
-        raise ValueError("aggregation weights must have positive sum")
-    t = agg.trim_k if agg.kind == "trimmed" else 0
+    return aggregate_segments(stack.reshape(G * count, d), wts.reshape(-1), np.full(G, count), agg)
+
+
+def aggregate_segments(rows, weights, counts, agg: RobustAgg) -> np.ndarray:
+    """aggregate over S nodes at once. The (M, d) rows and (M,) weights
+    hold S segments back to back, segment s of length counts[s] >= 1 (more
+    than 2 trim_k when trimming); row s of the (S, d) result aggregates it:
+
+    - the total is np.bincount(segment, weights), the left-to-right sum
+      EmpGraph.degree adds, so a node's total is its degree bit for bit;
+    - clipped clamps the rows first; trimmed sets to -0.0, an exact additive
+      identity, the weighted values a stable argsort puts among the trim_k
+      lowest or highest (ties by slot, NaN last), and scales by count/kept;
+    - one np.add.reduceat sums the weighted values in slot order.
+
+    A segment's row depends on its own rows only, so it equals a
+    one-segment call bit for bit.
+    """
     if agg.kind == "geomedian":
         raise ValueError("the geometric median aggregates one node at a time")
+    rows = np.asarray(rows, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    counts = np.asarray(counts, dtype=np.intp)
+    t = agg.trim_k if agg.kind == "trimmed" else 0
+    least = int(counts.min(initial=2 * t + 1))  # a count too small, if any
+    if least < 1:
+        raise ValueError("aggregation needs at least one neighbor block")
+    if not least > 2 * t:
+        raise ValueError(f"trimming {t} from each end needs more than {2 * t} blocks, got {least}")
+    totals = np.bincount(np.repeat(np.arange(counts.shape[0]), counts), weights, counts.shape[0])
+    if not (totals > 0.0).all():
+        raise ValueError("aggregation weights must have positive sum")
+    starts = np.cumsum(counts) - counts
     if agg.kind == "clipped":
-        stack = np.clip(stack, agg.tau_l, agg.tau_u)
-    if not count > 2 * t:
-        raise ValueError(
-            f"trimming {t} from each end needs more than {2 * t} blocks, got {count}"
-        )
-    if t == 0:
-        return (wts[:, None, :] @ stack)[:, 0, :] / total
-    # Per coordinate, the survivors' weights and values as contiguous
-    # (G, d, kept) rows, dotted pairwise.
-    kept = np.argsort(stack, axis=1, kind="stable")[:, t : count - t, :].transpose(0, 2, 1)
-    group = np.arange(G)[:, None, None]
-    vals = np.ascontiguousarray(stack[group, kept, np.arange(d)[:, None]])
-    w_kept = np.ascontiguousarray(wts[group, kept])
-    dots = (w_kept[:, :, None, :] @ vals[:, :, :, None])[:, :, 0, 0]
-    c = count / (count - 2 * t)
-    return c * dots / total
+        rows = np.clip(rows, agg.tau_l, agg.tau_u)
+    products = weights[:, None] * rows
+    if t:
+        products[_trimmed_slots(rows, counts, starts, t)] = -0.0
+    sums = np.add.reduceat(products, starts, axis=0)
+    if t:
+        sums *= (counts / (counts - 2 * t))[:, None]
+    return sums / totals[:, None]
+
+
+def _trimmed_slots(rows, counts, starts, t):
+    """The (slots, columns) index of the values aggregate_segments trims.
+
+    Each of t passes drops, per segment and coordinate, the lowest-slot
+    minimum and the highest-slot maximum of the values still kept (lo: NaN
+    at dropped slots, hi: -inf); with at least three kept, those differ.
+    fmin skips NaN and maximum propagates it, as NaN sorts last.
+    """
+    M, d = rows.shape
+    slot, cols = np.arange(M)[:, None], np.arange(d)
+    has_nan = np.isnan(rows).any()
+    lo, hi = rows.copy(), rows.copy()
+    dropped = []
+    for step in range(t):
+        smallest = np.fmin if has_nan or step else np.minimum
+        low = np.repeat(smallest.reduceat(lo, starts, axis=0), counts, axis=0)
+        high = np.repeat(np.maximum.reduceat(hi, starts, axis=0), counts, axis=0)
+        hit_low, hit_high = lo == low, lo == high
+        if has_nan:
+            kept_nan = np.isnan(hi)
+            hit_low |= kept_nan & np.isnan(low)
+            hit_high |= kept_nan & np.isnan(high)
+        first = np.minimum.reduceat(np.where(hit_low, slot, M), starts, axis=0)
+        last = np.maximum.reduceat(np.where(hit_high, slot, -1), starts, axis=0)
+        dropped += [first, last]
+        lo[first, cols] = lo[last, cols] = np.nan
+        hi[first, cols] = hi[last, cols] = -np.inf
+    return np.concatenate(dropped), cols
 
 
 def geometric_median(points, tol: float = 1e-6, max_iter: int = 1000):
