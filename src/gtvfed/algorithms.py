@@ -12,7 +12,6 @@ from gtvfed import seeds
 from gtvfed.gtvmin import (
     GTVMinProblem,
     StackedParams,
-    _node_grad,
     batch_gradient_fn,
     eig_bounds,
     loss_stack,
@@ -223,59 +222,64 @@ def _node_schedules(p: GTVMinProblem, sched) -> list:
     return sched
 
 
-def _gd_batch(p: GTVMinProblem, scheds):
-    """The whole-round gradient step, when the problem has a batch gradient
-    and every node shares one schedule; None otherwise."""
-    gradfn = batch_gradient_fn(p)
-    s0 = scheds[0]
-    if gradfn is None or not all(s is s0 or s == s0 for s in scheds):
-        return None
-
-    def batch(W, k):
-        return W - s0.rate(k) * gradfn(W)
-
-    return batch
-
-
-def _gd_update(loss, wts, sch, alpha):
-    """One node's exact-gradient step."""
-
-    def update(own, nbrs, k):
-        return own - sch.rate(k) * _node_grad(loss, own, nbrs, wts, alpha)
-
-    return update
+_MEAN = RobustAgg.mean()
 
 
 def fedgd_op(p: GTVMinProblem, sched=None, agg: RobustAgg | None = None):
-    """Gradient-step operators: w - eta [grad L_i + 2 alpha sum A (w - w_j)].
-
-    With agg given, the coupling uses the robust neighbor aggregate instead
-    of the exact weighted sum. Returns one operator per node.
+    """Gradient-step operators: w_i - eta [grad L_i(w_i) + 2 alpha d_i (w_i - a_i)],
+    with a_i the aggregate of the neighbor blocks under agg (the weighted
+    mean by default). A node whose coupling 2 alpha d_i is zero takes a
+    plain local gradient step. Returns one operator per node.
     """
+    if agg is None:
+        agg = _MEAN
     scheds = _node_schedules(p, sched)
-    batch = _gd_batch(p, scheds) if agg is None else None
+    return _gd_ops(p, agg, scheds, _gd_round(p, agg, scheds))
+
+
+def _gd_ops(p: GTVMinProblem, agg, scheds, batch):
+    """FedGD's per-node operators, all carrying the round map batch."""
+    rhos = 2.0 * p.alpha * p.graph.degree
     ops = []
     for i in range(p.n):
         ids, wts = p.neighbor_arrays(i)
-        loss = p.losses[i]
-        sch = scheds[i]
-        alpha = p.alpha
-        if agg is None:
-            update = _gd_update(loss, wts, sch, alpha)
-        else:
-            deg = float(p.graph.degree[i])
 
-            def update(
-                own, nbrs, k, loss=loss, wts=wts, sch=sch, alpha=alpha, deg=deg, agg=agg
-            ):
-                g = loss.gradient(own)
-                if deg > 0.0:
-                    avg = aggregate(nbrs, wts, agg)
-                    g = g + (2.0 * alpha * deg) * (own - avg)
-                return own - sch.rate(k) * g
+        def update(own, nbrs, k, loss=p.losses[i], wts=wts, sch=scheds[i], rho=float(rhos[i])):
+            g = loss.gradient(own)
+            if rho != 0.0:
+                g = g + rho * (own - aggregate(nbrs, wts, agg))
+            return own - sch.rate(k) * g
 
         ops.append(NodeOperator(update=update, neighbor_ids=ids, batch_update=batch))
     return ops
+
+
+def _gd_round(p: GTVMinProblem, agg, scheds):
+    """The round map shared by FedGD operators on a quadratic problem whose
+    nodes share one schedule (None otherwise): the dense gradient step for
+    synchronous mean rounds and, where _array_round applies, the array form
+    of every event."""
+    s0 = scheds[0]
+    if not p.is_quadratic() or not all(s is s0 or s == s0 for s in scheds):
+        return None
+    gradfn = batch_gradient_fn(p) if agg.kind == "mean" else None
+    dense = None
+    if gradfn is not None:
+
+        def dense(W, k):
+            return W - s0.rate(k) * gradfn(W)
+
+    stack = loss_stack(p)
+    Qs, qs = stack.Qs, stack.qs
+    rhos = 2.0 * p.alpha * p.graph.degree
+
+    def finish(k, ids, own, avg):
+        g = 2.0 * (Qs[ids] @ own[:, :, None])[:, :, 0] + qs[ids]
+        if avg is not None:
+            g = g + rhos[ids, None] * (own - avg)
+        return own - s0.rate(k) * g
+
+    return _array_round(p, agg, rhos, finish, dense)
 
 
 def fedsgd_op(p: GTVMinProblem, batch_size: int, seed: int, sched=None):
@@ -283,8 +287,8 @@ def fedsgd_op(p: GTVMinProblem, batch_size: int, seed: int, sched=None):
 
     The local gradient is estimated from batch_size rows sampled without
     replacement; batch sizes >= the dataset size fall back to the exact
-    gradient (so full-batch runs match fedgd_op bitwise). Requires losses
-    built from datasets.
+    gradient, i.e. to fedgd_op's operators, which share fedgd_op's round map
+    when every node does. Requires losses built from datasets.
     """
     batch_size = int(batch_size)
     if batch_size < 1:
@@ -302,39 +306,27 @@ def fedsgd_op(p: GTVMinProblem, batch_size: int, seed: int, sched=None):
                 stacklevel=2,
             )
         exact.append(batch_size >= m)
-    batch = _gd_batch(p, scheds) if all(exact) else None
-    ops = []
-    for i in range(p.n):
-        ids, wts = p.neighbor_arrays(i)
-        loss = p.losses[i]
-        sch = scheds[i]
-        alpha = p.alpha
+    ops = _gd_ops(p, _MEAN, scheds, _gd_round(p, _MEAN, scheds) if all(exact) else None)
+    for i, op in enumerate(ops):
         if exact[i]:
-            update = _gd_update(loss, wts, sch, alpha)
-        else:
-            ds = loss.source
-            rng = seeds.stream(seed, "batches", i)
-            B = batch_size
-            ridge2 = 2.0 * loss.ridge
+            continue
+        loss = p.losses[i]
 
-            def update(
-                own, nbrs, k, ds=ds, rng=rng, B=B, ridge2=ridge2, wts=wts, sch=sch,
-                alpha=alpha,
-            ):
-                idx = np.sort(rng.choice(ds.m, size=B, replace=False))
-                Xb = ds.X[idx]
-                g = (2.0 / B) * (Xb.T @ (Xb @ own - ds.y[idx]))
-                if ridge2 != 0.0:
-                    g = g + ridge2 * own
-                if wts.shape[0]:
-                    g = g + (2.0 * alpha) * (wts @ (own - nbrs))
-                return own - sch.rate(k) * g
+        def update(
+            own, nbrs, k, ds=loss.source, rng=seeds.stream(seed, "batches", i),
+            ridge2=2.0 * loss.ridge, wts=p.neighbor_arrays(i)[1], sch=scheds[i],
+        ):
+            idx = np.sort(rng.choice(ds.m, size=batch_size, replace=False))
+            Xb = ds.X[idx]
+            g = (2.0 / batch_size) * (Xb.T @ (Xb @ own - ds.y[idx]))
+            if ridge2 != 0.0:
+                g = g + ridge2 * own
+            if wts.shape[0]:
+                g = g + (2.0 * p.alpha) * (wts @ (own - nbrs))
+            return own - sch.rate(k) * g
 
-        ops.append(NodeOperator(update=update, neighbor_ids=ids, batch_update=batch))
+        op.update = update
     return ops
-
-
-_MEAN = RobustAgg.mean()
 
 
 def fedrelax_op(p: GTVMinProblem, agg: RobustAgg | None = None):
@@ -394,9 +386,8 @@ def _lone_minimizer(loss):
 
 def _relax_round(p: GTVMinProblem, agg, Ps, rhos, lone):
     """The round map shared by FedRelax operators on a quadratic problem:
-    the dense mean map for synchronous rounds and, when only the nodes
-    without neighbors skip the aggregate and aggregate_segments can apply
-    the rule at every other node, the array form of every event."""
+    the dense mean map for synchronous rounds and, where _array_round
+    applies, the array form of every event."""
     if not p.is_quadratic():
         return None
     qs = loss_stack(p).qs
@@ -413,13 +404,6 @@ def _relax_round(p: GTVMinProblem, agg, Ps, rhos, lone):
                 new[i] = W[i] if w_star is None else w_star
             return new
 
-    counts = np.diff(p.graph.indptr)
-    if (
-        counts[list(lone)].any()
-        or agg.kind == "geomedian"
-        or (agg.kind == "trimmed" and (counts[counts > 0] <= 2 * agg.trim_k).any())
-    ):
-        return dense
     fixed = np.array([lone.get(i) is not None for i in range(p.n)])[:, None]
     w_stars = np.zeros_like(qs)
     for i, w_star in lone.items():
@@ -432,11 +416,30 @@ def _relax_round(p: GTVMinProblem, agg, Ps, rhos, lone):
         rhs = rhos[ids, None] * avg - qs[ids]
         return (Ps[ids] @ rhs[:, :, None])[:, :, 0]
 
+    return _array_round(p, agg, rhos, finish, dense)
+
+
+def _array_round(p: GTVMinProblem, agg, rhos, finish, dense):
+    """An _ArrayRound of finish when aggregate_segments can serve agg at
+    every node that aggregates, else dense (which may be None).
+
+    The operators aggregate exactly at the nodes with coupling rhos[i] =
+    2 alpha d_i != 0, and the array code exactly at the nodes with
+    neighbors; the two sets must agree. The geometric median has no segment
+    form, and a trim must leave every segment a block.
+    """
+    counts = np.diff(p.graph.indptr)
+    if (
+        counts[rhos == 0.0].any()
+        or agg.kind == "geomedian"
+        or (agg.kind == "trimmed" and (counts[counts > 0] <= 2 * agg.trim_k).any())
+    ):
+        return dense
     return _ArrayRound(p.graph, agg, finish, dense)
 
 
 class _ArrayRound:
-    """One event of quadratic FedRelax as array code.
+    """One event of quadratic FedGD or FedRelax as array code.
 
     One take gathers the active nodes' neighbor rows in event and CSR slot
     order, from the blocks or from the flattened snapshot ring at the

@@ -212,22 +212,16 @@ def objective(p: GTVMinProblem, params) -> float:
     return objective_parts(p, params)[2]
 
 
-def _node_grad(loss, own, nbr_blocks, wts, alpha):
-    # Shared kernel: every per-node gradient in the package funnels through
-    # here so different call sites produce identical floating-point results.
-    g = loss.gradient(own)
-    if wts.shape[0]:
-        g = g + (2.0 * alpha) * (wts @ (own - nbr_blocks))
-    return g
-
-
 def node_gradient(p: GTVMinProblem, i: int, params) -> np.ndarray:
     """Gradient of the objective in block i (sq_norm penalty)."""
     if p.penalty != "sq_norm":
         raise ValueError("node gradients are defined for the sq_norm penalty")
     W = p.as_blocks(params)
     ids, wts = p.graph.neighbor_arrays(i)
-    return _node_grad(p.losses[i], W[i], W[ids], wts, p.alpha)
+    g = p.losses[i].gradient(W[i])
+    if wts.shape[0]:
+        g = g + (2.0 * p.alpha) * (wts @ (W[i] - W[ids]))
+    return g
 
 
 def batch_gradient_fn(p: GTVMinProblem):

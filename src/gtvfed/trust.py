@@ -284,18 +284,6 @@ def aggregate(blocks, weights, agg: RobustAgg) -> np.ndarray:
     return point
 
 
-def aggregate_stack(blocks, weights, agg: RobustAgg) -> np.ndarray:
-    """aggregate_segments over G segments of one length: blocks is (G,
-    count, d) and weights (G, count); row g of the (G, d) result equals
-    aggregate(blocks[g], weights[g], agg) bit for bit."""
-    stack = np.asarray(blocks, dtype=float)
-    wts = np.asarray(weights, dtype=float)
-    G, count, d = stack.shape
-    if wts.shape != (G, count):
-        raise ValueError(f"got {wts.shape} weights for {(G, count)} blocks")
-    return aggregate_segments(stack.reshape(G * count, d), wts.reshape(-1), np.full(G, count), agg)
-
-
 def aggregate_segments(rows, weights, counts, agg: RobustAgg) -> np.ndarray:
     """aggregate over S nodes at once. The (M, d) rows and (M,) weights
     hold S segments back to back, segment s of length counts[s] >= 1 (more

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtvfed import seeds, trust
+from gtvfed import harness, seeds, trust
 from gtvfed.algorithms import (
     AsyncEvent,
     _ArrayRound,
@@ -22,11 +22,11 @@ from gtvfed.algorithms import (
     run_sync,
 )
 from gtvfed.graph import EmpGraph, generate
-from gtvfed.gtvmin import GTVMinProblem
+from gtvfed.gtvmin import GTVMinProblem, eig_bounds
 from gtvfed.harness import parse_config, run_experiment
 from gtvfed.localmodel import QuadLoss, from_dataset, generate_local
 from gtvfed.optim import LRSchedule, StopRule
-from gtvfed.trust import RobustAgg, SenderRewrite, aggregate, aggregate_stack, model_interceptor
+from gtvfed.trust import RobustAgg, SenderRewrite, aggregate, aggregate_segments, model_interceptor
 
 from test_engine import reference_async
 
@@ -280,20 +280,20 @@ def test_stacked_aggregate_equals_per_node_aggregate(G, count, d, seed, ties, un
     if ties:
         blocks = np.round(blocks * 2.0) / 2.0
     weights = np.ones((G, count)) if unit else rng.uniform(0.05, 4.0, (G, count))
-    out = aggregate_stack(blocks, weights, agg)
+    out = aggregate_segments(blocks.reshape(G * count, d), weights.reshape(-1), np.full(G, count), agg)
     ref = np.stack([aggregate(blocks[g], weights[g], agg) for g in range(G)])
     assert out.shape == (G, d)
     assert np.array_equal(out, ref)
 
 
 def test_stacked_aggregate_rejects_what_aggregate_rejects():
-    blocks = np.zeros((2, 2, 3))
+    blocks, counts = np.zeros((4, 3)), np.full(2, 2)
     with pytest.raises(ValueError, match="more than 2 blocks, got 2"):
-        aggregate_stack(blocks, np.ones((2, 2)), RobustAgg.trimmed(1))
+        aggregate_segments(blocks, np.ones(4), counts, RobustAgg.trimmed(1))
     with pytest.raises(ValueError, match="positive sum"):
-        aggregate_stack(blocks, np.zeros((2, 2)), RobustAgg.mean())
+        aggregate_segments(blocks, np.zeros(4), counts, RobustAgg.mean())
     with pytest.raises(ValueError, match="one node at a time"):
-        aggregate_stack(blocks, np.ones((2, 2)), RobustAgg.geomedian())
+        aggregate_segments(blocks, np.ones(4), counts, RobustAgg.geomedian())
 
 
 # ---------------------------------------------------- array engine vs reference
@@ -343,8 +343,8 @@ DEFENCES = [None, RobustAgg.mean(), RobustAgg.clipped(-2.0, 2.5), RobustAgg.trim
 
 
 def makers(p):
-    """(name, operator factory): FedRelax, which takes the array path, and
-    FedGD, which stays per node and calls the rewrite once per message."""
+    """(name, operator factory): FedRelax and FedGD under each rule; both
+    take the array path, which applies a rewrite once per gathered row."""
     out = []
     for agg in DEFENCES:
         out.append((f"fedrelax-{agg}", lambda agg=agg: fedrelax_op(p, agg=agg)))
@@ -373,7 +373,7 @@ def test_array_engine_matches_the_reference_loop(mode):
         for name, make in makers(p):
             ops = make()
             array = isinstance(ops[0].batch_update, _ArrayRound)
-            assert array == name.startswith("fedrelax"), name
+            assert array, name
             fast, _ = run_async(ops, w0, schedule, interceptor=hook)
             ref = reference_async(make(), w0, schedule, reference_hook if attacks else None)
             assert np.array_equal(fast.blocks, ref), (name, attacks)
@@ -403,6 +403,73 @@ def test_array_engine_covers_lone_nodes_and_one_dimension():
             assert np.array_equal(fast.blocks, reference_async(make(), w0, schedule, reference_hook))
 
 
+@st.composite
+def fedgd_runs(draw):
+    """A FedGD problem, rule, schedule and attack: graphs with isolated
+    nodes, disconnected graphs, d = 1, alpha = 0, ridge > 0, diminishing
+    steps, and every trim the graph allows."""
+    g = with_isolated(
+        generate("erdos_renyi", draw(st.integers(1, 9)), seed=draw(st.integers(0, 10**6)),
+                 p=draw(st.sampled_from([0.0, 0.4, 0.9]))),
+        draw(st.integers(0, 2)),
+    )
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ridge = draw(st.sampled_from([0.0, 0.3]))
+    losses = [
+        from_dataset(generate_local(rng.standard_normal(d), 6, 0.2, seed=int(rng.integers(2**32))), ridge)
+        for _ in range(g.n)
+    ]
+    p = GTVMinProblem(g, losses, draw(st.sampled_from([0.0, 0.4, 1.5])))
+    counts = np.diff(g.indptr)
+    linked = counts[counts > 0]
+    most = (int(linked.min()) - 1) // 2 if linked.size else 2
+    agg = draw(st.sampled_from([
+        RobustAgg.mean(), RobustAgg.clipped(-0.5, 0.8), RobustAgg.trimmed(draw(st.integers(0, most)))
+    ]))
+    eta = 0.5 / eig_bounds(p).upper
+    sched = draw(st.sampled_from([LRSchedule.constant(eta), LRSchedule.diminishing(eta)]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        schedule = gen_partially_async(g, draw(st.integers(1, 3)), 25, seed=seed)
+    else:
+        schedule = gen_totally_async(g, 25, seed=seed)
+    victims = tuple(sorted(set(draw(st.lists(st.integers(0, g.n - 1), max_size=2)))))
+    return p, agg, sched, schedule, rng.standard_normal((g.n, d)), victims
+
+
+@settings(max_examples=150, deadline=None)
+@given(fedgd_runs())
+def test_fedgd_array_events_match_the_per_node_closures(case):
+    p, agg, sched, schedule, w0, victims = case
+    if victims:
+        hook, reference_hook = rewrite(p.n, p.d, ("model_poison", victims, 40.0))
+    else:
+        # With no hook at all, events where everyone reads the current state
+        # take the dense map of mean FedGD; an empty rewrite keeps them on
+        # the array path.
+        hook, reference_hook = (SenderRewrite(()) if agg.kind == "mean" else None), None
+    ops = fedgd_op(p, sched=sched, agg=agg)
+    # alpha = 0 leaves nodes with neighbors uncoupled, which the array code
+    # does not model: those runs fall back to the per-node closures.
+    array = isinstance(ops[0].batch_update, _ArrayRound)
+    assert array == (p.alpha > 0.0 or p.graph.num_edges == 0)
+    if array:
+        for op in ops:
+            op.update = None  # the array path must not call it
+    fast, _ = run_async(ops, w0, schedule, interceptor=hook)
+    ref = reference_async(fedgd_op(p, sched=sched, agg=agg), w0, schedule, reference_hook)
+    assert np.array_equal(fast.blocks, ref)
+
+
+def test_fedgd_runs_array_events_only_under_one_shared_schedule():
+    p = problem(6, 3)
+    same = [LRSchedule.constant(0.05) for _ in range(p.n)]
+    assert isinstance(fedgd_op(p, sched=same)[0].batch_update, _ArrayRound)
+    unequal = same[:-1] + [LRSchedule.diminishing(0.05)]
+    assert all(op.batch_update is None for op in fedgd_op(p, sched=unequal))
+
+
 def test_synchronous_defended_rounds_match_the_per_node_updates():
     p = problem(10, 21)
     w0 = np.random.default_rng(3).standard_normal((p.n, p.d))
@@ -420,7 +487,7 @@ graph.kind = erdos_renyi
 graph.n = 24
 graph.p = 0.5
 data.d = 2
-algorithm.kind = fedrelax
+algorithm.kind = {kind}
 async.mode = {mode}
 async.B = 2
 stop.max_iters = 30
@@ -429,22 +496,41 @@ attack.0.nodes = 1,5
 attack.0.value = 100.0
 attack.1.kind = dos
 attack.1.nodes = 7
-defense.kind = trimmed
-defense.trim_k = 1
 """
+TRIMMED = "defense.kind = trimmed\ndefense.trim_k = 1\n"
+# Every node trains on 8 of its 10 rows, so a batch of 8 is the full batch.
+FULL_BATCH = "algorithm.batch = 8\n"
+DEFENDED_RUNS = [
+    pytest.param("fedrelax", mode, TRIMMED, id=mode) for mode in ("partial", "total")
+] + [
+    pytest.param(kind, mode, extra, id=f"{kind}-{mode}")
+    for kind, extra in (("fedgd", TRIMMED), ("fedsgd", FULL_BATCH))
+    for mode in ("partial", "total")
+]
 
 
-@pytest.mark.parametrize("mode", ["partial", "total"])
-def test_defended_async_runs_never_call_the_per_node_kernels(monkeypatch, mode):
-    cfg = parse_config(DEFENDED_CONFIG.format(mode=mode))
+@pytest.mark.parametrize("kind, mode, extra", DEFENDED_RUNS)
+def test_defended_async_runs_never_call_the_per_node_kernels(monkeypatch, kind, mode, extra):
+    cfg = parse_config(DEFENDED_CONFIG.format(kind=kind, mode=mode) + extra)
     expected = run_experiment(cfg)
 
     def refuse(*args, **kwargs):
         raise AssertionError("per-node kernel called")
 
+    def refusing(factory):
+        def build(*args, **kwargs):
+            ops = factory(*args, **kwargs)
+            for op in ops:
+                op.update = refuse
+            return ops
+
+        return build
+
     monkeypatch.setattr(trust, "aggregate", refuse)
     monkeypatch.setattr("gtvfed.algorithms.aggregate", refuse)
     monkeypatch.setattr(SenderRewrite, "__call__", refuse)
+    for factory in ("fedgd_op", "fedsgd_op", "fedrelax_op"):
+        monkeypatch.setattr(harness, factory, refusing(getattr(harness, factory)))
     report = run_experiment(cfg)
     assert report.summary["terminal"] == "max_iters"
     assert report.rows == expected.rows
