@@ -5,6 +5,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,82 +39,23 @@ class NodeOperator:
     batch_update: callable = None
 
 
-class AsyncEvent:
-    """One event: nodes that update and, per node, the event index each
-    neighbor's state is read from (aligned with sorted neighbor ids).
+class AsyncEvent(NamedTuple):
+    """One event as arrays: the active node ids, each active node's number
+    of refs, and the refs themselves, in node order and then in neighbor-slot
+    order. A ref is the event index the neighbor's state is read from."""
 
-    AsyncEvent(active, refs) takes a tuple and a dict; the generators keep
-    events as arrays (AsyncEvent.from_arrays). arrays is (nodes, counts,
-    flat): the active ids, their numbers of refs (-1 for a node without
-    refs) and their refs concatenated in node order. Each form is derived
-    from the other on first use; equality compares active and refs.
-    """
-
-    __slots__ = ("_active", "_refs", "_arrays")
-
-    def __init__(self, active, refs):
-        self._active = tuple(active)
-        self._refs = refs
-        self._arrays = None
-
-    @classmethod
-    def from_arrays(cls, nodes, counts, flat) -> "AsyncEvent":
-        ev = cls.__new__(cls)
-        ev._active = ev._refs = None
-        ev._arrays = (nodes, counts, flat)
-        return ev
-
-    @property
-    def active(self) -> tuple:
-        if self._active is None:
-            self._active = tuple(self._arrays[0].tolist())
-        return self._active
-
-    @property
-    def refs(self) -> dict:
-        if self._refs is None:
-            _, counts, flat = self._arrays
-            ends = np.cumsum(counts).tolist()
-            refs = flat.tolist()
-            self._refs = {
-                i: tuple(refs[end - c : end])
-                for i, c, end in zip(self.active, counts.tolist(), ends)
-            }
-        return self._refs
-
-    @property
-    def arrays(self) -> tuple:
-        if self._arrays is None:
-            refs = [self._refs.get(i) for i in self._active]
-            self._arrays = (
-                np.array(self._active, dtype=np.intp),
-                np.array([-1 if r is None else len(r) for r in refs], dtype=np.intp),
-                np.array([x for r in refs if r is not None for x in r], dtype=np.int64),
-            )
-        return self._arrays
-
-    def __eq__(self, other):
-        if not isinstance(other, AsyncEvent):
-            return NotImplemented
-        return self.active == other.active and self.refs == other.refs
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"AsyncEvent(active={self.active!r}, refs={self.refs!r})"
+    nodes: np.ndarray
+    counts: np.ndarray
+    flat: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AsyncSchedule:
     """Pre-generated event sequence; B is the staleness bound (None = none)."""
 
     n: int
     B: int | None
     events: tuple
-
-    @property
-    def horizon(self) -> int:
-        return len(self.events)
 
     def validate(self, neighbor_ids) -> None:
         """Check the schedule against per-node neighbor lists.
@@ -131,9 +73,8 @@ class AsyncSchedule:
             )
         deg = np.array([len(ids) for ids in neighbor_ids], dtype=np.intp)
         last = np.full(n, -1)
-        for k, ev in enumerate(self.events):
-            nodes, counts, flat = ev.arrays
-            _check_event(k, ev, nodes, counts, flat, deg, B)
+        for k, (nodes, counts, flat) in enumerate(self.events):
+            _check_event(k, nodes, counts, flat, deg, B)
             last[nodes] = k
             if B is not None and B >= 1 and k >= B - 1:
                 # Active at least once in any window of B consecutive events.
@@ -150,34 +91,16 @@ class AsyncSchedule:
             if never.size:
                 raise ValueError(f"node {never[0]} never active over the horizon")
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "B": self.B,
-            "events": [
-                {
-                    "active": list(ev.active),
-                    "refs": {str(i): list(r) for i, r in ev.refs.items()},
-                }
-                for ev in self.events
-            ],
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "AsyncSchedule":
-        events = tuple(
-            AsyncEvent(
-                active=tuple(ev["active"]),
-                refs={int(i): tuple(r) for i, r in ev["refs"].items()},
-            )
-            for ev in data["events"]
+def _check_event(k, nodes, counts, flat, deg, B) -> None:
+    """Raise the first problem of event k: counts that disagree with the
+    nodes or the refs, then, node by node, a bad or repeated id, a ref count
+    that misses the degree, and each ref."""
+    if counts.shape != nodes.shape or counts.sum() != flat.shape[0]:
+        raise ValueError(
+            f"event {k}: {nodes.shape[0]} nodes with {counts.shape[0]} ref counts "
+            f"summing to {counts.sum()}, but {flat.shape[0]} refs"
         )
-        return cls(n=int(data["n"]), B=data["B"], events=events)
-
-
-def _check_event(k, ev, nodes, counts, flat, deg, B) -> None:
-    """Raise the first problem of event k, checking node by node: a bad or
-    repeated id, then a ref count that misses the degree, then each ref."""
     n = deg.shape[0]
     inside = (nodes >= 0) & (nodes < n)
     bad = ~inside
@@ -189,12 +112,12 @@ def _check_event(k, ev, nodes, counts, flat, deg, B) -> None:
         late |= k - flat > B
     if not (bad.any() or wrong.any() or late.any()):
         return
-    owner = np.repeat(np.arange(nodes.shape[0]), np.maximum(counts, 0))
+    owner = np.repeat(np.arange(nodes.shape[0]), counts)
     flagged = bad | wrong
     flagged[owner[late]] = True
     t = int(np.argmax(flagged))
     if bad[t]:
-        raise ValueError(f"event {k}: bad active set {ev.active}")
+        raise ValueError(f"event {k}: bad active set {tuple(nodes.tolist())}")
     i = int(nodes[t])
     if wrong[t]:
         raise ValueError(f"event {k}: node {i} needs {deg[i]} neighbor refs")
@@ -626,7 +549,7 @@ def _graph_step(ops, shape, events, B, interceptor):
                 return array.step(k, blocks, blocks, array.synchronous, rewrite)
             nodes, flat = everyone, None
         else:
-            nodes, counts, flat = events[k].arrays
+            nodes, counts, flat = events[k]
             ring[k % len(ring)] = blocks
             if (
                 whole is not None
@@ -695,7 +618,6 @@ def run_async(
     ops,
     w0,
     schedule: AsyncSchedule,
-    horizon: int | None = None,
     stop: StopRule | None = None,
     objective=None,
     oracle=None,
@@ -708,19 +630,14 @@ def run_async(
 
     At each event, inactive nodes keep their state and active nodes apply
     their operator to neighbor snapshots taken at the event indices the
-    schedule prescribes. A final row is recorded at k = horizon. With every
-    node active and zero delays each event equals a synchronous round
+    schedule prescribes. The run covers the schedule's events, or the first
+    stop.max_iters of them, and records a final row after the last. With
+    every node active and zero delays each event equals a synchronous round
     exactly.
     """
     blocks = _checked_blocks(ops, w0)
     schedule.validate([op.neighbor_ids for op in ops])
     events = schedule.events
-    if horizon is not None:
-        if horizon > len(events):
-            raise ValueError(
-                f"horizon {horizon} exceeds the schedule's {len(events)} events"
-            )
-        events = events[:horizon]
     if stop is None:
         stop = StopRule(max_iters=len(events))
     kend = min(len(events), stop.max_iters)
@@ -732,7 +649,7 @@ def run_async(
 
 def _everyone_reads(deg, r) -> AsyncEvent:
     """Every node active, reading all its neighbors at event r."""
-    return AsyncEvent.from_arrays(
+    return AsyncEvent(
         np.arange(deg.shape[0]), deg, np.full(int(deg.sum()), r, dtype=np.int64)
     )
 
@@ -774,7 +691,7 @@ def gen_partially_async(
         last[nodes] = k
         counts = deg[nodes]
         lags = rng.integers(0, B + 1, size=int(counts.sum()))
-        events.append(AsyncEvent.from_arrays(nodes, counts, np.maximum(k - lags, 0)))
+        events.append(AsyncEvent(nodes, counts, np.maximum(k - lags, 0)))
     return AsyncSchedule(n=n, B=B, events=tuple(events))
 
 
@@ -805,7 +722,7 @@ def gen_totally_async(
         seen[nodes] = True
         counts = deg[nodes]
         lags = rng.integers(0, k + 1, size=int(counts.sum()))
-        events.append(AsyncEvent.from_arrays(nodes, counts, k - lags))
+        events.append(AsyncEvent(nodes, counts, k - lags))
     return AsyncSchedule(n=n, B=None, events=tuple(events))
 
 

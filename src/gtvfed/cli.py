@@ -118,7 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     rp = sub.add_parser("report", help="print the summary of a saved JSON report")
     rp.add_argument("--in", dest="path", required=True, help="report JSON path")
-    rp.add_argument("--seed", type=int, default=None, help="accepted for symmetry")
     rp.add_argument("--out", default=None, help="also write the summary text here")
     rp.add_argument(
         "--strict",

@@ -411,12 +411,10 @@ def _check_trim_degrees(cfg: ExperimentConfig, g: EmpGraph) -> None:
     """Reject a trimmed defence that some aggregating node cannot apply.
 
     Trimming trim_k values from each end needs more than 2 trim_k neighbour
-    blocks. Nodes without neighbours never aggregate, and neither does
-    FedRelax without coupling.
+    blocks. Nodes without neighbours never aggregate, and no node does
+    without coupling (alpha = 0).
     """
-    if cfg.defense.kind != "trimmed":
-        return
-    if cfg.algorithm["kind"] == "fedrelax" and cfg.algorithm["alpha"] == 0.0:
+    if cfg.defense.kind != "trimmed" or cfg.algorithm["alpha"] == 0.0:
         return
     k = cfg.defense.trim_k
     counts = np.diff(g.indptr)

@@ -1,4 +1,5 @@
-"""Shared test plumbing: acceptance result registry and summary printing."""
+"""Shared test plumbing: acceptance result registry and summary printing,
+and hand-built async events."""
 
 from contextlib import contextmanager
 
@@ -18,6 +19,21 @@ def acceptance(name):
         ACCEPTANCE_RESULTS[name] = "FAIL"
         raise
     ACCEPTANCE_RESULTS[name] = "PASS"
+
+
+def event(active, refs):
+    """An AsyncEvent from a list of active ids (repeats allowed) and a
+    {node: refs} dict; a node without an entry has no refs."""
+    import numpy as np
+
+    from gtvfed.algorithms import AsyncEvent
+
+    per_node = [tuple(refs.get(i, ())) for i in active]
+    return AsyncEvent(
+        np.array(active, dtype=np.int64),
+        np.array([len(r) for r in per_node], dtype=np.int64),
+        np.array([r for rs in per_node for r in rs], dtype=np.int64),
+    )
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

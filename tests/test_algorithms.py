@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import event
+
 from gtvfed.algorithms import (
     AsyncEvent,
     AsyncSchedule,
@@ -346,9 +348,7 @@ def test_permanently_inactive_node_never_changes():
     # Declared staleness window larger than the horizon: node 1 may stay
     # silent for the whole (short) run.
     p = two_node_problem()
-    events = tuple(
-        AsyncEvent(active=(0,), refs={0: (k,)}) for k in range(3)
-    )
+    events = tuple(event([0], {0: (k,)}) for k in range(3))
     sched = AsyncSchedule(n=2, B=10, events=events)
     w0 = np.array([[4.0], [-7.0]])
     sp, _ = run_async(fedrelax_op(p), w0, sched)
@@ -360,49 +360,68 @@ def test_schedule_validation_errors():
     nbr = [np.array([1]), np.array([0])]
     future = AsyncSchedule(
         n=2, B=None,
-        events=(AsyncEvent(active=(0, 1), refs={0: (5,), 1: (0,)}),),
+        events=(event([0, 1], {0: (5,), 1: (0,)}),),
     )
     with pytest.raises(ValueError, match="future"):
         future.validate(nbr)
     stale = AsyncSchedule(
         n=2, B=1,
         events=(
-            AsyncEvent(active=(0, 1), refs={0: (0,), 1: (0,)}),
-            AsyncEvent(active=(0, 1), refs={0: (1,), 1: (1,)}),
-            AsyncEvent(active=(0, 1), refs={0: (0,), 1: (2,)}),
+            event([0, 1], {0: (0,), 1: (0,)}),
+            event([0, 1], {0: (1,), 1: (1,)}),
+            event([0, 1], {0: (0,), 1: (2,)}),
         ),
     )
     with pytest.raises(ValueError, match="events old"):
         stale.validate(nbr)
     lazy = AsyncSchedule(
         n=2, B=None,
-        events=(AsyncEvent(active=(0,), refs={0: (0,)}),) * 4,
+        events=(event([0], {0: (0,)}),) * 4,
     )
     with pytest.raises(ValueError, match="never active"):
         lazy.validate(nbr)
     window = AsyncSchedule(
         n=2, B=2,
         events=(
-            AsyncEvent(active=(0, 1), refs={0: (0,), 1: (0,)}),
-            AsyncEvent(active=(0,), refs={0: (1,)}),
-            AsyncEvent(active=(0,), refs={0: (2,)}),
+            event([0, 1], {0: (0,), 1: (0,)}),
+            event([0], {0: (1,)}),
+            event([0], {0: (2,)}),
         ),
     )
     with pytest.raises(ValueError, match="inactive over events"):
         window.validate(nbr)
 
 
-def test_generated_schedules_validate_and_round_trip():
+@pytest.mark.parametrize(
+    "counts, flat, message",
+    [
+        ([1, 2, 1], [0, 0, 0], "3 nodes with 3 ref counts summing to 4, but 3 refs"),
+        ([1, 2, 1], [0] * 5, "3 nodes with 3 ref counts summing to 4, but 5 refs"),
+        ([1, 2], [0] * 3, "3 nodes with 2 ref counts summing to 3, but 3 refs"),
+    ],
+)
+def test_validate_rejects_event_arrays_that_disagree(counts, flat, message):
+    # Counts that match the degrees and in-range refs would pass the other
+    # checks; the engine would then read the wrong neighbor slots.
+    g = generate("chain", 3)
+    nbr = [g.neighbor_arrays(i)[0] for i in range(3)]
+    ev = AsyncEvent(np.arange(3), np.array(counts), np.array(flat, dtype=np.int64))
+    with pytest.raises(ValueError, match=f"event 0: {message}"):
+        AsyncSchedule(n=3, B=None, events=(ev,)).validate(nbr)
+
+
+def test_generated_schedules_validate_and_repeat_bit_for_bit():
     g = generate("erdos_renyi", 6, seed=4, p=0.5)
     nbr = [g.neighbor_arrays(i)[0] for i in range(6)]
     part = gen_partially_async(g, B=4, horizon=200, seed=2)
     part.validate(nbr)
-    assert part.events[0].active == tuple(range(6))
+    assert part.events[0].nodes.tolist() == list(range(6))
     total = gen_totally_async(g, horizon=200, seed=2)
     total.validate(nbr)
-    assert AsyncSchedule.from_dict(part.to_dict()) == part
-    assert AsyncSchedule.from_dict(total.to_dict()) == total
-    assert gen_partially_async(g, B=4, horizon=200, seed=2) == part
+    again = gen_partially_async(g, B=4, horizon=200, seed=2)
+    for a, b in zip(again.events, part.events, strict=True):
+        for x, y in zip(a, b):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 def test_async_bound_values():

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import event
 
 from gtvfed import harness, seeds, trust
 from gtvfed.algorithms import (
-    AsyncEvent,
     _ArrayRound,
     AsyncSchedule,
     fedgd_op,
@@ -63,7 +63,7 @@ def reference_partially_async(g, B, horizon, seed, p_active=0.5):
     rng = seeds.as_rng(seed)
     n = g.n
     nbr = [g.neighbor_arrays(i)[0] for i in range(n)]
-    events = [AsyncEvent(tuple(range(n)), {i: (0,) * len(ids) for i, ids in enumerate(nbr)})]
+    events = [event(range(n), {i: (0,) * len(ids) for i, ids in enumerate(nbr)})]
     last = [0] * n
     for k in range(1, horizon):
         draws = rng.random(n)
@@ -75,7 +75,7 @@ def reference_partially_async(g, B, horizon, seed, p_active=0.5):
             last[i] = k
             lags = rng.integers(0, B + 1, size=len(nbr[i]))
             refs[i] = tuple(int(max(k - s, 0)) for s in lags)
-        events.append(AsyncEvent(tuple(active), refs))
+        events.append(event(active, refs))
     return AsyncSchedule(n, B, tuple(events))
 
 
@@ -84,7 +84,7 @@ def reference_totally_async(g, horizon, seed, p_active=0.5):
     rng = seeds.as_rng(seed)
     n = g.n
     nbr = [g.neighbor_arrays(i)[0] for i in range(n)]
-    events = [AsyncEvent(tuple(range(n)), {i: (0,) * len(ids) for i, ids in enumerate(nbr)})]
+    events = [event(range(n), {i: (0,) * len(ids) for i, ids in enumerate(nbr)})]
     seen = set()
     for k in range(1, horizon):
         draws = rng.random(n)
@@ -98,7 +98,7 @@ def reference_totally_async(g, horizon, seed, p_active=0.5):
         for i in active:
             lags = rng.integers(0, k + 1, size=len(nbr[i]))
             refs[i] = tuple(int(k - s) for s in lags)
-        events.append(AsyncEvent(tuple(sorted(set(active))), refs))
+        events.append(event(sorted(set(active)), refs))
     return AsyncSchedule(n, None, tuple(events))
 
 
@@ -121,11 +121,9 @@ def assert_same_schedule(fast, ref):
     assert (fast.n, fast.B) == (ref.n, ref.B)
     assert len(fast.events) == len(ref.events)
     for a, b in zip(fast.events, ref.events):
-        assert a.active == b.active
-        assert a.refs == b.refs
-        assert list(a.refs) == list(b.refs)
-    assert fast == ref
-    assert fast.to_dict() == ref.to_dict()
+        for x, y in zip(a, b, strict=True):
+            assert x.dtype == y.dtype
+            assert np.array_equal(x, y)
 
 
 @settings(max_examples=80, deadline=None)
@@ -162,16 +160,18 @@ def reference_validate(schedule, neighbor_ids):
     if len(neighbor_ids) != n:
         raise ValueError(f"schedule built for {n} nodes, got {len(neighbor_ids)} operators")
     last = [-1] * n
-    for k, ev in enumerate(schedule.events):
+    for k, (nodes, counts, flat) in enumerate(schedule.events):
         seen = set()
-        for i in ev.active:
+        start = 0
+        for i, count in zip(nodes.tolist(), counts.tolist()):
+            refs = flat[start : start + count].tolist()
+            start += count
             if not (0 <= i < n) or i in seen:
-                raise ValueError(f"event {k}: bad active set {ev.active}")
+                raise ValueError(f"event {k}: bad active set {tuple(nodes.tolist())}")
             seen.add(i)
             last[i] = k
-            refs = ev.refs.get(i)
             ids = neighbor_ids[i]
-            if refs is None or len(refs) != len(ids):
+            if len(refs) != len(ids):
                 raise ValueError(f"event {k}: node {i} needs {len(ids)} neighbor refs")
             for r in refs:
                 if r > k:
@@ -214,7 +214,11 @@ def damaged_schedules(draw):
         base = gen_totally_async(g, horizon, seed)
     else:
         base = gen_partially_async(g, max(B, 1), horizon, seed)
-    events = [[list(ev.active), {i: list(r) for i, r in ev.refs.items()}] for ev in base.events]
+    events = []
+    for nodes, counts, flat in base.events:
+        ends = np.cumsum(counts).tolist()
+        slots = zip(nodes.tolist(), counts.tolist(), ends)
+        events.append([nodes.tolist(), {i: flat[end - c : end].tolist() for i, c, end in slots}])
     for _ in range(draw(st.integers(0, 3))):
         k = draw(st.integers(0, horizon - 1))
         active, refs = events[k]
@@ -224,6 +228,7 @@ def damaged_schedules(draw):
         elif fault == "repeat" and active:
             active.insert(draw(st.integers(0, len(active))), draw(st.sampled_from(active)))
         elif fault == "drop" and refs:
+            # Count 0 and no refs: a valid event for a node without neighbours.
             refs.pop(draw(st.sampled_from(sorted(refs))))
         elif fault == "ref":
             nonempty = [i for i in sorted(refs) if refs[i]]
@@ -236,7 +241,7 @@ def damaged_schedules(draw):
             refs[i] = refs[i][:-1] if refs[i] else [0]
         elif fault == "idle" and active:
             active.remove(draw(st.sampled_from(active)))
-    hand = tuple(AsyncEvent(tuple(a), {i: tuple(r) for i, r in refs.items()}) for a, refs in events)
+    hand = tuple(event(active, refs) for active, refs in events)
     nbr = [g.neighbor_arrays(i)[0] for i in range(n)]
     return AsyncSchedule(n, B, hand), nbr
 

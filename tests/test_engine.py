@@ -6,9 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import event
+
 from gtvfed import cli
 from gtvfed.algorithms import (
-    AsyncEvent,
     AsyncSchedule,
     NodeOperator,
     fedavg_run,
@@ -81,9 +82,9 @@ def test_run_sync_objective_guard_names_the_event():
 def test_run_async_raises_on_a_non_finite_block():
     everyone = {0: (0,), 1: (0, 0), 2: (0,)}
     events = (
-        AsyncEvent(active=(0, 1, 2), refs=everyone),
-        AsyncEvent(active=(2,), refs={2: (0,)}),
-        AsyncEvent(active=(0, 2), refs={0: (1,), 2: (0,)}),
+        event([0, 1, 2], everyone),
+        event([2], {2: (0,)}),
+        event([0, 2], {0: (1,), 2: (0,)}),
     )
     schedule = AsyncSchedule(n=3, B=None, events=events)
     with pytest.raises(DivergenceError) as err:
@@ -161,14 +162,17 @@ def reference_async(ops, w0, schedule, interceptor=None):
     """The engine as a per-neighbor loop over a list of every past state."""
     blocks = np.array(w0, dtype=float)
     states = []
-    for k, ev in enumerate(schedule.events):
+    for k, (nodes, counts, flat) in enumerate(schedule.events):
         states.append(blocks.copy())
         new = blocks.copy()
-        for i in ev.active:
+        start = 0
+        for i, count in zip(nodes.tolist(), counts.tolist()):
+            refs = flat[start : start + count].tolist()
+            start += count
             ids = ops[i].neighbor_ids
             nbrs = np.empty((len(ids), blocks.shape[1]))
             for t, j in enumerate(ids):
-                nbrs[t] = states[ev.refs[i][t]][j]
+                nbrs[t] = states[refs[t]][j]
                 if interceptor is not None:
                     nbrs[t] = interceptor(int(j), int(i), nbrs[t], k)
             new[i] = ops[i].update(blocks[i], nbrs, k)

@@ -477,6 +477,26 @@ defense.trim_k = 1
     assert "trim_k = 1" in msg
 
 
+@pytest.mark.parametrize("kind", ["fedgd", "fedrelax"])
+def test_trimmed_defense_without_coupling_runs_on_short_neighbourhoods(kind):
+    # At alpha = 0 no node aggregates, so a chain's end nodes need no more
+    # than 2 trim_k neighbours; the same run with coupling is rejected.
+    text = f"""
+graph.kind = chain
+graph.n = 6
+data.d = 2
+algorithm.kind = {kind}
+algorithm.alpha = 0
+defense.kind = trimmed
+defense.trim_k = 1
+stop.max_iters = 30
+"""
+    rep = run_experiment(parse_config(text))
+    assert rep.summary["terminal"] != "diverged"
+    with pytest.raises(ConfigError, match="node 0 has 1 neighbours"):
+        run_experiment(parse_config(text.replace("alpha = 0", "alpha = 1")))
+
+
 def test_clustered_run_checks_clustered_variation():
     cfg = parse_config(
         """

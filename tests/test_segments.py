@@ -105,7 +105,7 @@ def test_fedrelax_events_divide_by_the_graph_degree():
     w0 = 10.0 * rng.integers(-200, 200, (g.n, d))
     nodes = np.flatnonzero(rng.random(g.n) < 0.5)
     counts = np.diff(g.indptr)[nodes]
-    event = AsyncEvent.from_arrays(nodes, counts, np.zeros(int(counts.sum()), dtype=np.int64))
+    event = AsyncEvent(nodes, counts, np.zeros(int(counts.sum()), dtype=np.int64))
     schedule = AsyncSchedule(n=g.n, B=3, events=(event,))
     for agg in (RobustAgg.mean(), RobustAgg.trimmed(1)):
         ops = fedrelax_op(p, agg)
