@@ -1,4 +1,4 @@
-"""Message-passing solvers: per-node operators, one event driver, bounds."""
+"""Message-passing solvers: per-node operators, their round maps, bounds."""
 
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from gtvfed.gtvmin import (
     loss_stack,
 )
 from gtvfed.localmodel import QuadLoss
-from gtvfed.optim import DivergenceError, LRSchedule, StopRule, Trace, DIVERGENCE_FACTOR
+from gtvfed.optim import DivergenceError, LRSchedule, StopRule, _drive, _Recorder
 from gtvfed.trust import RobustAgg, SenderRewrite, aggregate, aggregate_segments
 
 
@@ -419,104 +419,6 @@ class _ArrayRound:
         return new
 
 
-class _Recorder:
-    """Per-event bookkeeping for the driver: rows, objective guard, stopping."""
-
-    def __init__(self, stop, objective, oracle, metrics, record_every):
-        self.stop = stop
-        self.objective = objective
-        self.metrics = metrics
-        self.record_every = max(1, int(record_every))
-        self.oracle = None
-        if oracle is not None:
-            self.oracle = np.asarray(
-                getattr(oracle, "blocks", oracle), dtype=float
-            ).reshape(-1)
-        self.trace = Trace()
-        self.f_prev = None
-        self.f_guard = None
-
-    def observe(self, k, blocks, last_event) -> str:
-        """Record state k if sampled; return a terminal reason or ''."""
-        dist = None
-        if self.oracle is not None:
-            dist = float(np.linalg.norm(blocks.reshape(-1) - self.oracle))
-        sample = (k % self.record_every == 0) or last_event
-        f = None
-        need_f = self.objective is not None and (
-            sample or self.stop.obj_tol is not None
-        )
-        if need_f:
-            f = float(self.objective(blocks))
-            if not np.isfinite(f):
-                self.trace.terminal = "diverged"
-                raise DivergenceError(
-                    f"non-finite objective at event {k}", trace=self.trace, event=k
-                )
-            if self.f_guard is None:
-                self.f_guard = DIVERGENCE_FACTOR * (abs(f) + 1.0)
-            elif f > self.f_guard:
-                self.trace.terminal = "diverged"
-                raise DivergenceError(
-                    f"objective {f:.3e} exceeded the divergence guard at event {k}",
-                    trace=self.trace,
-                    event=k,
-                )
-        terminal = ""
-        if self.stop.dist_tol is not None and dist is not None and dist <= self.stop.dist_tol:
-            terminal = "dist_tol"
-        elif (
-            self.stop.obj_tol is not None
-            and f is not None
-            and self.f_prev is not None
-            and abs(self.f_prev - f) <= self.stop.obj_tol
-        ):
-            terminal = "obj_tol"
-        elif last_event:
-            terminal = "max_iters"
-        if sample or terminal:
-            self.trace.ks.append(k)
-            self.trace.objectives.append(f)
-            self.trace.dists.append(dist)
-            if self.metrics is not None:
-                for name, value in self.metrics(k, blocks).items():
-                    self.trace.extras.setdefault(name, []).append(value)
-        if f is not None:
-            self.f_prev = f
-        return terminal
-
-
-def _drive(blocks, kend, step, rec, noise):
-    """The one event loop of every engine.
-
-    Event k observes the state (recording a row, stopping on a tolerance or
-    at k = kend), applies noise(k, blocks) in place, then replaces the state
-    by step(k, blocks) and rejects non-finite blocks. Returns (blocks,
-    trace); a blow-up raises DivergenceError(trace, node, event).
-    """
-    for k in range(kend + 1):
-        terminal = rec.observe(k, blocks, last_event=(k == kend))
-        if terminal:
-            rec.trace.terminal = terminal
-            return blocks, rec.trace
-        if noise is not None:
-            nrm = noise(k, blocks)
-            rec.trace.extras.setdefault("noise_norms", []).append(
-                float(nrm) if nrm is not None else 0.0
-            )
-        blocks = step(k, blocks)
-        if not np.isfinite(blocks).all():
-            bad = np.flatnonzero(~np.isfinite(blocks).all(axis=1)).tolist()
-            rec.trace.terminal = "diverged"
-            raise DivergenceError(
-                f"non-finite block at node(s) {bad} after event {k}",
-                trace=rec.trace,
-                node=bad[0],
-                event=k,
-            )
-    return blocks, rec.trace  # pragma: no cover
-
-
 def _graph_step(ops, shape, events, B, interceptor):
     """The round map of a graph run, one event at a time.
 
@@ -759,14 +661,16 @@ def contraction_factor(p: GTVMinProblem) -> float:
 
 
 def _server_run(
-    client, n, sample_size, w0, stop, seed, objective, oracle, on_round, record_every
+    client, n, sample_size, w0, stop, seed, objective, oracle, metrics, on_round,
+    record_every,
 ):
     """Server rounds on the event driver.
 
     Each round samples sample_size clients uniformly without replacement;
     each returns client(i, global block, k); the server averages the
     returned blocks (sampled clients only). The global block is the
-    driver's single row. Returns (global block, Trace).
+    driver's single row, so objective(W) and metrics(k, W) see it as a
+    (1, d) array. Returns (global block, Trace).
     """
     rng = seeds.stream(seed, "schedule")
 
@@ -781,7 +685,7 @@ def _server_run(
         return new
 
     w = np.array(w0, dtype=float).reshape(1, -1)
-    rec = _Recorder(stop, objective, oracle, None, record_every)
+    rec = _Recorder(stop, objective, oracle, metrics, record_every)
     w, trace = _drive(w, stop.max_iters, step, rec, None)
     return w[0], trace
 
@@ -800,10 +704,13 @@ def fedavg_run(
     w0=None,
     on_round=None,
     record_every: int = 1,
+    metrics=None,
 ):
     """Server-averaged local gradient descent: each sampled client runs R
     gradient steps from the global block. Rows are recorded every
-    record_every rounds and at the last. Returns (global block, Trace)."""
+    record_every rounds and at the last, with metrics(k, W) as in run_sync;
+    on_round(k, w) sees each round's new global block. Returns (global
+    block, Trace)."""
     losses = list(losses) if losses is not None else None
     if losses is not None and len(losses) != n:
         raise ValueError(f"got {len(losses)} losses for n={n}")
@@ -834,8 +741,8 @@ def fedavg_run(
         return v
 
     return _server_run(
-        local_steps, n, sample_size, w0, stop, seed, objective, oracle, on_round,
-        record_every,
+        local_steps, n, sample_size, w0, stop, seed, objective, oracle, metrics,
+        on_round, record_every,
     )
 
 
@@ -851,9 +758,10 @@ def fedprox_run(
     w0=None,
     on_round=None,
     record_every: int = 1,
+    metrics=None,
 ):
     """Server-averaged proximal updates: clients return prox(global, 2/eta);
-    rows as in fedavg_run."""
+    rows and hooks as in fedavg_run."""
     losses = list(losses)
     if len(losses) != n:
         raise ValueError(f"got {len(losses)} losses for n={n}")
@@ -868,7 +776,8 @@ def fedprox_run(
     rho = 2.0 / eta
     return _server_run(
         lambda i, w, k: losses[i].prox(w, rho),
-        n, sample_size, w0, stop, seed, objective, oracle, on_round, record_every,
+        n, sample_size, w0, stop, seed, objective, oracle, metrics, on_round,
+        record_every,
     )
 
 

@@ -114,15 +114,12 @@ class EigBounds:
 
 
 class GTVMinProblem:
-    """A graph, one loss per node, a coupling strength, and a penalty kind."""
+    """A graph, one loss per node, and a coupling strength; the nodes are
+    coupled through the sq_norm penalty, the one every solver implements."""
 
-    __slots__ = ("graph", "losses", "alpha", "penalty", "d", "_quadratic", "_quad", "_stack", "_eig")
+    __slots__ = ("graph", "losses", "alpha", "d", "_quadratic", "_quad", "_stack", "_eig")
 
-    def __init__(self, graph: EmpGraph, losses, alpha: float, penalty: str = "sq_norm", d=None):
-        if penalty not in graphmod.PENALTIES:
-            raise ValueError(
-                f"unknown penalty {penalty!r}; expected one of {graphmod.PENALTIES}"
-            )
+    def __init__(self, graph: EmpGraph, losses, alpha: float, d=None):
         losses = tuple(losses)
         if len(losses) != graph.n:
             raise ValueError(
@@ -141,7 +138,6 @@ class GTVMinProblem:
         self.graph = graph
         self.losses = losses
         self.alpha = alpha
-        self.penalty = penalty
         self.d = dims.pop()
         self._quadratic = all(isinstance(loss, QuadLoss) for loss in losses)
         self._quad = None
@@ -203,7 +199,7 @@ def objective_parts(p: GTVMinProblem, params):
         objs = loss_stack(p).values(W)
     else:
         objs = np.array([loss.value(W[i]) for i, loss in enumerate(p.losses)])
-    gtv = gtv_value(p.graph, W, p.penalty)
+    gtv = gtv_value(p.graph, W)
     return objs, gtv, ordered_sum(objs) + p.alpha * gtv
 
 
@@ -213,9 +209,7 @@ def objective(p: GTVMinProblem, params) -> float:
 
 
 def node_gradient(p: GTVMinProblem, i: int, params) -> np.ndarray:
-    """Gradient of the objective in block i (sq_norm penalty)."""
-    if p.penalty != "sq_norm":
-        raise ValueError("node gradients are defined for the sq_norm penalty")
+    """Gradient of the objective in block i."""
     W = p.as_blocks(params)
     ids, wts = p.graph.neighbor_arrays(i)
     g = p.losses[i].gradient(W[i])
@@ -230,7 +224,7 @@ def batch_gradient_fn(p: GTVMinProblem):
     Returns None when a loss is not quadratic; callers then fall back to the
     per-node kernel.
     """
-    if p.penalty != "sq_norm" or not p.is_quadratic():
+    if not p.is_quadratic():
         return None
     stack = loss_stack(p)
     Qs, qs = stack.Qs, stack.qs
@@ -272,11 +266,8 @@ def flat_loss(p: GTVMinProblem) -> CallableLoss:
 def assemble(p: GTVMinProblem):
     """Dense (Q, q, c) of the full quadratic over the flat vector.
 
-    Q = blockdiag(Q_i) + alpha * kron(L, I_d). Requires quadratic losses
-    and the sq_norm penalty.
+    Q = blockdiag(Q_i) + alpha * kron(L, I_d). Requires quadratic losses.
     """
-    if p.penalty != "sq_norm":
-        raise ValueError("only the sq_norm penalty assembles to a quadratic")
     if not p.is_quadratic():
         raise ValueError("assembly requires quadratic losses at every node")
     n, d = p.n, p.d
@@ -305,8 +296,6 @@ class QuadOperator:
     """
 
     def __init__(self, p: GTVMinProblem):
-        if p.penalty != "sq_norm":
-            raise ValueError("only the sq_norm penalty gives a quadratic problem")
         if not p.is_quadratic():
             raise ValueError("the quadratic operator requires quadratic losses at every node")
         import scipy.sparse

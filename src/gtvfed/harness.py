@@ -59,7 +59,6 @@ from gtvfed.gtvmin import (
 )
 from gtvfed.localmodel import (
     LocalDataset,
-    QuadStack,
     from_dataset,
     generate_local,
     load_dataset_csv,
@@ -571,6 +570,12 @@ def _apply_data_attacks(cfg: ExperimentConfig, trains):
         for node in a["nodes"]:
             if not 0 <= node < len(out):
                 raise ConfigError([f"attack.{idx}.nodes: node {node} out of range"])
+            for key in ("feature_delta", "trigger_delta"):
+                if a[key] is not None and len(a[key]) != out[node].d:
+                    raise ConfigError([
+                        f"attack.{idx}.{key}: needs {out[node].d} values, one per "
+                        f"feature, got {len(a[key])}"
+                    ])
             spec = AttackSpec(
                 kind=a["kind"],
                 victims=(node,),
@@ -750,12 +755,16 @@ def _nanmean(values) -> float:
     return float(np.nanmean(arr))
 
 
-def _rows_from_trace(trace, n, node_objs, gtvs, e_ts, e_vs):
+def _rows_from_trace(trace, n):
     """One (event, node, objective, gtv, train_err, val_err, dist) tuple per
-    recorded event and node, built column by column from the (events, n)
-    probe arrays; a missing oracle distance reads NaN."""
+    recorded event and node, built column by column from the metrics the
+    run recorded (node_objs, train_err and val_err per node, gtv per event);
+    a missing oracle distance reads NaN."""
     if not trace.ks:
         return []
+    node_objs, gtvs, e_ts, e_vs = (
+        trace.extras[key] for key in ("node_objs", "gtv", "train_err", "val_err")
+    )
     per_node = lambda values: np.asarray(values, dtype=float).reshape(-1).tolist()
     per_event = lambda values: np.repeat(np.asarray(values, dtype=float), n).tolist()
     dists = [float("nan") if dist is None else dist for dist in trace.dists]
@@ -773,7 +782,8 @@ def _rows_from_trace(trace, n, node_objs, gtvs, e_ts, e_vs):
 
 
 class _Probes:
-    """The per-event probes of a graph run, vectorized over the nodes.
+    """The per-event probes of a run, vectorized over the nodes; a server
+    run probes its global block repeated at every node.
 
     objective(blocks) evaluates the node losses and the coupling penalty;
     metrics(k, blocks) reuses them when it sees the same block values,
@@ -851,7 +861,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
 def _run_graph(cfg, g, losses, trains, vals, d, meta):
     algo = cfg.algorithm
     kind = algo["kind"]
-    p = GTVMinProblem(g, losses, algo["alpha"], algo["penalty"])
+    p = GTVMinProblem(g, losses, algo["alpha"])
     eta = algo["eta"]
     if eta is None:
         upper = eig_bounds(p).upper
@@ -919,9 +929,7 @@ def _run_graph(cfg, g, losses, trains, vals, d, meta):
     if divergence is None:
         const_eta = eta if sched.kind == "constant" else None
         checks = _bound_checks(cfg, g, p, oracle_sp, trace, trains, meta, const_eta)
-    probes = [trace.extras.get(key, []) for key in ("node_objs", "gtv", "train_err", "val_err")]
-    rows = _rows_from_trace(trace, n, *probes)
-    return _make_report(cfg, trace, rows, checks, meta, n, divergence)
+    return _make_report(cfg, trace, checks, meta, n, divergence)
 
 
 def _run_server(cfg, g, losses, trains, vals, d, meta):
@@ -938,23 +946,17 @@ def _run_server(cfg, g, losses, trains, vals, d, meta):
     if float(np.linalg.eigvalsh(Qp)[0]) > 1e-10:
         oracle = np.linalg.solve(2.0 * Qp, -qp)
 
-    stack = QuadStack(losses)
-    # The one global block, repeated so every node is evaluated at it.
+    # Every node is evaluated at the one global block. That state is a
+    # consensus, so the graph probes at alpha = 0 give the sum of the node
+    # losses and a zero gtv.
+    probes = _Probes(GTVMinProblem(g, losses, 0.0), trains, vals, None)
     spread = lambda w: np.repeat(np.reshape(w, (1, d)), n, axis=0)
-    objective = lambda blocks: float(sum(stack.values(spread(blocks)).tolist()))
-    # The global block of every sampled round, plus the latest one, which
-    # may end the run.
-    stride = cfg.record_every
-    ws = {0: np.zeros(d)}
-
-    def on_round(k, w):
-        if k % stride:
-            del ws[k]
-        ws[k + 1] = w.copy()
-
     common = dict(
-        objective=objective, oracle=oracle, w0=np.zeros(d), on_round=on_round,
-        record_every=stride,
+        objective=lambda w: probes.objective(spread(w)),
+        oracle=oracle,
+        w0=np.zeros(d),
+        metrics=lambda k, w: probes.metrics(k, spread(w)),
+        record_every=cfg.record_every,
     )
     divergence = None
     try:
@@ -972,18 +974,11 @@ def _run_server(cfg, g, losses, trains, vals, d, meta):
     except DivergenceError as exc:
         # The server's one row is the global block, not a node.
         trace, divergence = exc.trace, {"event": exc.event, "node": None}
-    train_err, val_err = SqErrors(trains), SqErrors(vals)
-    node_objs, e_ts, e_vs = [], [], []
-    for k in trace.ks:
-        W = spread(ws[k])
-        node_objs.append(stack.values(W))
-        e_ts.append(train_err(W))
-        e_vs.append(val_err(W))
-    rows = _rows_from_trace(trace, n, node_objs, np.zeros(len(trace.ks)), e_ts, e_vs)
-    return _make_report(cfg, trace, rows, [], meta, n, divergence)
+    return _make_report(cfg, trace, [], meta, n, divergence)
 
 
-def _make_report(cfg, trace, rows, checks, meta, n, divergence=None):
+def _make_report(cfg, trace, checks, meta, n, divergence=None):
+    rows = _rows_from_trace(trace, n)
     final_dist = trace.dists[-1] if trace.dists else None
     final_obj = trace.objectives[-1] if trace.objectives else None
     last_train = [r[4] for r in rows[-n:]] if rows else []

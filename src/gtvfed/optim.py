@@ -1,4 +1,5 @@
-"""Gradient descent with step schedules, stop rules, and error bounds."""
+"""Step schedules, stop rules, error bounds, and the one event loop every
+solver runs on, with gradient descent as its simplest client."""
 
 from __future__ import annotations
 
@@ -85,13 +86,17 @@ class Trace:
 
     ks: list = field(default_factory=list)
     objectives: list = field(default_factory=list)
-    grad_norms: list = field(default_factory=list)
     dists: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
     terminal: str = ""
 
     def __len__(self):
         return len(self.ks)
+
+    @property
+    def grad_norms(self) -> list:
+        """The gradient norms gd_run records as a metric; empty otherwise."""
+        return self.extras.get("grad_norms", [])
 
 
 def contraction(eta: float, lam1: float, lamd: float) -> float:
@@ -148,67 +153,143 @@ def perturbed_bound(kappa: float, r0: float, norms) -> float:
 
 
 def gd_run(loss, w0, sched: LRSchedule, stop: StopRule, oracle=None, perturb=None):
-    """Gradient descent; returns (final point, Trace).
+    """Gradient descent on the event loop; returns (final point, Trace).
 
-    perturb(k), when given, is added to the iterate before step k; recorded
-    distances refer to the unperturbed iterate, matching perturbed_bound.
+    perturb(k), when given, is added to the iterate before step k, and its
+    norms land in trace.extras["noise_norms"]. The recorded objective,
+    gradient norm and distance are taken at the unperturbed iterate, the
+    point perturbed_bound speaks about.
     """
-    return _descend(loss, w0, sched, stop, oracle=oracle, perturb=perturb)
+    noise = None
+    if perturb is not None:
+
+        def noise(k, W):
+            delta = np.asarray(perturb(k), dtype=float).reshape(-1)
+            W += delta
+            return np.linalg.norm(delta)
+
+    return _gd(loss, w0, sched, stop, oracle, noise, None)
 
 
 def projected_gd_run(loss, projector, w0, sched: LRSchedule, stop: StopRule, oracle=None):
     """Projected gradient descent; w0 is projected before the first step."""
-    return _descend(loss, w0, sched, stop, oracle=oracle, projector=projector)
+    return _gd(loss, w0, sched, stop, oracle, None, projector)
 
 
-def _descend(loss, w0, sched, stop, oracle=None, perturb=None, projector=None):
-    w = np.array(w0, dtype=float).reshape(-1)
-    if projector is not None:
-        w = np.asarray(projector(w), dtype=float).reshape(-1)
-    if oracle is not None:
-        oracle = np.asarray(oracle, dtype=float).reshape(-1)
-    trace = Trace()
-    f_prev = None
-    f_guard = None
-    for k in range(stop.max_iters + 1):
-        dist = float(np.linalg.norm(w - oracle)) if oracle is not None else None
-        w_work = w
-        if perturb is not None:
-            delta = np.asarray(perturb(k), dtype=float).reshape(-1)
-            w_work = w + delta
-        f = loss.value(w_work)
-        g = np.asarray(loss.gradient(w_work), dtype=float)
-        trace.ks.append(k)
-        trace.objectives.append(f)
-        trace.grad_norms.append(float(np.linalg.norm(g)))
-        trace.dists.append(dist)
-        if not np.isfinite(f) or not np.all(np.isfinite(g)):
-            trace.terminal = "diverged"
-            raise DivergenceError(
-                f"non-finite objective or gradient at iteration {k}",
-                trace=trace,
-                event=k,
-            )
-        if f_guard is None:
-            f_guard = DIVERGENCE_FACTOR * (abs(f) + 1.0)
-        elif f > f_guard:
-            trace.terminal = "diverged"
-            raise DivergenceError(
-                f"objective {f:.3e} exceeded the divergence guard at iteration {k}",
-                trace=trace,
-                event=k,
-            )
-        if stop.dist_tol is not None and dist is not None and dist <= stop.dist_tol:
-            trace.terminal = "dist_tol"
-            return w, trace
-        if stop.obj_tol is not None and f_prev is not None and abs(f_prev - f) <= stop.obj_tol:
-            trace.terminal = "obj_tol"
-            return w, trace
-        if k == stop.max_iters:
-            trace.terminal = "max_iters"
-            return w, trace
-        f_prev = f
-        w = w_work - sched.rate(k) * g
+def _gd(loss, w0, sched, stop, oracle, noise, projector):
+    """_drive on the one-row state w with the step w - eta_k grad L(w),
+    projected when a projector is given."""
+
+    def project(w):
         if projector is not None:
             w = np.asarray(projector(w), dtype=float).reshape(-1)
-    return w, trace  # pragma: no cover - loop always returns
+        return w[None]
+
+    def step(k, W):
+        return project(W[0] - sched.rate(k) * np.asarray(loss.gradient(W[0]), dtype=float))
+
+    def metrics(k, W):
+        return {"grad_norms": float(np.linalg.norm(loss.gradient(W[0])))}
+
+    W = project(np.array(w0, dtype=float).reshape(-1))
+    rec = _Recorder(stop, lambda V: loss.value(V[0]), oracle, metrics, 1)
+    W, trace = _drive(W, stop.max_iters, step, rec, noise)
+    return W[0], trace
+
+
+class _Recorder:
+    """Per-event bookkeeping for the driver: rows, objective guard, stopping."""
+
+    def __init__(self, stop, objective, oracle, metrics, record_every):
+        self.stop = stop
+        self.objective = objective
+        self.metrics = metrics
+        self.record_every = max(1, int(record_every))
+        self.oracle = None
+        if oracle is not None:
+            self.oracle = np.asarray(
+                getattr(oracle, "blocks", oracle), dtype=float
+            ).reshape(-1)
+        self.trace = Trace()
+        self.f_prev = None
+        self.f_guard = None
+
+    def observe(self, k, blocks, last_event) -> str:
+        """Record state k if sampled; return a terminal reason or ''."""
+        dist = None
+        if self.oracle is not None:
+            dist = float(np.linalg.norm(blocks.reshape(-1) - self.oracle))
+        sample = (k % self.record_every == 0) or last_event
+        f = None
+        need_f = self.objective is not None and (
+            sample or self.stop.obj_tol is not None
+        )
+        if need_f:
+            f = float(self.objective(blocks))
+            if not np.isfinite(f):
+                self.trace.terminal = "diverged"
+                raise DivergenceError(
+                    f"non-finite objective at event {k}", trace=self.trace, event=k
+                )
+            if self.f_guard is None:
+                self.f_guard = DIVERGENCE_FACTOR * (abs(f) + 1.0)
+            elif f > self.f_guard:
+                self.trace.terminal = "diverged"
+                raise DivergenceError(
+                    f"objective {f:.3e} exceeded the divergence guard at event {k}",
+                    trace=self.trace,
+                    event=k,
+                )
+        terminal = ""
+        if self.stop.dist_tol is not None and dist is not None and dist <= self.stop.dist_tol:
+            terminal = "dist_tol"
+        elif (
+            self.stop.obj_tol is not None
+            and f is not None
+            and self.f_prev is not None
+            and abs(self.f_prev - f) <= self.stop.obj_tol
+        ):
+            terminal = "obj_tol"
+        elif last_event:
+            terminal = "max_iters"
+        if sample or terminal:
+            self.trace.ks.append(k)
+            self.trace.objectives.append(f)
+            self.trace.dists.append(dist)
+            if self.metrics is not None:
+                for name, value in self.metrics(k, blocks).items():
+                    self.trace.extras.setdefault(name, []).append(value)
+        if f is not None:
+            self.f_prev = f
+        return terminal
+
+
+def _drive(blocks, kend, step, rec, noise):
+    """The one event loop of every engine.
+
+    Event k observes the state (recording a row, stopping on a tolerance or
+    at k = kend), applies noise(k, blocks) in place, then replaces the state
+    by step(k, blocks) and rejects non-finite blocks. Returns (blocks,
+    trace); a blow-up raises DivergenceError(trace, node, event).
+    """
+    for k in range(kend + 1):
+        terminal = rec.observe(k, blocks, last_event=(k == kend))
+        if terminal:
+            rec.trace.terminal = terminal
+            return blocks, rec.trace
+        if noise is not None:
+            nrm = noise(k, blocks)
+            rec.trace.extras.setdefault("noise_norms", []).append(
+                float(nrm) if nrm is not None else 0.0
+            )
+        blocks = step(k, blocks)
+        if not np.isfinite(blocks).all():
+            bad = np.flatnonzero(~np.isfinite(blocks).all(axis=1)).tolist()
+            rec.trace.terminal = "diverged"
+            raise DivergenceError(
+                f"non-finite block at node(s) {bad} after event {k}",
+                trace=rec.trace,
+                node=bad[0],
+                event=k,
+            )
+    return blocks, rec.trace  # pragma: no cover

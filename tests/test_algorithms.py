@@ -24,7 +24,7 @@ from gtvfed.algorithms import (
 from gtvfed.graph import EmpGraph, generate, is_connected
 from gtvfed.gtvmin import GTVMinProblem, eig_bounds, flat_loss, solve_direct
 from gtvfed.localmodel import LocalDataset, QuadLoss, from_dataset, generate_local
-from gtvfed.optim import LRSchedule, StopRule, gd_run, optimal_rate
+from gtvfed.optim import DivergenceError, LRSchedule, StopRule, gd_run, optimal_rate
 
 TWO_NODE_GRAPH = EmpGraph(2, [(0, 1)])
 
@@ -208,6 +208,45 @@ def test_run_sync_single_node_reduces_to_gd_run():
     sp, _ = run_sync(fedgd_op(p, sched=sched), np.zeros((1, 2)), stop)
     w, _ = gd_run(p.losses[0], np.zeros(2), sched, stop)
     assert np.array_equal(sp.blocks[0], w)
+
+
+@pytest.mark.parametrize(
+    "eta, stop, terminal",
+    [
+        (0.1, StopRule(max_iters=40), "max_iters"),
+        (0.1, StopRule(max_iters=500, dist_tol=1e-6), "dist_tol"),
+        (0.1, StopRule(max_iters=500, obj_tol=1e-10), "obj_tol"),
+        (5.0, StopRule(max_iters=500), "diverged"),
+    ],
+)
+def test_gd_run_and_one_node_fedgd_share_the_event_loop(eta, stop, terminal):
+    # A lone node is uncoupled, so FedGD is plain gradient descent. The
+    # pass-through interceptor keeps FedGD on its per-node closure, whose
+    # step is gd_run's bit for bit, so both runs record the same rows, stop
+    # on the same rule and blow up at the same event.
+    ds = generate_local([1.0, -2.0], 12, 0.2, seed=7)
+    p = GTVMinProblem(EmpGraph(1, []), (from_dataset(ds),), 1.0)
+    loss = p.losses[0]
+    oracle = np.linalg.solve(2.0 * loss.Q, -loss.q)
+    sched = LRSchedule.constant(eta)
+    runs = []
+    for run in (
+        lambda: gd_run(loss, np.zeros(2), sched, stop, oracle=oracle),
+        lambda: run_sync(
+            fedgd_op(p, sched=sched), np.zeros((1, 2)), stop,
+            objective=lambda W: loss.value(W[0]), oracle=oracle,
+            interceptor=lambda j, i, value, k: value,
+        ),
+    ):
+        try:
+            _, trace = run()
+            event = None
+        except DivergenceError as exc:
+            trace, event = exc.trace, exc.event
+        runs.append((trace.ks, trace.objectives, trace.dists, trace.terminal, event))
+    assert runs[0] == runs[1]
+    assert runs[0][3] == terminal
+    assert (runs[0][4] is not None) == (terminal == "diverged")
 
 
 def test_run_sync_fedgd_matches_flat_gd_run_bitwise():

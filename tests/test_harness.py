@@ -189,6 +189,20 @@ def test_data_dir_required_for_csv():
         )
 
 
+@pytest.mark.parametrize(
+    "kind, key", [("feature_poison", "feature_delta"), ("backdoor", "trigger_delta")]
+)
+@pytest.mark.parametrize("values", ["1.0,2.0", "1.0"])
+def test_attack_vectors_need_one_value_per_feature(kind, key, values):
+    cfg = parse_config(
+        "graph.kind = chain\ngraph.n = 6\nalgorithm.kind = fedgd\ndata.d = 3\n"
+        f"attack.0.kind = {kind}\nattack.0.nodes = 1\nattack.0.fraction = 0.5\n"
+        f"attack.0.{key} = {values}\n"
+    )
+    with pytest.raises(ConfigError, match=f"attack.0.{key}: needs 3 values"):
+        run_experiment(cfg)
+
+
 def test_attack_round_trip():
     cfg = parse_config(
         MINIMAL

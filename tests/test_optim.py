@@ -253,6 +253,7 @@ def test_gd_with_injected_noise_respects_bound(seed):
         perturb=lambda k: noises[k],
     )
     norms = [float(np.linalg.norm(z)) for z in noises]
+    assert trace.extras["noise_norms"] == norms[:30]
     r0 = trace.dists[0]
     for k, dist in enumerate(trace.dists):
         assert dist <= perturbed_bound(kappa, r0, norms[:k]) + 1e-9
