@@ -197,9 +197,9 @@ def _gd_round(p: GTVMinProblem, agg, scheds):
     rhos = 2.0 * p.alpha * p.graph.degree
 
     def finish(k, ids, own, avg):
-        g = 2.0 * (Qs[ids] @ own[:, :, None])[:, :, 0] + qs[ids]
+        g = 2.0 * (Qs.take(ids, axis=0) @ own[:, :, None])[:, :, 0] + qs.take(ids, axis=0)
         if avg is not None:
-            g = g + rhos[ids, None] * (own - avg)
+            g = g + rhos.take(ids)[:, None] * (own - avg)
         return own - s0.rate(k) * g
 
     return _array_round(p, agg, rhos, finish, dense)
@@ -261,14 +261,13 @@ def fedrelax_op(p: GTVMinProblem, agg: RobustAgg | None = None):
     """
     if agg is None:
         agg = _MEAN
-    n, d = p.n, p.d
-    # Shared by the closures and the round maps: P_i = (2 Q_i + rho_i I)^-1
-    # (the identity at lone nodes) and each lone node's minimizer or None.
-    Ps = np.broadcast_to(np.eye(d), (n, d, d)).copy()
+    # Shared by the closures and the round maps: the P_i and each lone
+    # node's minimizer or None.
     rhos = 2.0 * p.alpha * p.graph.degree
+    Ps = _relax_inverses(p, rhos)
     lone = {}
     ops = []
-    for i in range(n):
+    for i in range(p.n):
         ids, wts = p.neighbor_arrays(i)
         loss = p.losses[i]
         rho = float(rhos[i])
@@ -279,7 +278,6 @@ def fedrelax_op(p: GTVMinProblem, agg: RobustAgg | None = None):
                 return own.copy() if w_star is None else w_star.copy()
 
         elif isinstance(loss, QuadLoss):
-            Ps[i] = np.linalg.inv(2.0 * loss.Q + rho * np.eye(loss.d))
 
             def update(own, nbrs, k, P=Ps[i], qv=loss.q, rho=rho, wts=wts, agg=agg):
                 avg = aggregate(nbrs, wts, agg)
@@ -296,6 +294,19 @@ def fedrelax_op(p: GTVMinProblem, agg: RobustAgg | None = None):
     for op in ops:
         op.batch_update = batch
     return ops
+
+
+def _relax_inverses(p: GTVMinProblem, rhos) -> np.ndarray:
+    """(n, d, d) stack of P_i = (2 Q_i + rho_i I)^-1 at the quadratic nodes
+    with rho_i != 0, the identity elsewhere. One stacked inv hands each
+    slice to the LAPACK call a per-node inv makes, so each P_i has its bits."""
+    n, d = p.n, p.d
+    Ps = np.broadcast_to(np.eye(d), (n, d, d)).copy()
+    coupled = [i for i in range(n) if rhos[i] != 0.0 and isinstance(p.losses[i], QuadLoss)]
+    if coupled:
+        Qs = np.stack([p.losses[i].Q for i in coupled])
+        Ps[coupled] = np.linalg.inv(2.0 * Qs + rhos[coupled, None, None] * np.eye(d))
+    return Ps
 
 
 def _lone_minimizer(loss):
@@ -336,8 +347,8 @@ def _relax_round(p: GTVMinProblem, agg, Ps, rhos, lone):
     def finish(k, ids, own, avg):
         if avg is None:
             return np.where(fixed[ids], w_stars[ids], own)
-        rhs = rhos[ids, None] * avg - qs[ids]
-        return (Ps[ids] @ rhs[:, :, None])[:, :, 0]
+        rhs = rhos.take(ids)[:, None] * avg - qs.take(ids, axis=0)
+        return (Ps.take(ids, axis=0) @ rhs[:, :, None])[:, :, 0]
 
     return _array_round(p, agg, rhos, finish, dense)
 

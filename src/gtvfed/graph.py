@@ -218,7 +218,7 @@ def gtv_value(g: EmpGraph, params, penalty: str = "sq_norm") -> float:
     if not g.edges:
         return 0.0
     ii, jj, ww = g.edge_arrays()
-    diffs = W[ii] - W[jj]
+    diffs = W.take(ii, axis=0) - W.take(jj, axis=0)
     sq = np.einsum("ed,ed->e", diffs, diffs)
     if penalty == "sq_norm":
         return float(ww @ sq)

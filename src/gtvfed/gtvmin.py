@@ -320,7 +320,7 @@ class QuadOperator:
         out = np.einsum("nij,nj->ni", self.Qs, W)
         if self.alpha != 0.0:
             ii, jj = self.ends
-            flux = self.weights[:, None] * (W[ii] - W[jj])
+            flux = self.weights[:, None] * (W.take(ii, axis=0) - W.take(jj, axis=0))
             out += self.alpha * (self.incidence @ flux)
         return out
 

@@ -449,8 +449,8 @@ def gen_node_datasets(n, dim, m_min, m_max, noise, model, seed):
         wbars = [rng.standard_normal(dim) for _ in range(n)]
     ms = rng.integers(int(m_min), int(m_max) + 1, size=n)
     datasets = [
-        generate_local(wbars[i], int(ms[i]), noise, seeds.stream(seed, "data", i))
-        for i in range(n)
+        generate_local(wbars[i], int(ms[i]), noise, node_rng)
+        for i, node_rng in enumerate(seeds.streams(seed, "data", n))
     ]
     return datasets, wbars
 
@@ -526,7 +526,7 @@ class SqErrors:
         W = np.asarray(W, dtype=float)
         out = np.full(self.n, np.nan)
         for m, idx, X, y in self.groups:
-            r = (X @ W[idx][:, :, None])[:, :, 0] - y
+            r = (X @ W.take(idx, axis=0)[:, :, None])[:, :, 0] - y
             out[idx] = (r[:, None, :] @ r[:, :, None])[:, 0, 0] / m
         return out
 
@@ -547,8 +547,8 @@ def train_val_report(datasets, blocks, split: float, seed=0):
     if len(datasets) != blocks.shape[0]:
         raise ValueError(f"got {len(datasets)} datasets for {blocks.shape[0]} blocks")
     splits = [
-        split_dataset(ds, split, seeds.stream(seed, "data", i, 1))
-        for i, ds in enumerate(datasets)
+        split_dataset(ds, split, rng)
+        for ds, rng in zip(datasets, seeds.streams(seed, "data", len(datasets), 1))
     ]
     for i, (train, val) in enumerate(splits):
         if train.m == 0 or val.m == 0:
@@ -836,8 +836,8 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     datasets, meta = build_data(cfg, n)
     frac = cfg.split_fraction
     splits = [
-        split_dataset(ds, frac, seeds.stream(cfg.seed, "data", i, 1))
-        for i, ds in enumerate(datasets)
+        split_dataset(ds, frac, rng)
+        for ds, rng in zip(datasets, seeds.streams(cfg.seed, "data", n, 1))
     ]
     trains = [t for t, _ in splits]
     vals = [v for _, v in splits]

@@ -215,10 +215,13 @@ class _Recorder:
         self.f_guard = None
 
     def observe(self, k, blocks, last_event) -> str:
-        """Record state k if sampled; return a terminal reason or ''."""
+        """Record state k if sampled; return a terminal reason or ''.
+
+        The oracle distance is computed only when a row is recorded or
+        dist_tol needs it."""
         dist = None
-        if self.oracle is not None:
-            dist = float(np.linalg.norm(blocks.reshape(-1) - self.oracle))
+        if self.oracle is not None and self.stop.dist_tol is not None:
+            dist = self._dist(blocks)
         sample = (k % self.record_every == 0) or last_event
         f = None
         need_f = self.objective is not None and (
@@ -241,7 +244,7 @@ class _Recorder:
                     event=k,
                 )
         terminal = ""
-        if self.stop.dist_tol is not None and dist is not None and dist <= self.stop.dist_tol:
+        if dist is not None and dist <= self.stop.dist_tol:
             terminal = "dist_tol"
         elif (
             self.stop.obj_tol is not None
@@ -253,6 +256,8 @@ class _Recorder:
         elif last_event:
             terminal = "max_iters"
         if sample or terminal:
+            if dist is None and self.oracle is not None:
+                dist = self._dist(blocks)
             self.trace.ks.append(k)
             self.trace.objectives.append(f)
             self.trace.dists.append(dist)
@@ -262,6 +267,9 @@ class _Recorder:
         if f is not None:
             self.f_prev = f
         return terminal
+
+    def _dist(self, blocks) -> float:
+        return float(np.linalg.norm(blocks.reshape(-1) - self.oracle))
 
 
 def _drive(blocks, kend, step, rec, noise):

@@ -179,6 +179,24 @@ def stream_states(master_seed: int, name: str, count: int, *members: int) -> lis
     ]
 
 
+def streams(master_seed: int, name: str, count: int, *members: int):
+    """Yield stream(master_seed, name, i, *members) for i in range(count).
+
+    All count states come from one stream_states pass, and one Generator is
+    restated to each in turn, so a run builds one Generator instead of
+    count. The yielded object is valid only until the next iteration, which
+    overwrites its state: draw from it before advancing, and never keep it.
+    """
+    gen = np.random.Generator(np.random.PCG64(0))
+    bitgen = gen.bit_generator
+    pair = {}
+    state = {"bit_generator": "PCG64", "state": pair, "has_uint32": 0, "uinteger": 0}
+    for s, inc in stream_states(master_seed, name, count, *members):
+        pair["state"], pair["inc"] = s, inc
+        bitgen.state = state
+        yield gen
+
+
 def as_rng(seed) -> np.random.Generator:
     """Accept either an integer seed or an existing Generator."""
     if isinstance(seed, np.random.Generator):

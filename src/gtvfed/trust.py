@@ -130,24 +130,17 @@ class DPMechanism:
         """Noise of nodes 0..n-1 at one counter, as an (n, d) array.
 
         Row i equals draw((d,), node=i, counter=counter) bit for bit: the n
-        stream states come from one seeds.stream_states pass and feed one
-        reused generator. Gaussian rows are standard normals scaled once as
-        0.0 + sigma * z, which is how Generator.normal computes them.
+        streams come from one seeds.streams pass. Gaussian rows are standard
+        normals scaled once as 0.0 + sigma * z, which is how
+        Generator.normal computes them.
         """
         n, d = int(n), int(d)
         scale = self.sigma if self.kind == "gaussian" else self.b
         if scale == 0.0:
             return np.zeros((n, d))
-        gen = np.random.Generator(np.random.PCG64(0))
-        bitgen = gen.bit_generator
         gaussian = self.kind == "gaussian"
         out = np.empty((n, d))
-        pair = {}
-        state = {"bit_generator": "PCG64", "state": pair, "has_uint32": 0, "uinteger": 0}
-        states = seeds.stream_states(self.seed, "noise", n, int(counter))
-        for row, (s, inc) in zip(out, states):
-            pair["state"], pair["inc"] = s, inc
-            bitgen.state = state
+        for row, gen in zip(out, seeds.streams(self.seed, "noise", n, int(counter))):
             if gaussian:
                 gen.standard_normal(out=row)
             else:

@@ -13,6 +13,7 @@ from conftest import event
 from gtvfed import harness, seeds, trust
 from gtvfed.algorithms import (
     _ArrayRound,
+    _relax_inverses,
     AsyncSchedule,
     fedgd_op,
     fedrelax_op,
@@ -539,6 +540,32 @@ def test_defended_async_runs_never_call_the_per_node_kernels(monkeypatch, kind, 
     report = run_experiment(cfg)
     assert report.summary["terminal"] == "max_iters"
     assert report.rows == expected.rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.integers(1, 8),
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.0, 0.4]),
+    st.sampled_from([0.0, 0.3, 2.0]),
+    st.integers(0, 2**31),
+)
+def test_stacked_relax_inverses_equal_per_node_inv(d, n, p_edge, ridge, alpha, seed):
+    # Sparse draws leave lone nodes (identity P); alpha 0 leaves only them.
+    g = generate("erdos_renyi", n, seed=seed, p=p_edge)
+    rng = np.random.default_rng(seed)
+    losses = [
+        from_dataset(generate_local(rng.standard_normal(d), int(m), 0.2, seed=seed + i), ridge)
+        for i, m in enumerate(rng.integers(0, 2 * d, size=n))
+    ]
+    p = GTVMinProblem(g, losses, alpha)
+    rhos = 2.0 * p.alpha * p.graph.degree
+    Ps = _relax_inverses(p, rhos)
+    for i, loss in enumerate(losses):
+        rho = float(rhos[i])
+        ref = np.eye(d) if rho == 0.0 else np.linalg.inv(2.0 * loss.Q + rho * np.eye(loss.d))
+        assert Ps[i].tobytes() == ref.tobytes()
 
 
 # ------------------------------------------------------------- server runs

@@ -79,6 +79,45 @@ def test_stream_states_rebuild_the_named_streams():
             assert gen.bit_generator.state == want
 
 
+def test_streams_restate_the_named_streams():
+    # Each i is drawn from before the next iteration restates the generator.
+    for seed in (0, 11, 2**32 + 5, 2**64 + 5):
+        for name in ("data", "noise", "batches"):
+            for members in ((), (1,), (7,)):
+                for count in (0, 1, 7):
+                    drawn = 0
+                    for i, gen in enumerate(seeds.streams(seed, name, count, *members)):
+                        ref = seeds.stream(seed, name, i, *members)
+                        for draw in (
+                            lambda r: r.random(3),
+                            lambda r: r.standard_normal(4),
+                            lambda r: r.permutation(9),
+                        ):
+                            assert draw(gen).tobytes() == draw(ref).tobytes()
+                        drawn += 1
+                    assert drawn == count
+
+
+def test_run_builds_a_fixed_number_of_streams(monkeypatch):
+    # Data, splits and DP noise take their per-node streams from
+    # seeds.streams, so the count of single streams does not grow with n.
+    calls = []
+    stream = seeds.stream
+    monkeypatch.setattr(seeds, "stream", lambda *args: calls.append(args) or stream(*args))
+    counts = []
+    for n in (20, 40):
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run_experiment(parse_config(
+                f"seed = 3\ngraph.kind = erdos_renyi\ngraph.n = {n}\ngraph.p = 0.3\n"
+                "data.d = 2\nsplit.fraction = 0.2\nalgorithm.kind = fedgd\n"
+                "dp.kind = gaussian\ndp.sigma = 0.01\nstop.max_iters = 5\n"
+            ))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
 def test_dp_hook_matches_per_node_loop():
     mech = DPMechanism("gaussian", sigma=0.3, seed=2**40 + 7)
     blocks = np.random.default_rng(1).standard_normal((9, 3))
