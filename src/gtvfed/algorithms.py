@@ -4,19 +4,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from gtvfed import seeds
-from gtvfed.gtvmin import (
-    GTVMinProblem,
-    StackedParams,
-    batch_gradient_fn,
-    eig_bounds,
-    loss_stack,
-)
+from gtvfed.graph import neighbor_means
+from gtvfed.gtvmin import GTVMinProblem, StackedParams, eig_bounds, gd_gradient, loss_stack
 from gtvfed.localmodel import QuadLoss
 from gtvfed.optim import DivergenceError, LRSchedule, StopRule, _drive, _Recorder
 from gtvfed.trust import RobustAgg, SenderRewrite, aggregate, aggregate_segments
@@ -27,11 +21,11 @@ class NodeOperator:
     """Per-node fixed-point map.
 
     update(own block, neighbor blocks as a (k, d) array aligned with
-    neighbor_ids, event index) -> new own block. batch_update, when present,
-    is a whole-round map (n, d) -> (n, d) shared by all operators of the
-    run; the engines use it only when every operator carries the same one.
-    It runs a synchronous round when no per-message hook is installed; an
-    _ArrayRound also runs every other event as array code.
+    neighbor_ids, event index) -> new own block: the reference. batch_update,
+    when present, is the _ArrayRound shared by all operators of the run; the
+    engines run every event on it instead, synchronous or not, when every
+    operator carries the same one and no message hook other than a
+    SenderRewrite is installed.
     """
 
     update: callable
@@ -178,31 +172,18 @@ def _gd_ops(p: GTVMinProblem, agg, scheds, batch):
 
 
 def _gd_round(p: GTVMinProblem, agg, scheds):
-    """The round map shared by FedGD operators on a quadratic problem whose
-    nodes share one schedule (None otherwise): the dense gradient step for
-    synchronous mean rounds and, where _array_round applies, the array form
-    of every event."""
+    """The _ArrayRound shared by FedGD operators on a quadratic problem whose
+    nodes share one schedule, where _array_round applies (None otherwise)."""
     s0 = scheds[0]
     if not p.is_quadratic() or not all(s is s0 or s == s0 for s in scheds):
         return None
-    gradfn = batch_gradient_fn(p) if agg.kind == "mean" else None
-    dense = None
-    if gradfn is not None:
-
-        def dense(W, k):
-            return W - s0.rate(k) * gradfn(W)
-
     stack = loss_stack(p)
-    Qs, qs = stack.Qs, stack.qs
     rhos = 2.0 * p.alpha * p.graph.degree
 
     def finish(k, ids, own, avg):
-        g = 2.0 * (Qs.take(ids, axis=0) @ own[:, :, None])[:, :, 0] + qs.take(ids, axis=0)
-        if avg is not None:
-            g = g + rhos.take(ids)[:, None] * (own - avg)
-        return own - s0.rate(k) * g
+        return own - s0.rate(k) * gd_gradient(stack, rhos, ids, own, avg)
 
-    return _array_round(p, agg, rhos, finish, dense)
+    return _array_round(p, agg, rhos, finish)
 
 
 def fedsgd_op(p: GTVMinProblem, batch_size: int, seed: int, sched=None):
@@ -319,25 +300,11 @@ def _lone_minimizer(loss):
 
 
 def _relax_round(p: GTVMinProblem, agg, Ps, rhos, lone):
-    """The round map shared by FedRelax operators on a quadratic problem:
-    the dense mean map for synchronous rounds and, where _array_round
-    applies, the array form of every event."""
+    """The _ArrayRound shared by FedRelax operators on a quadratic problem,
+    where _array_round applies (None otherwise)."""
     if not p.is_quadratic():
         return None
     qs = loss_stack(p).qs
-    dense = None
-    if agg.kind == "mean":
-        adj = p.graph.adjacency()
-        deg = p.graph.degree
-        safe_deg = np.where(deg == 0.0, 1.0, deg)[:, None]
-
-        def dense(W, k):
-            avg = (adj @ W) / safe_deg
-            new = np.einsum("nij,nj->ni", Ps, rhos[:, None] * avg - qs)
-            for i, w_star in lone.items():
-                new[i] = W[i] if w_star is None else w_star
-            return new
-
     fixed = np.array([lone.get(i) is not None for i in range(p.n)])[:, None]
     w_stars = np.zeros_like(qs)
     for i, w_star in lone.items():
@@ -350,82 +317,85 @@ def _relax_round(p: GTVMinProblem, agg, Ps, rhos, lone):
         rhs = rhos.take(ids)[:, None] * avg - qs.take(ids, axis=0)
         return (Ps.take(ids, axis=0) @ rhs[:, :, None])[:, :, 0]
 
-    return _array_round(p, agg, rhos, finish, dense)
+    return _array_round(p, agg, rhos, finish)
 
 
-def _array_round(p: GTVMinProblem, agg, rhos, finish, dense):
+def _array_round(p: GTVMinProblem, agg, rhos, finish):
     """An _ArrayRound of finish when aggregate_segments can serve agg at
-    every node that aggregates, else dense (which may be None).
+    every node that aggregates, else None.
 
     The operators aggregate exactly at the nodes with coupling rhos[i] =
-    2 alpha d_i != 0, and the array code exactly at the nodes with
-    neighbors; the two sets must agree. The geometric median has no segment
-    form, and a trim must leave every segment a block.
+    2 alpha d_i != 0 (so none at alpha = 0); every other node takes finish
+    with avg None. The geometric median has no segment form, and a trim
+    must leave every segment a block.
     """
-    counts = np.diff(p.graph.indptr)
-    if (
-        counts[rhos == 0.0].any()
-        or agg.kind == "geomedian"
-        or (agg.kind == "trimmed" and (counts[counts > 0] <= 2 * agg.trim_k).any())
-    ):
-        return dense
-    return _ArrayRound(p.graph, agg, finish, dense)
+    counts = np.diff(p.graph.indptr)[rhos != 0.0]
+    if agg.kind == "geomedian" or (agg.kind == "trimmed" and (counts <= 2 * agg.trim_k).any()):
+        return None
+    return _ArrayRound(p.graph, rhos, agg, finish)
 
 
 class _ArrayRound:
-    """One event of quadratic FedGD or FedRelax as array code.
+    """Every event of quadratic FedGD or FedRelax as array code.
 
-    One take gathers the active nodes' neighbor rows in event and CSR slot
-    order, from the blocks or from the flattened snapshot ring at the
-    scheduled events; a SenderRewrite overwrites the victims' rows; one
-    trust.aggregate_segments call reduces each node's segment; finish(k,
-    ids, own, avg) gives the new blocks of all readers at once, and of the
-    nodes without neighbors with avg None. The per-node closures call the
-    same kernel on one segment, and finish's stacked matmul hands each
-    slice to their BLAS kernel, so both agree bit for bit. Called as (W,
-    k), it is one synchronous round, or the dense map when one is given.
+    One take gathers the neighbor rows that the active nodes with coupling
+    rho_i != 0 read, in event and CSR slot order, from the blocks or the
+    flattened snapshot ring; a SenderRewrite overwrites the victims' rows;
+    one trust.aggregate_segments call reduces each node's segment. A
+    synchronous mean round without a rewrite takes one neighbor_means
+    product instead, which adds in the kernel's order. finish(k, ids, own,
+    avg) then updates those nodes at once, and the others with avg None.
+    The per-node closures call the same kernel on one segment, and finish's
+    stacked matmul hands each slice to their BLAS kernel, so every path
+    agrees bit for bit.
     """
 
-    def __init__(self, g, agg, finish, dense=None):
+    def __init__(self, g, rhos, agg, finish):
         self.indptr, self.indices, self.weights = g.indptr, g.indices, g.weights
-        self.counts = np.diff(self.indptr)
-        self.agg, self.finish, self.dense = agg, finish, dense
-
-    @cached_property
-    def synchronous(self):
-        """The plan of a synchronous round: every node reads the blocks."""
-        return self.plan(np.arange(self.counts.shape[0]), None)
-
-    def __call__(self, W, k):
-        if self.dense is not None:
-            return self.dense(W, k)
-        return self.step(k, W, W, self.synchronous)
+        self.linked = np.diff(self.indptr)
+        self.counts = np.where(rhos != 0.0, self.linked, 0)  # the slots a node reads
+        self.agg, self.finish = agg, finish
+        reads = self.counts > 0
+        self.means = neighbor_means(g, reads) if agg.kind == "mean" and reads.any() else None
+        self.synchronous = self.plan(np.arange(g.n), None)  # every node reads the blocks
 
     def plan(self, nodes, flat):
         """The gather of one event: (nodes, senders, weights, refs, counts)
         with one sender, weight and ref (flat; None when synchronous) per
-        neighbor slot of the nodes in order, and their slot counts."""
+        slot the nodes read, in order, and their read counts."""
         cnt = self.counts[nodes]
         ends = np.cumsum(cnt)
         within = np.arange(ends[-1] if ends.size else 0) - np.repeat(ends - cnt, cnt)
         slots = np.repeat(self.indptr[nodes], cnt) + within
+        if flat is not None and flat.shape[0] != slots.shape[0]:
+            flat = flat[np.repeat(cnt > 0, self.linked[nodes])]  # drop unread refs
         return nodes, self.indices[slots], self.weights[slots], flat, cnt
 
-    def step(self, k, blocks, source, plan, rewrite=None):
+    def round(self, k, W, rewrite=None):
+        """One synchronous round."""
+        avg = self.means(W) if self.means is not None and rewrite is None else None
+        return self.step(k, W, W, self.synchronous, rewrite, avg)
+
+    def step(self, k, blocks, source, plan, rewrite=None, avg=None):
         """The next blocks; source is the blocks, or the snapshot ring that
-        the plan's refs index modulo its length."""
+        the plan's refs index modulo its length. avg, when given, holds the
+        reading nodes' aggregates in place of the gathered rows'."""
         nodes, senders, weights, refs, cnt = plan
-        index = senders if refs is None else refs % source.shape[0] * source.shape[1] + senders
-        rows = source.reshape(-1, blocks.shape[1]).take(index, axis=0)
-        if rewrite is not None:
-            rewrite.apply(rows, senders)
+        reads = cnt > 0
+        if avg is None and senders.size:
+            index = senders if refs is None else refs % source.shape[0] * source.shape[1] + senders
+            rows = source.reshape(-1, blocks.shape[1]).take(index, axis=0)
+            if rewrite is not None:
+                rewrite.apply(rows, senders)
+            avg = aggregate_segments(rows, weights, cnt[reads], self.agg)
+        everyone = reads.all()
+        if refs is None and (everyone or avg is None):  # a synchronous round of one kind
+            return self.finish(k, nodes, blocks, avg)
         new = blocks.copy()
-        lone = cnt == 0
-        if lone.any():
-            ids = nodes[lone]
+        if not everyone:
+            ids = nodes[~reads]
             new[ids] = self.finish(k, ids, blocks[ids], None)
-            nodes, cnt = nodes[~lone], cnt[~lone]
-        avg = aggregate_segments(rows, weights, cnt, self.agg)
+            nodes = nodes[reads]
         new[nodes] = self.finish(k, nodes, blocks[nodes], avg)
         return new
 
@@ -437,40 +407,27 @@ def _graph_step(ops, shape, events, B, interceptor):
     round). With them, the active nodes of event k read each neighbor's row
     at the event the schedule names, from a ring of B + 1 state snapshots
     (the whole history when B is None); inactive nodes keep their block.
-    The operators' shared batch map replaces the per-node updates on
-    synchronous events when no message hook is installed; an _ArrayRound
-    runs every other event too, unless a hook other than a SenderRewrite
-    is installed. The per-node updates are the reference.
+    The per-node updates are the reference. The operators' shared
+    _ArrayRound runs every event instead, unless a hook other than a
+    SenderRewrite is installed; a zero-delay event gets the bits of a
+    synchronous round.
     """
-    batch = ops[0].batch_update
-    if any(op.batch_update is not batch for op in ops):
-        batch = None
-    whole = batch if interceptor is None else None
+    array = ops[0].batch_update
     rewrite = interceptor if isinstance(interceptor, SenderRewrite) else None
-    array = None
-    if isinstance(batch, _ArrayRound) and (interceptor is None or rewrite is not None):
-        array = batch
+    if any(op.batch_update is not array for op in ops) or (interceptor is not None and rewrite is None):
+        array = None
     everyone = np.arange(len(ops))
     if events is not None:
         ring = np.empty((len(events) if B is None else B + 1,) + shape)
 
     def step(k, blocks):
         if events is None:
-            if whole is not None:
-                return whole(blocks, k)
             if array is not None:
-                return array.step(k, blocks, blocks, array.synchronous, rewrite)
+                return array.round(k, blocks, rewrite)
             nodes, flat = everyone, None
         else:
             nodes, counts, flat = events[k]
             ring[k % len(ring)] = blocks
-            if (
-                whole is not None
-                and nodes.shape == everyone.shape
-                and (nodes == everyone).all()
-                and (flat == k).all()
-            ):
-                return whole(blocks, k)
             if array is not None:
                 return array.step(k, blocks, ring, array.plan(nodes, flat), rewrite)
             ends = np.cumsum(counts).tolist()

@@ -218,8 +218,22 @@ def node_gradient(p: GTVMinProblem, i: int, params) -> np.ndarray:
     return g
 
 
+def gd_gradient(stack: QuadStack, rhos, ids, own, avg):
+    """Gradients 2 Q_i w_i + q_i + rho_i (w_i - a_i) of the nodes ids at
+    their (S, d) blocks own and neighbour means avg; avg None drops the
+    coupling, as at a node with rho_i = 2 alpha d_i = 0. FedGD's round and
+    batch_gradient_fn share it, so flat_loss steps equal run_sync rounds
+    bit for bit."""
+    g = 2.0 * (stack.Qs.take(ids, axis=0) @ own[:, :, None])[:, :, 0] + stack.qs.take(ids, axis=0)
+    if avg is not None:
+        g = g + rhos.take(ids)[:, None] * (own - avg)
+    return g
+
+
 def batch_gradient_fn(p: GTVMinProblem):
-    """Vectorized all-nodes gradient (n, d) -> (n, d) for quadratic losses.
+    """Vectorized all-nodes gradient (n, d) -> (n, d) for quadratic losses:
+    gd_gradient at the nodes without coupling, and at the others with their
+    graph.neighbor_means.
 
     Returns None when a loss is not quadratic; callers then fall back to the
     per-node kernel.
@@ -227,15 +241,15 @@ def batch_gradient_fn(p: GTVMinProblem):
     if not p.is_quadratic():
         return None
     stack = loss_stack(p)
-    Qs, qs = stack.Qs, stack.qs
-    adj = p.graph.adjacency()
-    deg = p.graph.degree[:, None]
-    alpha2 = 2.0 * p.alpha
+    rhos = 2.0 * p.alpha * p.graph.degree
+    coupled = rhos != 0.0
+    lone, ids = np.flatnonzero(~coupled), np.flatnonzero(coupled)
+    means = graphmod.neighbor_means(p.graph, coupled)
 
     def grad(W):
-        G = 2.0 * np.einsum("nij,nj->ni", Qs, W) + qs
-        if alpha2 != 0.0:
-            G = G + alpha2 * (deg * W - adj @ W)
+        G = np.empty_like(W)
+        G[lone] = gd_gradient(stack, rhos, lone, W[lone], None)
+        G[ids] = gd_gradient(stack, rhos, ids, W[ids], means(W))
         return G
 
     return grad

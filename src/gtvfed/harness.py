@@ -904,14 +904,13 @@ def _run_graph(cfg, g, losses, trains, vals, d, meta):
     else:
         horizon = cfg.async_spec["horizon"] or cfg.stop.max_iters
         if mode == "partial":
+            # No partial event depends on the horizon: draw only those that run.
             schedule = gen_partially_async(
-                g,
-                cfg.async_spec["B"],
-                horizon,
-                seeds.stream(cfg.seed, "schedule"),
-                p_active=cfg.async_spec["p_active"],
+                g, cfg.async_spec["B"], min(horizon, cfg.stop.max_iters),
+                seeds.stream(cfg.seed, "schedule"), p_active=cfg.async_spec["p_active"],
             )
         else:
+            # The last event of a total schedule forces never-seen nodes active.
             schedule = gen_totally_async(
                 g, horizon, seeds.stream(cfg.seed, "schedule"),
                 p_active=cfg.async_spec["p_active"],

@@ -287,7 +287,10 @@ def aggregate_segments(rows, weights, counts, agg: RobustAgg) -> np.ndarray:
     - clipped clamps the rows first; trimmed sets to -0.0, an exact additive
       identity, the weighted values a stable argsort puts among the trim_k
       lowest or highest (ties by slot, NaN last), and scales by count/kept;
-    - one np.add.reduceat sums the weighted values in slot order.
+    - one sparse product by the segments' 0/1 indicator adds each segment's
+      weighted values left to right from 0.0 in slot order, as
+      graph.neighbor_means does (np.add.reduceat would add segments of 8
+      or more rows pairwise).
 
     A segment's row depends on its own rows only, so it equals a
     one-segment call bit for bit.
@@ -306,13 +309,19 @@ def aggregate_segments(rows, weights, counts, agg: RobustAgg) -> np.ndarray:
     totals = np.bincount(np.repeat(np.arange(counts.shape[0]), counts), weights, counts.shape[0])
     if not (totals > 0.0).all():
         raise ValueError("aggregation weights must have positive sum")
-    starts = np.cumsum(counts) - counts
+    import scipy.sparse
+
+    ends = np.cumsum(counts)
     if agg.kind == "clipped":
         rows = np.clip(rows, agg.tau_l, agg.tau_u)
     products = weights[:, None] * rows
     if t:
-        products[_trimmed_slots(rows, counts, starts, t)] = -0.0
-    sums = np.add.reduceat(products, starts, axis=0)
+        products[_trimmed_slots(rows, counts, ends - counts, t)] = -0.0
+    M = rows.shape[0]
+    segments = scipy.sparse.csr_array(
+        (np.ones(M), np.arange(M), np.concatenate(([0], ends))), shape=(len(ends), M)
+    )
+    sums = segments @ products
     if t:
         sums *= (counts / (counts - 2 * t))[:, None]
     return sums / totals[:, None]

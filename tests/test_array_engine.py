@@ -17,10 +17,12 @@ from gtvfed.algorithms import (
     AsyncSchedule,
     fedgd_op,
     fedrelax_op,
+    fedsgd_op,
     gen_partially_async,
     gen_totally_async,
     run_async,
     run_sync,
+    zero_delay_schedule,
 )
 from gtvfed.graph import EmpGraph, generate
 from gtvfed.gtvmin import GTVMinProblem, eig_bounds
@@ -372,9 +374,8 @@ def test_array_engine_matches_the_reference_loop(mode):
         schedule = gen_totally_async(p.graph, 40, seed=5)
     w0 = np.random.default_rng(2).standard_normal((p.n, p.d))
     for attacks in ATTACKS:
-        # Without attacks an empty rewrite still keeps every event on the
-        # array path: with no hook at all, events where everyone reads the
-        # current state take the dense map of mean FedRelax.
+        # Without attacks an empty rewrite runs every event on the array
+        # path, as no hook at all does.
         hook, reference_hook = rewrite(p.n, p.d, *attacks)
         for name, make in makers(p):
             ops = make()
@@ -383,7 +384,7 @@ def test_array_engine_matches_the_reference_loop(mode):
             fast, _ = run_async(ops, w0, schedule, interceptor=hook)
             ref = reference_async(make(), w0, schedule, reference_hook if attacks else None)
             assert np.array_equal(fast.blocks, ref), (name, attacks)
-            if array and ops[0].batch_update.dense is None and not attacks:
+            if not attacks:
                 plain, _ = run_async(make(), w0, schedule)
                 assert np.array_equal(plain.blocks, ref), name
 
@@ -451,15 +452,13 @@ def test_fedgd_array_events_match_the_per_node_closures(case):
     if victims:
         hook, reference_hook = rewrite(p.n, p.d, ("model_poison", victims, 40.0))
     else:
-        # With no hook at all, events where everyone reads the current state
-        # take the dense map of mean FedGD; an empty rewrite keeps them on
-        # the array path.
+        # An empty rewrite takes the array path, as no hook at all does.
         hook, reference_hook = (SenderRewrite(()) if agg.kind == "mean" else None), None
     ops = fedgd_op(p, sched=sched, agg=agg)
-    # alpha = 0 leaves nodes with neighbors uncoupled, which the array code
-    # does not model: those runs fall back to the per-node closures.
+    # At alpha = 0 no node aggregates: the array code steps every node as a
+    # lone one.
     array = isinstance(ops[0].batch_update, _ArrayRound)
-    assert array == (p.alpha > 0.0 or p.graph.num_edges == 0)
+    assert array
     if array:
         for op in ops:
             op.update = None  # the array path must not call it
@@ -485,6 +484,96 @@ def test_synchronous_defended_rounds_match_the_per_node_updates():
         # A plain function hook keeps every round on the per-node path.
         ref, _ = run_sync(make(), w0, StopRule(max_iters=15), interceptor=reference_hook)
         assert np.array_equal(fast.blocks, ref.blocks)
+
+
+# Every node draws M rows, so a FedSGD batch of M is the full batch.
+M = 6
+
+
+@st.composite
+def hook_free_runs(draw):
+    """A solver with its rule on a problem with isolated nodes, unit or
+    lognormal weights (degrees up to 13, past the 8 rows where pairwise
+    sums start), d = 1..3, alpha = 0 and ridge > 0, with an explicit step."""
+    n = draw(st.integers(1, 14))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    base = generate("erdos_renyi", n, seed=seed, p=draw(st.sampled_from([0.0, 0.5, 0.9])))
+    unit = draw(st.booleans())
+    edges = [(i, j, 1.0 if unit else float(rng.lognormal(0.0, 1.0))) for i, j, _ in base.edges]
+    g = EmpGraph(n + draw(st.integers(0, 2)), edges)
+    d = draw(st.integers(1, 3))
+    ridge = draw(st.sampled_from([0.0, 0.3]))
+    losses = [
+        from_dataset(generate_local(rng.standard_normal(d), M, 0.2, seed=int(rng.integers(2**32))), ridge)
+        for _ in range(g.n)
+    ]
+    p = GTVMinProblem(g, losses, draw(st.sampled_from([0.0, 0.4, 1.5])))
+    sched = LRSchedule.constant(0.5 / eig_bounds(p).upper)
+    counts = np.diff(g.indptr)
+    linked = counts[counts > 0]
+    most = (int(linked.min()) - 1) // 2 if linked.size else 2
+    kind = draw(st.sampled_from(["fedgd", "fedsgd", "fedrelax"]))
+    if kind == "fedsgd":
+        return p, lambda: fedsgd_op(p, M, seed=0, sched=sched), rng.standard_normal((g.n, d))
+    agg = draw(st.sampled_from([
+        RobustAgg.mean(), RobustAgg.clipped(-0.5, 0.8), RobustAgg.trimmed(draw(st.integers(0, most)))
+    ]))
+    if kind == "fedgd":
+        return p, lambda: fedgd_op(p, sched=sched, agg=agg), rng.standard_normal((g.n, d))
+    return p, lambda: fedrelax_op(p, agg=agg), rng.standard_normal((g.n, d))
+
+
+def closure_rounds(ops, w0, rounds):
+    """Synchronous rounds as a loop over the per-node closures."""
+    W = np.array(w0, dtype=float)
+    for k in range(rounds):
+        W = np.array([op.update(W[i], W[op.neighbor_ids], k) for i, op in enumerate(ops)])
+    return W
+
+
+@settings(max_examples=200, deadline=None)
+@given(hook_free_runs())
+def test_hook_free_rounds_match_the_per_node_closures(case):
+    # Sync rounds and zero-delay events both run on the array path, whose
+    # sums add in the closures' order and whose updates are their formulas.
+    p, make, w0 = case
+    rounds = 12
+    ref = closure_rounds(make(), w0, rounds)
+    for run in (
+        lambda ops: run_sync(ops, w0, StopRule(max_iters=rounds)),
+        lambda ops: run_async(ops, w0, zero_delay_schedule(p.graph, rounds)),
+    ):
+        ops = make()
+        assert isinstance(ops[0].batch_update, _ArrayRound)
+        for op in ops:
+            op.update = None  # the array path must not call it
+        fast, _ = run(ops)
+        assert fast.blocks.tobytes() == ref.tobytes()
+
+
+def test_rounds_never_build_the_dense_adjacency(monkeypatch):
+    g = with_isolated(generate("erdos_renyi", 40, weight=0.3, seed=2, p=0.2), 2)
+    rng = np.random.default_rng(5)
+    losses = [
+        from_dataset(generate_local(rng.standard_normal(3), M, 0.2, seed=i), 0.1) for i in range(g.n)
+    ]
+    p = GTVMinProblem(g, losses, 0.8)
+    w0 = rng.standard_normal((g.n, 3))
+    schedule = gen_partially_async(g, 2, 30, seed=1)
+
+    def refuse(self):
+        raise AssertionError("dense adjacency built")
+
+    monkeypatch.setattr(EmpGraph, "adjacency", refuse)
+    sched = LRSchedule.constant(0.02)
+    for make in (
+        lambda: fedgd_op(p, sched=sched),
+        lambda: fedrelax_op(p),
+        lambda: fedsgd_op(p, M, seed=0, sched=sched),
+    ):
+        run_sync(make(), w0, StopRule(max_iters=30))
+        run_async(make(), w0, schedule)
 
 
 DEFENDED_CONFIG = """\

@@ -466,6 +466,45 @@ def test_run_never_assembles_the_dense_quadratic(monkeypatch):
     assert all(c["holds"] for c in rep.summary["bound_checks"])
 
 
+HORIZON_CFG = """
+seed = 3
+record_every = 10
+graph.kind = erdos_renyi
+graph.n = 60
+graph.p = 0.2
+data.d = 3
+algorithm.kind = fedrelax
+async.mode = partial
+async.B = 3
+async.horizon = {horizon}
+stop.max_iters = 100
+"""
+
+
+def test_partial_async_runs_draw_only_the_events_they_run(monkeypatch, tmp_path):
+    from gtvfed import harness
+
+    asked = []
+    real = harness.gen_partially_async
+
+    def spy(g, B, horizon, seed, p_active=0.5):
+        asked.append(horizon)
+        return real(g, B, horizon, seed, p_active=p_active)
+
+    monkeypatch.setattr(harness, "gen_partially_async", spy)
+    texts = {}
+    for horizon in (5000, 100):
+        rep = run_experiment(parse_config(HORIZON_CFG.format(horizon=horizon)))
+        assert len(rep.rows) == 660
+        export(rep, "csv", tmp_path / f"{horizon}.csv")
+        # The config text, and so its hash, names the horizon.
+        rep.environment.pop("config_sha256")
+        export(rep, "json", tmp_path / f"{horizon}.json")
+        texts[horizon] = [(tmp_path / f"{horizon}.{ext}").read_bytes() for ext in ("csv", "json")]
+    assert asked == [100, 100]
+    assert texts[5000] == texts[100]
+
+
 def test_trimmed_defense_rejects_short_neighbourhood_before_solving(monkeypatch):
     from gtvfed import harness
 

@@ -87,6 +87,21 @@ def check_segments(rows, weights, counts, agg):
         assert np.all(np.abs(out[s][finite] - want[finite]) <= 1e-12 * scale[finite]), s
         alone = aggregate_segments(rows[seg], weights[seg], [count], agg)[0]
         assert np.array_equal(out[s], alone, equal_nan=True), s
+        # The sum order: weighted rows (trimmed ones -0.0) added left to
+        # right from 0.0, then divided by the total added the same way; bit
+        # for bit but for the sign of NaN.
+        kept = np.clip(rows, agg.tau_l, agg.tau_u) if agg.kind == "clipped" else rows
+        products = np.where(dropped, -0.0, weights[:, None] * kept)
+        total, acc = 0.0, np.zeros(rows.shape[1])
+        for j in range(a, a + count):
+            total += weights[j]
+            acc = acc + products[j]
+        if t:
+            acc = acc * (count / (count - 2 * t))
+        loop = acc / total
+        nan = np.isnan(loop)
+        assert np.array_equal(np.isnan(out[s]), nan), s
+        assert out[s][~nan].tobytes() == loop[~nan].tobytes(), s
 
 
 def test_fedrelax_events_divide_by_the_graph_degree():
