@@ -314,8 +314,8 @@ def _relax_round(p: GTVMinProblem, agg, Ps, rhos, lone):
     def finish(k, ids, own, avg):
         if avg is None:
             return np.where(fixed[ids], w_stars[ids], own)
-        rhs = rhos.take(ids)[:, None] * avg - qs.take(ids, axis=0)
-        return (Ps.take(ids, axis=0) @ rhs[:, :, None])[:, :, 0]
+        rhs = rhos[ids][:, None] * avg - qs[ids]
+        return (Ps[ids] @ rhs[:, :, None])[:, :, 0]
 
     return _array_round(p, agg, rhos, finish)
 
@@ -335,6 +335,10 @@ def _array_round(p: GTVMinProblem, agg, rhos, finish):
     return _ArrayRound(p.graph, rhos, agg, finish)
 
 
+# The ids of a synchronous round's nodes, which are every node in order.
+_EVERY = slice(None)
+
+
 class _ArrayRound:
     """Every event of quadratic FedGD or FedRelax as array code.
 
@@ -344,7 +348,9 @@ class _ArrayRound:
     one trust.aggregate_segments call reduces each node's segment. A
     synchronous mean round without a rewrite takes one neighbor_means
     product instead, which adds in the kernel's order. finish(k, ids, own,
-    avg) then updates those nodes at once, and the others with avg None.
+    avg) then updates those nodes at once, and the others with avg None;
+    ids indexes the run's stacks, and a synchronous round that updates
+    every node alike passes slice(None), which reads them without a copy.
     The per-node closures call the same kernel on one segment, and finish's
     stacked matmul hands each slice to their BLAS kernel, so every path
     agrees bit for bit.
@@ -390,7 +396,7 @@ class _ArrayRound:
             avg = aggregate_segments(rows, weights, cnt[reads], self.agg)
         everyone = reads.all()
         if refs is None and (everyone or avg is None):  # a synchronous round of one kind
-            return self.finish(k, nodes, blocks, avg)
+            return self.finish(k, _EVERY, blocks, avg)
         new = blocks.copy()
         if not everyone:
             ids = nodes[~reads]

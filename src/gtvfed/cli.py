@@ -24,7 +24,7 @@ from gtvfed.harness import (
     CONFIG_RULES,
     ConfigError,
     export,
-    gen_node_datasets,
+    gen_node_data,
     load_report_json,
     parse_config,
     run_experiment,
@@ -143,11 +143,11 @@ def _cmd_gen_graph(args) -> int:
 
 
 def _cmd_gen_data(args) -> int:
-    datasets, _ = gen_node_datasets(
+    data, _ = gen_node_data(
         args.n, args.d, args.m_min, args.m_max, args.noise, args.model, args.seed
     )
     os.makedirs(args.out, exist_ok=True)
-    for i, ds in enumerate(datasets):
+    for i, ds in enumerate(data.datasets()):
         save_dataset_csv(ds, os.path.join(args.out, f"node_{i}.csv"))
     print(f"wrote {args.n} dataset files under {args.out}")
     return 0

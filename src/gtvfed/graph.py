@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,42 +32,68 @@ class EmpGraph:
     i's neighbours in ``indices[indptr[i]:indptr[i + 1]]`` in ascending
     order, and ``degree``, the weighted degrees. Node i's degree adds its
     neighbour weights left to right in that order, which is also edge order.
+    The ``edges`` tuple is built from those arrays on first use.
     """
 
-    __slots__ = ("n", "edges", "indptr", "indices", "weights", "degree", "_ends", "_adj", "_spectrum")
+    __slots__ = (
+        "n", "indptr", "indices", "weights", "degree", "_ends", "_edges", "_adj", "_spectrum", "_lam2",
+    )
 
     def __init__(self, n, edges=()):
-        n = int(n)
-        if n < 1:
-            raise GraphError("node count must be at least 1")
-        seen = set()
-        norm = []
+        n = _node_count(n)
+        ii, jj, ww = [], [], []
         for edge in edges:
             if len(edge) == 2:
                 i, j = edge
                 w = 1.0
             else:
                 i, j, w = edge
-            i, j = int(i), int(j)
-            if i == j:
-                raise GraphError(f"self-loop at node {i}")
-            if not (0 <= i < n and 0 <= j < n):
-                raise GraphError(f"edge ({i}, {j}) has an endpoint outside 0..{n - 1}")
-            if i > j:
-                i, j = j, i
-            if (i, j) in seen:
-                raise GraphError(f"duplicate edge ({i}, {j})")
-            w = float(w)
-            if not math.isfinite(w):
-                raise GraphError(f"edge ({i}, {j}) has non-finite weight {w}")
-            if not w > 0.0:
-                raise GraphError(f"edge ({i}, {j}) has non-positive weight {w}")
-            seen.add((i, j))
-            norm.append((i, j, w))
+            ii.append(int(i))
+            jj.append(int(j))
+            ww.append(float(w))
+        self._build(n, ii, jj, ww)
+
+    @classmethod
+    def from_arrays(cls, n, ii, jj, ww) -> "EmpGraph":
+        """The graph of the edges (ii[e], jj[e], ww[e]), validated as the
+        constructor validates an edge list, without a Python object per edge."""
+        g = cls.__new__(cls)
+        g._build(_node_count(n), ii, jj, ww)
+        return g
+
+    def _build(self, n, ii, jj, ww):
+        """Validate the edges in bulk and lay out the arrays. The error names
+        the first bad edge in input order, with the first check it fails:
+        self-loop, endpoint range, duplicate pair, finite weight, positive
+        weight."""
+        ends = [_ids(ii, n), _ids(jj, n)]
+        ww = np.array(ww, dtype=float).reshape(-1)
+        lo, hi = np.minimum(*ends), np.maximum(*ends)
+        order = np.lexsort((hi, lo))  # stable: a repeated pair's first copy leads
+        dup = np.zeros(ww.shape[0], dtype=bool)
+        dup[order[1:]] = (lo[order[1:]] == lo[order[:-1]]) & (hi[order[1:]] == hi[order[:-1]])
+        fails = (
+            ends[0] == ends[1],
+            (lo < 0) | (hi >= n),
+            dup,
+            ~np.isfinite(ww),
+            ~(ww > 0.0),
+        )
+        bad = np.logical_or.reduce(fails)
+        if bad.any():
+            k = int(np.argmax(bad))
+            i, j, w = int(ii[k]), int(jj[k]), float(ww[k])
+            a, b = min(i, j), max(i, j)
+            messages = (
+                f"self-loop at node {i}",
+                f"edge ({i}, {j}) has an endpoint outside 0..{n - 1}",
+                f"duplicate edge ({a}, {b})",
+                f"edge ({a}, {b}) has non-finite weight {w}",
+                f"edge ({a}, {b}) has non-positive weight {w}",
+            )
+            raise GraphError(next(msg for msg, fail in zip(messages, fails) if fail[k]))
         self.n = n
-        self.edges = tuple(sorted(norm))
-        ends = np.array(self.edges, dtype=float).reshape(-1, 3)
-        ii, jj, ww = ends[:, 0].astype(np.intp), ends[:, 1].astype(np.intp), ends[:, 2].copy()
+        ii, jj, ww = lo[order].astype(np.intp), hi[order].astype(np.intp), ww[order]
         rows, cols = np.concatenate([ii, jj]), np.concatenate([jj, ii])
         order = np.lexsort((cols, rows))
         self.indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
@@ -78,12 +103,20 @@ class EmpGraph:
         self._ends = (ii, jj, ww)
         for arr in (self.indptr, self.indices, self.weights, self.degree, *self._ends):
             arr.flags.writeable = False
+        self._edges = None
         self._adj = None
         self._spectrum = None
+        self._lam2 = None
+
+    @property
+    def edges(self) -> tuple:
+        if self._edges is None:
+            self._edges = tuple(zip(*(arr.tolist() for arr in self._ends)))
+        return self._edges
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return self._ends[0].shape[0]
 
     def neighbors(self, i) -> tuple:
         """Sorted tuple of (neighbor id, weight) pairs of node i."""
@@ -99,9 +132,9 @@ class EmpGraph:
         """Dense symmetric weight matrix with zero diagonal."""
         if self._adj is None:
             A = np.zeros((self.n, self.n))
-            for i, j, w in self.edges:
-                A[i, j] = w
-                A[j, i] = w
+            ii, jj, ww = self._ends
+            A[ii, jj] = ww
+            A[jj, ii] = ww
             self._adj = A
         return self._adj
 
@@ -111,6 +144,21 @@ class EmpGraph:
 
     def __repr__(self):
         return f"EmpGraph(n={self.n}, edges={self.num_edges})"
+
+
+def _node_count(n) -> int:
+    n = int(n)
+    if n < 1:
+        raise GraphError("node count must be at least 1")
+    return n
+
+
+def _ids(values, n) -> np.ndarray:
+    """Node ids as int64; an id beyond int64 becomes n, which is out of range too."""
+    try:
+        return np.array(values, dtype=np.int64).reshape(-1)
+    except OverflowError:
+        return np.array([min(max(int(v), -1), n) for v in values], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -186,6 +234,20 @@ def spectrum(g: EmpGraph) -> Spectrum:
     return g._spectrum
 
 
+def algebraic_connectivity(g: EmpGraph) -> float:
+    """lam2 of the Laplacian as spectrum(g).lam2 gives it, kept on the graph.
+
+    A disconnected graph has lam2 = 0, read from components with no
+    eigensolve (its clamped spectrum holds exactly 0.0 there); only a
+    connected graph pays for the dense spectrum.
+    """
+    if g.n < 2:
+        raise GraphError("lam2 undefined for a single-node graph")
+    if g._lam2 is None:
+        g._lam2 = 0.0 if len(components(g)) > 1 else spectrum(g).lam2
+    return g._lam2
+
+
 def components(g: EmpGraph):
     """Connected components as sorted node lists, ordered by smallest member."""
     indptr, indices = g.indptr.tolist(), g.indices.tolist()
@@ -233,7 +295,7 @@ def gtv_value(g: EmpGraph, params, penalty: str = "sq_norm") -> float:
     if penalty not in PENALTIES:
         raise GraphError(f"unknown penalty {penalty!r}; expected one of {PENALTIES}")
     W = _as_blocks(params, g.n)
-    if not g.edges:
+    if not g.num_edges:
         return 0.0
     ii, jj, ww = g.edge_arrays()
     diffs = W.take(ii, axis=0) - W.take(jj, axis=0)
@@ -284,7 +346,7 @@ def lambda2_degree_check(g: EmpGraph):
     """
     if g.n < 2:
         raise GraphError("degree bound needs at least 2 nodes")
-    lam2 = spectrum(g).lam2
+    lam2 = algebraic_connectivity(g)
     bound = g.n / (g.n - 1) * float(g.degree.min())
     return lam2, bound, bool(lam2 <= bound + 1e-9)
 
@@ -302,9 +364,8 @@ def generate(
 
     Kinds: erdos_renyi(p), star (center node 0), chain, and
     two_cluster(p_in, p_out) with the first ceil(n/2) nodes in cluster A.
-    Pairs are visited in lexicographic order with one uniform draw each,
-    drawn one row (i, j > i) per call, so the same seed always yields the
-    same graph.
+    Pairs are visited in lexicographic order with one uniform draw each
+    (see _pair_hits), so the same seed always yields the same graph.
     """
     n = int(n)
     if n < 1:
@@ -312,27 +373,64 @@ def generate(
     if not float(weight) > 0.0:
         raise GraphError(f"edge weight must be positive, got {weight}")
     rng = as_rng(seed)
+    weight = float(weight)
     if kind == "erdos_renyi":
-        pr = _check_prob(p, "p")
-        row_probs = lambda i: pr
+        probs = _check_prob(p, "p")
     elif kind == "two_cluster":
         pi = _check_prob(p_in, "p_in")
         po = _check_prob(p_out, "p_out")
         in_a = np.arange(n) < (n + 1) // 2
-        row_probs = lambda i: np.where(in_a[i + 1 :] == in_a[i], pi, po)
+        probs = lambda i, j: np.where(in_a[i] == in_a[j], pi, po)
     elif kind == "star":
-        return EmpGraph(n, [(0, k, weight) for k in range(1, n)])
+        ii, jj = np.zeros(n - 1, dtype=np.intp), np.arange(1, n)
+        return EmpGraph.from_arrays(n, ii, jj, np.full(n - 1, weight))
     elif kind == "chain":
-        return EmpGraph(n, [(k, k + 1, weight) for k in range(n - 1)])
+        ii = np.arange(n - 1)
+        return EmpGraph.from_arrays(n, ii, ii + 1, np.full(n - 1, weight))
     else:
         raise GraphError(
             f"unknown graph kind {kind!r}; expected one of {', '.join(GENERATORS)}"
         )
-    edges = []
-    for i in range(n):
-        hits = np.flatnonzero(rng.random(n - i - 1) < row_probs(i)) + (i + 1)
-        edges += [(i, j, weight) for j in hits.tolist()]
-    return EmpGraph(n, edges)
+    ii, jj = _pair_hits(rng, n, probs)
+    return EmpGraph.from_arrays(n, ii, jj, np.full(ii.shape[0], weight))
+
+
+# Uniforms drawn per call when sampling node pairs: bounds generate's memory.
+_PAIR_CHUNK = 1 << 20
+
+
+def _pair_hits(rng, n, probs):
+    """Endpoints (ii, jj) of the pairs i < j whose uniform falls below
+    probs, a probability or a map from endpoint arrays to probabilities.
+
+    The n(n-1)/2 pairs take one uniform each in lexicographic order, drawn
+    in chunks of at most _PAIR_CHUNK: Generator.random fills each value
+    from the stream on its own, so one call for many pairs gives the values
+    of several calls for fewer, such as one per row.
+    """
+    starts = np.cumsum(np.arange(n, 0, -1)) - n  # flat index of pair (i, i + 1)
+    total = n * (n - 1) // 2
+
+    def ends(flat, i):
+        return i, flat - starts[i] + i + 1
+
+    hits = []
+    for lo in range(0, total, _PAIR_CHUNK):
+        u = rng.random(min(_PAIR_CHUNK, total - lo))
+        if callable(probs):
+            # Every pair of the chunk: rows first to last, each cut to the chunk.
+            first, last = np.searchsorted(starts, [lo, lo + u.shape[0] - 1], side="right") - 1
+            cuts = np.clip(starts[first : last + 2], lo, lo + u.shape[0])
+            flat = np.arange(lo, lo + u.shape[0])
+            i, j = ends(flat, np.repeat(np.arange(first, last + 1), np.diff(cuts)))
+            keep = u < probs(i, j)
+            hits.append((i[keep], j[keep]))
+        else:
+            flat = np.flatnonzero(u < probs) + lo
+            hits.append(ends(flat, np.searchsorted(starts, flat, side="right") - 1))
+    if not hits:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    return tuple(np.concatenate(col) for col in zip(*hits))
 
 
 def _check_prob(value, name):

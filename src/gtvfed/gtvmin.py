@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gtvfed import graph as graphmod
-from gtvfed.graph import EmpGraph, GraphError, gtv_value, laplacian, spectrum
+from gtvfed.graph import EmpGraph, GraphError, algebraic_connectivity, gtv_value, laplacian
 from gtvfed.localmodel import CallableLoss, QuadLoss, QuadStack
 
 SINGULAR_TOL = 1e-10
@@ -115,12 +115,17 @@ class EigBounds:
 
 class GTVMinProblem:
     """A graph, one loss per node, and a coupling strength; the nodes are
-    coupled through the sq_norm penalty, the one every solver implements."""
+    coupled through the sq_norm penalty, the one every solver implements.
+
+    losses is a sequence of per-node losses or a QuadStack, which the
+    problem keeps as its loss_stack; losses then holds its per-node views.
+    """
 
     __slots__ = ("graph", "losses", "alpha", "d", "_quadratic", "_quad", "_stack", "_eig")
 
     def __init__(self, graph: EmpGraph, losses, alpha: float, d=None):
-        losses = tuple(losses)
+        stack = losses if isinstance(losses, QuadStack) else None
+        losses = stack.losses() if stack is not None else tuple(losses)
         if len(losses) != graph.n:
             raise ValueError(
                 f"got {len(losses)} losses for a graph with {graph.n} nodes"
@@ -128,7 +133,10 @@ class GTVMinProblem:
         alpha = float(alpha)
         if alpha < 0.0:
             raise ValueError(f"coupling strength must be nonnegative, got {alpha}")
-        dims = {loss.d for loss in losses if getattr(loss, "d", None) is not None}
+        if stack is not None:
+            dims = {stack.d}
+        else:
+            dims = {loss.d for loss in losses if getattr(loss, "d", None) is not None}
         if d is not None:
             dims.add(int(d))
         if len(dims) > 1:
@@ -139,9 +147,9 @@ class GTVMinProblem:
         self.losses = losses
         self.alpha = alpha
         self.d = dims.pop()
-        self._quadratic = all(isinstance(loss, QuadLoss) for loss in losses)
+        self._quadratic = stack is not None or all(isinstance(loss, QuadLoss) for loss in losses)
         self._quad = None
-        self._stack = None
+        self._stack = stack
         self._eig = None
 
     @property
@@ -171,7 +179,7 @@ def loss_stack(p: GTVMinProblem) -> QuadStack:
     if not p.is_quadratic():
         raise ValueError("stacking requires quadratic losses at every node")
     if p._stack is None:
-        p._stack = QuadStack(p.losses)
+        p._stack = QuadStack.of(p.losses)
     return p._stack
 
 
@@ -185,6 +193,17 @@ def ordered_sum(values) -> float:
     for v in np.asarray(values, dtype=float).reshape(-1).tolist():
         total += v
     return total
+
+
+def ordered_total(stack) -> np.ndarray:
+    """stack[0] + stack[1] + ... added left to right from 0.0, as Python's
+    sum over the slices adds them.
+
+    np.sum may add pairwise. A running sum adds in order from stack[0],
+    which differs only where every term is -0.0; + 0.0 turns that -0.0
+    into the 0.0 a sum from 0.0 gives and leaves every other value as is.
+    """
+    return np.add.accumulate(stack, axis=0)[-1] + 0.0
 
 
 def objective_parts(p: GTVMinProblem, params):
@@ -221,12 +240,13 @@ def node_gradient(p: GTVMinProblem, i: int, params) -> np.ndarray:
 def gd_gradient(stack: QuadStack, rhos, ids, own, avg):
     """Gradients 2 Q_i w_i + q_i + rho_i (w_i - a_i) of the nodes ids at
     their (S, d) blocks own and neighbour means avg; avg None drops the
-    coupling, as at a node with rho_i = 2 alpha d_i = 0. FedGD's round and
-    batch_gradient_fn share it, so flat_loss steps equal run_sync rounds
-    bit for bit."""
-    g = 2.0 * (stack.Qs.take(ids, axis=0) @ own[:, :, None])[:, :, 0] + stack.qs.take(ids, axis=0)
+    coupling, as at a node with rho_i = 2 alpha d_i = 0. ids is an index
+    array, or slice(None) for every node, which reads the stacks without a
+    copy. FedGD's round and batch_gradient_fn share it, so flat_loss steps
+    equal run_sync rounds bit for bit."""
+    g = 2.0 * (stack.Qs[ids] @ own[:, :, None])[:, :, 0] + stack.qs[ids]
     if avg is not None:
-        g = g + rhos.take(ids)[:, None] * (own - avg)
+        g = g + rhos[ids][:, None] * (own - avg)
     return g
 
 
@@ -504,10 +524,11 @@ def eig_summaries(p: GTVMinProblem) -> EigSummaries:
     if not p.is_quadratic():
         raise ValueError("eigenvalue summaries require quadratic losses")
     if p._eig is None:
-        lam_max = max(
-            (float(np.linalg.eigvalsh(loss.Q)[-1]) for loss in p.losses), default=0.0
-        )
-        mean_Q = sum(loss.Q for loss in p.losses) / p.n
+        # One stacked eigvalsh hands each Q_i to the LAPACK call a per-node
+        # eigvalsh makes, so every eigenvalue keeps its bits.
+        Qs = loss_stack(p).Qs
+        lam_max = max(np.linalg.eigvalsh(Qs)[:, -1].tolist(), default=0.0)
+        mean_Q = ordered_total(Qs) / p.n
         lam_bar_min = max(0.0, float(np.linalg.eigvalsh(mean_Q)[0]))
         rho = lam_bar_min / (4.0 * lam_max) if lam_max > 0.0 else None
         p._eig = EigSummaries(lam_max=lam_max, lam_bar_min=lam_bar_min, rho=rho)
@@ -526,7 +547,7 @@ def eig_bounds(p: GTVMinProblem) -> EigBounds:
     upper = s.lam_max + 2.0 * p.alpha * d_max
     lower = None
     if s.rho is not None and s.lam_bar_min > 0.0 and p.n >= 2:
-        lam2 = spectrum(p.graph).lam2
+        lam2 = algebraic_connectivity(p.graph)
         if lam2 > 0.0:
             lower = (
                 1.0
@@ -555,7 +576,7 @@ def variation_bound(p: GTVMinProblem, noise_sq_norms, sizes) -> float:
         raise ValueError("bound requires a positive coupling strength")
     if p.n < 2:
         raise ValueError("bound needs at least 2 nodes")
-    lam2 = spectrum(p.graph).lam2
+    lam2 = algebraic_connectivity(p.graph)
     if lam2 <= 0.0:
         raise GraphError("bound requires a connected graph (lam2 > 0)")
     return sum(v / m for v, m in zip(noise_sq, sizes)) / (lam2 * p.alpha)
@@ -582,7 +603,7 @@ def clustered_bound(
     sub, boundary = graphmod.induced(p.graph, nodes)
     if sub.n < 2:
         raise ValueError("cluster must contain at least 2 nodes")
-    lam2 = spectrum(sub).lam2
+    lam2 = algebraic_connectivity(sub)
     if lam2 <= 0.0:
         raise GraphError("cluster subgraph is disconnected (lam2 = 0)")
     wbar_sq_norm = float(wbar_sq_norm)
@@ -606,7 +627,7 @@ def sensitivity_bound(p: GTVMinProblem, label_perturbations) -> float:
         raise ValueError("bound requires a positive-definite average local loss")
     if p.n < 2:
         raise ValueError("bound needs at least 2 nodes")
-    lam2 = spectrum(p.graph).lam2
+    lam2 = algebraic_connectivity(p.graph)
     if lam2 <= 0.0:
         raise GraphError("bound requires a connected graph (lam2 > 0)")
     denom = min(lam2 * p.alpha * s.rho**2, s.lam_bar_min / 2.0)

@@ -52,6 +52,7 @@ from gtvfed.gtvmin import (
     eig_bounds,
     objective_parts,
     ordered_sum,
+    ordered_total,
     quad_operator,
     sensitivity_bound,
     solve_direct,
@@ -59,7 +60,8 @@ from gtvfed.gtvmin import (
 )
 from gtvfed.localmodel import (
     LocalDataset,
-    from_dataset,
+    NodeData,
+    QuadStack,
     generate_local,
     load_dataset_csv,
 )
@@ -455,8 +457,44 @@ def gen_node_datasets(n, dim, m_min, m_max, noise, model, seed):
     return datasets, wbars
 
 
+def gen_node_data(n, dim, m_min, m_max, noise, model, seed):
+    """gen_node_datasets as stacks: (NodeData, (n, dim) truth rows).
+
+    The draws are those of gen_node_datasets in the same order: the truth
+    vectors and sample counts from the data stream, then each node's
+    features and noise from its own stream, written straight into its
+    group's rows. The labels X w_bar + noise are one stacked product per
+    group, whose slices take the gemv a per-node product makes.
+    """
+    if model not in DATA_MODELS:
+        raise ValueError(f"unknown data model {model!r}; expected one of {DATA_MODELS}")
+    rng = seeds.stream(seed, "data")
+    if model == "shared":
+        wbars = np.tile(rng.standard_normal(dim), (n, 1))
+    elif model == "clustered":
+        wa = rng.standard_normal(dim)
+        wb = rng.standard_normal(dim)
+        wbars = np.where((np.arange(n) < (n + 1) // 2)[:, None], wa, wb)
+    else:
+        # One call draws the values of n calls of dim each.
+        wbars = rng.standard_normal((n, dim))
+    ms = rng.integers(int(m_min), int(m_max) + 1, size=n)
+    if (ms < 0).any():
+        raise ValueError(f"sample count must be nonnegative, got {ms.min()}")
+    if float(noise) < 0.0:
+        raise ValueError(f"noise level must be nonnegative, got {noise}")
+    data = NodeData.allocate(dim, ms)
+    for (X, y), node_rng in zip(data.rows(), seeds.streams(seed, "data", n)):
+        node_rng.standard_normal(out=X)
+        node_rng.standard_normal(out=y)
+    for _, idx, X, y in data.groups:
+        y[...] = (X @ wbars[idx][:, :, None])[:, :, 0] + y * float(noise)
+    return data, wbars
+
+
 def build_data(cfg: ExperimentConfig, n: int):
-    """Per-node datasets plus generator metadata (truth vectors, noise)."""
+    """Every node's dataset as a NodeData, plus generator metadata (truth
+    vectors, noise)."""
     d = cfg.data
     if d["kind"] == "csv":
         datasets = []
@@ -465,11 +503,15 @@ def build_data(cfg: ExperimentConfig, n: int):
             if not os.path.isfile(path):
                 raise ConfigError([f"data.dir: missing dataset file {path!r}"])
             datasets.append(load_dataset_csv(path))
-        return datasets, {"model": None, "noise": None, "wbars": None}
-    datasets, wbars = gen_node_datasets(
+        try:
+            data = NodeData.from_datasets(datasets)
+        except ValueError:
+            raise ConfigError(["data: node datasets disagree on the feature dimension"]) from None
+        return data, {"model": None, "noise": None, "wbars": None}
+    data, wbars = gen_node_data(
         n, d["d"], d["m_min"], d["m_max"], d["noise"], d["model"], cfg.seed
     )
-    return datasets, {"model": d["model"], "noise": d["noise"], "wbars": wbars}
+    return data, {"model": d["model"], "noise": d["noise"], "wbars": wbars}
 
 
 def split_dataset(ds: LocalDataset, fraction: float, seed):
@@ -488,6 +530,33 @@ def split_dataset(ds: LocalDataset, fraction: float, seed):
     )
 
 
+def split_data(data: NodeData, fraction: float, seed):
+    """split_dataset at every node, as (train, validation) NodeData.
+
+    Node i's permutation comes from stream(seed, "data", i, 1), drawn in
+    node order as the per-node splits draw it; the kept rows are then
+    gathered per sample-count group, and sides of equal size share a group.
+    """
+    fraction = float(fraction)
+    if not 0.0 <= fraction < 1.0:
+        raise ValueError(f"split fraction must lie in [0, 1), got {fraction}")
+    perms = [np.empty((idx.shape[0], m), dtype=np.int64) for m, idx, _, _ in data.groups]
+    rows = [None] * data.n
+    for (_, idx, _, _), perm in zip(data.groups, perms):
+        for i, row in zip(idx.tolist(), perm):
+            rows[i] = row
+    for row, rng in zip(rows, seeds.streams(seed, "data", data.n, 1)):
+        row[:] = rng.permutation(row.shape[0])
+    train, val = [], []
+    for (m, idx, X, y), perm in zip(data.groups, perms):
+        m_val = int(math.floor(fraction * m))
+        for side, cols in ((val, perm[:, :m_val]), (train, perm[:, m_val:])):
+            cols = np.sort(cols, axis=1)
+            gathered = (np.take_along_axis(X, cols[:, :, None], axis=1), np.take_along_axis(y, cols, axis=1))
+            side.append((cols.shape[1], idx, *gathered))
+    return NodeData(data.d, train), NodeData(data.d, val)
+
+
 def _sq_err(ds: LocalDataset, w) -> float:
     # Reference kernel of SqErrors, kept for the tests.
     if ds.m == 0:
@@ -499,28 +568,18 @@ def _sq_err(ds: LocalDataset, w) -> float:
 class SqErrors:
     """Mean squared error of every node's dataset at the node's own block.
 
-    The datasets are stacked once, grouped by sample count, so one call
-    costs a few batched products. Entry i equals _sq_err(datasets[i], W[i])
-    bit for bit: numpy's matmul hands each stacked slice to the same BLAS
-    gemv and dot the per-node products call. An empty dataset reads NaN.
+    The datasets, a NodeData or a sequence stacked into one, are grouped
+    by sample count, so one call costs a few batched products. Entry i
+    equals _sq_err(datasets[i], W[i]) bit for bit: numpy's matmul hands
+    each stacked slice to the same BLAS gemv and dot the per-node products
+    call. An empty dataset reads NaN.
     """
 
     def __init__(self, datasets):
-        datasets = list(datasets)
-        by_size = {}
-        for i, ds in enumerate(datasets):
-            by_size.setdefault(ds.m, []).append(i)
-        self.n = len(datasets)
-        self.groups = [
-            (
-                m,
-                np.array(idx, dtype=np.intp),
-                np.stack([datasets[i].X for i in idx]),
-                np.stack([datasets[i].y for i in idx]),
-            )
-            for m, idx in sorted(by_size.items())
-            if m > 0
-        ]
+        if not isinstance(datasets, NodeData):
+            datasets = NodeData.from_datasets(datasets)
+        self.n = datasets.n
+        self.groups = [group for group in datasets.groups if group[0] > 0]
 
     def __call__(self, W) -> np.ndarray:
         W = np.asarray(W, dtype=float)
@@ -541,39 +600,33 @@ def train_val_report(datasets, blocks, split: float, seed=0):
     if not 0.0 < split < 1.0:
         raise ValueError(f"split must lie in (0, 1), got {split}")
     blocks = np.asarray(getattr(blocks, "blocks", blocks), dtype=float)
-    datasets = list(datasets)
+    data = NodeData.from_datasets(datasets)
     if blocks.ndim == 1:
-        blocks = np.tile(blocks, (len(datasets), 1))
-    if len(datasets) != blocks.shape[0]:
-        raise ValueError(f"got {len(datasets)} datasets for {blocks.shape[0]} blocks")
-    splits = [
-        split_dataset(ds, split, rng)
-        for ds, rng in zip(datasets, seeds.streams(seed, "data", len(datasets), 1))
-    ]
-    for i, (train, val) in enumerate(splits):
-        if train.m == 0 or val.m == 0:
-            warnings.warn(f"node {i}: split leaves an empty side, metrics absent")
-    e_t = SqErrors([t for t, _ in splits])(blocks)
-    e_v = SqErrors([v for _, v in splits])(blocks)
-    return e_t, e_v
+        blocks = np.tile(blocks, (data.n, 1))
+    if data.n != blocks.shape[0]:
+        raise ValueError(f"got {data.n} datasets for {blocks.shape[0]} blocks")
+    train, val = split_data(data, split, seed)
+    for i in np.flatnonzero((train.sizes == 0) | (val.sizes == 0)).tolist():
+        warnings.warn(f"node {i}: split leaves an empty side, metrics absent")
+    return SqErrors(train)(blocks), SqErrors(val)(blocks)
 
 
 def _attack_seed(master: int, idx: int, node: int) -> int:
     return int(seeds.stream(master, "attacks", idx, node).integers(0, 2**63))
 
 
-def _apply_data_attacks(cfg: ExperimentConfig, trains):
-    out = list(trains)
+def _apply_data_attacks(cfg: ExperimentConfig, train: NodeData) -> None:
+    """Poison the victims' rows of the training stacks in place."""
     for idx, a in enumerate(cfg.attacks):
         if a["kind"] not in DATA_ATTACKS:
             continue
         for node in a["nodes"]:
-            if not 0 <= node < len(out):
+            if not 0 <= node < train.n:
                 raise ConfigError([f"attack.{idx}.nodes: node {node} out of range"])
             for key in ("feature_delta", "trigger_delta"):
-                if a[key] is not None and len(a[key]) != out[node].d:
+                if a[key] is not None and len(a[key]) != train.d:
                     raise ConfigError([
-                        f"attack.{idx}.{key}: needs {out[node].d} values, one per "
+                        f"attack.{idx}.{key}: needs {train.d} values, one per "
                         f"feature, got {len(a[key])}"
                     ])
             spec = AttackSpec(
@@ -586,8 +639,9 @@ def _apply_data_attacks(cfg: ExperimentConfig, trains):
                 target_label=a["target_label"],
                 seed=_attack_seed(cfg.seed, idx, node),
             )
-            out[node] = poison_dataset(out[node], spec)
-    return out
+            rows = train.dataset(node)
+            poisoned = poison_dataset(rows, spec)
+            rows.X[...], rows.y[...] = poisoned.X, poisoned.y
 
 
 def _model_interceptor(cfg: ExperimentConfig, d: int, n: int):
@@ -650,22 +704,33 @@ def _consensus_dev(blocks) -> float:
     return float(np.sum((blocks - mean) ** 2))
 
 
-def _bound_checks(cfg, g, p, oracle_sp, trace, trains, meta, eta):
+def _noise_sq(data: NodeData, wbars) -> np.ndarray:
+    """Per node, np.sum((y - X @ wbars[i]) ** 2) of its rows; a stacked
+    row sum adds pairwise as np.sum of one node's vector does."""
+    out = np.zeros(data.n)
+    for _, idx, X, y in data.groups:
+        r = y - (X @ wbars[idx][:, :, None])[:, :, 0]
+        out[idx] = np.sum(r**2, axis=1)
+    return out
+
+
+def _bound_checks(cfg, g, p, oracle_sp, trace, train, meta, eta):
     """One row per analytic check that applies to the run, in report order.
 
     Each check's bound function owns its scope (alpha > 0, n >= 2, lam2 > 0,
     sample counts, a positive-definite average loss, a contraction factor
     below 1) and a check it rejects is left out. The conditions tested here
-    are the run-level ones no bound function sees. eta is the constant step
-    size, None under a diminishing schedule.
+    are the run-level ones no bound function sees. train is the training
+    NodeData and eta the constant step size, None under a diminishing
+    schedule.
     """
     if p is None or not p.is_quadratic():
         return []
     quad = quad_operator(p)
     lam_min, lam_max = quad.extreme_eigenvalues()
     b = eig_bounds(p)
-    sizes = [t.m for t in trains]
-    filled = all(m >= 1 for m in sizes)
+    sizes = train.sizes
+    filled = bool((sizes >= 1).all())
     oracle = oracle_sp is not None
     # The consensus bounds assume the oracle fits the truth model's data unridged.
     truth = meta["model"] if oracle and cfg.data["ridge"] == 0.0 else None
@@ -673,8 +738,7 @@ def _bound_checks(cfg, g, p, oracle_sp, trace, trains, meta, eta):
     clean = oracle and not cfg.attacks and cfg.defense.kind == "mean"
 
     def noise_sq(nodes):
-        wbars = meta["wbars"]
-        return [float(np.sum((trains[i].y - trains[i].X @ wbars[i]) ** 2)) for i in nodes]
+        return _noise_sq(train, meta["wbars"])[nodes].tolist()
 
     def eig_upper():
         return _check_row("eig_upper", lam_max, b.upper)
@@ -683,12 +747,12 @@ def _bound_checks(cfg, g, p, oracle_sp, trace, trains, meta, eta):
         return _check_row("eig_lower", lam_min, b.lower, lower=True)
 
     def variation():
-        bound = variation_bound(p, noise_sq(range(p.n)), sizes)
+        bound = variation_bound(p, noise_sq(slice(None)), sizes)
         return _check_row("variation", _consensus_dev(oracle_sp.blocks), bound)
 
     def cluster_row(cluster, radius):
         wbar = meta["wbars"][cluster[0]]
-        sub_sizes = [sizes[i] for i in cluster]
+        sub_sizes = sizes[cluster]
         bound = clustered_bound(p, cluster, noise_sq(cluster), sub_sizes, float(wbar @ wbar), radius)
         return _check_row("clustered_variation", _consensus_dev(oracle_sp.blocks[cluster]), bound)
 
@@ -701,12 +765,16 @@ def _bound_checks(cfg, g, p, oracle_sp, trace, trains, meta, eta):
         return _worst(row for row in rows if row is not None)
 
     def label_sensitivity():
-        rng = seeds.stream(cfg.seed, "attacks", 2**20)
-        perts = [0.1 * rng.standard_normal(t.m) for t in trains]
-        bound = sensitivity_bound(p, perts)
+        # One draw gives the values of one draw per node in node order.
+        perts = 0.1 * seeds.stream(cfg.seed, "attacks", 2**20).standard_normal(int(sizes.sum()))
+        starts = np.cumsum(sizes) - sizes
+        bound = sensitivity_bound(p, np.split(perts, starts[1:]))
         # Shifted labels keep X, hence every Q_i: only the linear terms
-        # -2/m X'y move (as from_dataset computes them).
-        shifted = np.stack([-2.0 / t.m * (t.X.T @ (t.y + e)) for t, e in zip(trains, perts)])
+        # -2/m X'y move (as QuadStack.from_data computes them).
+        shifted = np.empty((p.n, p.d))
+        for m, idx, X, y in train.groups:
+            e = perts[starts[idx][:, None] + np.arange(m)]
+            shifted[idx] = -2.0 / m * (np.swapaxes(X, 1, 2) @ (y + e)[:, :, None])[:, :, 0]
         moved = quad.solve(shifted).blocks
         return _check_row("label_sensitivity", np.sum((moved - oracle_sp.blocks) ** 2), bound)
 
@@ -790,10 +858,10 @@ class _Probes:
     which _Recorder.observe passes right after on every sampled event.
     """
 
-    def __init__(self, p, trains, vals, oracle_blocks):
+    def __init__(self, p, train, val, oracle_blocks):
         self.p = p
-        self.train_err = SqErrors(trains)
-        self.val_err = SqErrors(vals)
+        self.train_err = SqErrors(train)
+        self.val_err = SqErrors(val)
         self.oracle = oracle_blocks
         self._last = None
 
@@ -832,36 +900,26 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     """
     g = build_graph(cfg)
     _check_trim_degrees(cfg, g)
-    n = g.n
-    datasets, meta = build_data(cfg, n)
+    data, meta = build_data(cfg, g.n)
     frac = cfg.split_fraction
-    splits = [
-        split_dataset(ds, frac, rng)
-        for ds, rng in zip(datasets, seeds.streams(cfg.seed, "data", n, 1))
-    ]
-    trains = [t for t, _ in splits]
-    vals = [v for _, v in splits]
-    for i, (t, v) in enumerate(splits):
-        if t.m == 0 or (frac > 0.0 and v.m == 0):
-            warnings.warn(f"node {i}: split leaves an empty side, metrics absent")
-    trains = _apply_data_attacks(cfg, trains)
-    ridge = cfg.data["ridge"]
-    losses = [from_dataset(t, ridge) for t in trains]
-    dims = {loss.d for loss in losses}
-    if len(dims) != 1:
-        raise ConfigError(["data: node datasets disagree on the feature dimension"])
-    d = dims.pop()
+    train, val = split_data(data, frac, cfg.seed)
+    empty = (train.sizes == 0) | ((val.sizes == 0) & (frac > 0.0))
+    for i in np.flatnonzero(empty).tolist():
+        warnings.warn(f"node {i}: split leaves an empty side, metrics absent")
+    _apply_data_attacks(cfg, train)
+    stack = QuadStack.from_data(train, cfg.data["ridge"])
 
     kind = cfg.algorithm["kind"]
     if kind in SERVER_KINDS:
-        return _run_server(cfg, g, losses, trains, vals, d, meta)
-    return _run_graph(cfg, g, losses, trains, vals, d, meta)
+        return _run_server(cfg, g, stack, train, val, meta)
+    return _run_graph(cfg, g, stack, train, val, meta)
 
 
-def _run_graph(cfg, g, losses, trains, vals, d, meta):
+def _run_graph(cfg, g, stack, train, val, meta):
     algo = cfg.algorithm
     kind = algo["kind"]
-    p = GTVMinProblem(g, losses, algo["alpha"])
+    d = stack.d
+    p = GTVMinProblem(g, stack, algo["alpha"])
     eta = algo["eta"]
     if eta is None:
         upper = eig_bounds(p).upper
@@ -886,7 +944,7 @@ def _run_graph(cfg, g, losses, trains, vals, d, meta):
     oracle_blocks = oracle_sp.blocks if oracle_sp is not None else None
 
     n = g.n
-    probes = _Probes(p, trains, vals, oracle_blocks)
+    probes = _Probes(p, train, val, oracle_blocks)
     interceptor = _model_interceptor(cfg, d, n)
     noise = _dp_hook(cfg.dp) if cfg.dp is not None else None
     w0 = StackedParams.zeros(n, d)
@@ -927,20 +985,20 @@ def _run_graph(cfg, g, losses, trains, vals, d, meta):
     checks = []
     if divergence is None:
         const_eta = eta if sched.kind == "constant" else None
-        checks = _bound_checks(cfg, g, p, oracle_sp, trace, trains, meta, const_eta)
+        checks = _bound_checks(cfg, g, p, oracle_sp, trace, train, meta, const_eta)
     return _make_report(cfg, trace, checks, meta, n, divergence)
 
 
-def _run_server(cfg, g, losses, trains, vals, d, meta):
+def _run_server(cfg, g, stack, train, val, meta):
     algo = cfg.algorithm
     kind = algo["kind"]
-    n = g.n
+    n, d = g.n, stack.d
     sample = algo["sample_size"] or n
     if sample > n:
         raise ConfigError([f"algorithm.sample_size: {sample} exceeds the {n} nodes"])
 
-    Qp = sum(loss.Q for loss in losses)
-    qp = sum(loss.q for loss in losses)
+    Qp = ordered_total(stack.Qs)
+    qp = ordered_total(stack.qs)
     oracle = None
     if float(np.linalg.eigvalsh(Qp)[0]) > 1e-10:
         oracle = np.linalg.solve(2.0 * Qp, -qp)
@@ -948,7 +1006,9 @@ def _run_server(cfg, g, losses, trains, vals, d, meta):
     # Every node is evaluated at the one global block. That state is a
     # consensus, so the graph probes at alpha = 0 give the sum of the node
     # losses and a zero gtv.
-    probes = _Probes(GTVMinProblem(g, losses, 0.0), trains, vals, None)
+    p = GTVMinProblem(g, stack, 0.0)
+    losses = p.losses
+    probes = _Probes(p, train, val, None)
     spread = lambda w: np.repeat(np.reshape(w, (1, d)), n, axis=0)
     common = dict(
         objective=lambda w: probes.objective(spread(w)),

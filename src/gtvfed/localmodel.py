@@ -47,11 +47,87 @@ class LocalDataset:
     def d(self) -> int:
         return self.X.shape[1]
 
+    @classmethod
+    def view(cls, X, y) -> "LocalDataset":
+        """The dataset of a 2-d X and 1-d y already known to fit, unchecked."""
+        ds = cls.__new__(cls)
+        ds.X, ds.y = X, y
+        return ds
+
     def copy(self) -> "LocalDataset":
         return LocalDataset(self.X.copy(), self.y.copy())
 
     def __repr__(self):
         return f"LocalDataset(m={self.m}, d={self.d})"
+
+
+class NodeData:
+    """Every node's dataset, stacked per group of equal sample count.
+
+    groups holds one (m, idx, X, y) per sample count m, ascending: the ids
+    idx of the nodes with m samples, ascending, their features X
+    (len(idx), m, d) and labels y (len(idx), m). sizes[i] is node i's
+    sample count; dataset(i) and datasets() are views of the stacks.
+    """
+
+    __slots__ = ("n", "d", "sizes", "groups")
+
+    def __init__(self, d, groups):
+        """Groups of the same sample count are merged, in node order."""
+        by_size = {}
+        for group in groups:
+            by_size.setdefault(group[0], []).append(group)
+        self.d = int(d)
+        self.groups = []
+        for m, parts in sorted(by_size.items()):
+            if len(parts) > 1:
+                idx, X, y = (np.concatenate([part[k] for part in parts]) for k in (1, 2, 3))
+                order = np.argsort(idx)
+                parts = [(m, idx[order], X[order], y[order])]
+            self.groups.append(parts[0])
+        self.n = sum(idx.shape[0] for _, idx, _, _ in self.groups)
+        self.sizes = np.zeros(self.n, dtype=np.intp)
+        for m, idx, _, _ in self.groups:
+            self.sizes[idx] = m
+
+    @classmethod
+    def allocate(cls, d, sizes) -> "NodeData":
+        """Uninitialised stacks for nodes with the given sample counts."""
+        sizes = np.asarray(sizes, dtype=np.intp)
+        groups = []
+        for m in np.unique(sizes).tolist():
+            idx = np.flatnonzero(sizes == m)
+            groups.append((m, idx, np.empty((idx.shape[0], m, d)), np.empty((idx.shape[0], m))))
+        return cls(d, groups)
+
+    @classmethod
+    def from_datasets(cls, datasets) -> "NodeData":
+        """The stacks of per-node datasets, which must share one dimension."""
+        datasets = list(datasets)
+        dims = {ds.d for ds in datasets}
+        if len(dims) > 1:
+            raise ValueError(f"datasets disagree on the feature dimension: {sorted(dims)}")
+        out = cls.allocate(dims.pop() if dims else 0, [ds.m for ds in datasets])
+        for ds, (X, y) in zip(datasets, out.rows()):
+            X[...], y[...] = ds.X, ds.y
+        return out
+
+    def rows(self) -> list:
+        """(X, y) views of every node's stack rows, in node order."""
+        out = [None] * self.n
+        for _, idx, X, y in self.groups:
+            for i, Xi, yi in zip(idx.tolist(), X, y):
+                out[i] = (Xi, yi)
+        return out
+
+    def dataset(self, i) -> LocalDataset:
+        for m, idx, X, y in self.groups:
+            if m == self.sizes[i]:
+                k = int(np.searchsorted(idx, i))
+                return LocalDataset.view(X[k], y[k])
+
+    def datasets(self) -> list:
+        return [LocalDataset.view(X, y) for X, y in self.rows()]
 
 
 class QuadLoss:
@@ -82,6 +158,14 @@ class QuadLoss:
         self.source = source
         self.ridge = float(ridge)
         self._sigma = None
+
+    @classmethod
+    def view(cls, Q, q, c, source=None, ridge=0.0) -> "QuadLoss":
+        """The loss of a symmetric Q and q already known to fit, unchecked;
+        c and ridge are floats."""
+        loss = cls.__new__(cls)
+        loss.Q, loss.q, loss.c, loss.source, loss.ridge, loss._sigma = Q, q, c, source, ridge, None
+        return loss
 
     @property
     def d(self) -> int:
@@ -118,18 +202,66 @@ class QuadStack:
     """Quadratic losses stacked for evaluation at every node at once.
 
     Qs (n, d, d), qs (n, d) and cs (n,) hold the losses' pieces in node
-    order. values(W)[i] equals losses[i].value(W[i]) bit for bit: numpy's
+    order, read-only; data, when the stack was built from datasets, holds
+    them (the losses' sources) and ridge the coefficient added to every
+    Q_i. values(W)[i] equals losses()[i].value(W[i]) bit for bit: numpy's
     matmul hands each stacked slice to the same BLAS gemv and dot that the
     per-node products call, and the three terms are added in the same order.
     """
 
-    __slots__ = ("Qs", "qs", "cs")
+    __slots__ = ("Qs", "qs", "cs", "data", "ridge")
 
-    def __init__(self, losses):
+    def __init__(self, Qs, qs, cs, data=None, ridge=0.0):
+        self.Qs, self.qs, self.cs = (np.asarray(a, dtype=float) for a in (Qs, qs, cs))
+        for arr in (self.Qs, self.qs, self.cs):
+            arr.flags.writeable = False
+        self.data = data
+        self.ridge = float(ridge)
+
+    @classmethod
+    def of(cls, losses) -> "QuadStack":
+        """The stack of per-node QuadLoss objects."""
         losses = list(losses)
-        self.Qs = np.stack([loss.Q for loss in losses])
-        self.qs = np.stack([loss.q for loss in losses])
-        self.cs = np.array([loss.c for loss in losses])
+        return cls(
+            np.stack([loss.Q for loss in losses]),
+            np.stack([loss.q for loss in losses]),
+            np.array([loss.c for loss in losses]),
+        )
+
+    @classmethod
+    def from_data(cls, data: NodeData, ridge: float = 0.0) -> "QuadStack":
+        """The losses from_dataset builds from every node's dataset, a few
+        stacked products per sample-count group. Each slice goes to the
+        BLAS call the per-node product makes (syrk for X'X, gemv for X'y,
+        dot for y'y), so every Q_i, q_i and c_i has its bits."""
+        ridge = float(ridge)
+        if ridge < 0.0:
+            raise ValueError(f"ridge must be nonnegative, got {ridge}")
+        n, d = data.n, data.d
+        Qs, qs, cs = np.zeros((n, d, d)), np.zeros((n, d)), np.zeros(n)
+        for m, idx, X, y in data.groups:
+            if m == 0:  # an empty dataset adds only the ridge term
+                continue
+            Xt = np.swapaxes(X, 1, 2)
+            Qs[idx] = Xt @ X / m
+            qs[idx] = -2.0 / m * (Xt @ y[:, :, None])[:, :, 0]
+            cs[idx] = (y[:, None, :] @ y[:, :, None])[:, 0, 0] / m
+        if ridge > 0.0:
+            Qs = Qs + ridge * np.eye(d)
+        # QuadLoss symmetrises its Q the same way; X'X is symmetric already.
+        return cls((Qs + np.swapaxes(Qs, 1, 2)) / 2.0, qs, cs, data, ridge)
+
+    @property
+    def d(self) -> int:
+        return self.Qs.shape[1]
+
+    def losses(self) -> tuple:
+        """One QuadLoss per node, viewing its slices and source dataset."""
+        sources = self.data.datasets() if self.data is not None else [None] * self.cs.shape[0]
+        return tuple(
+            QuadLoss.view(Q, q, c, src, self.ridge)
+            for Q, q, c, src in zip(self.Qs, self.qs, self.cs.tolist(), sources)
+        )
 
     def values(self, W) -> np.ndarray:
         """Loss i at row i of the (n, d) block array W."""

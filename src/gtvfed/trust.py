@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from gtvfed import seeds
+from gtvfed.gtvmin import ordered_total
 from gtvfed.localmodel import LocalDataset
 
 DATA_ATTACKS = ("label_poison", "feature_poison", "backdoor")
@@ -290,7 +291,9 @@ def aggregate_segments(rows, weights, counts, agg: RobustAgg) -> np.ndarray:
     - one sparse product by the segments' 0/1 indicator adds each segment's
       weighted values left to right from 0.0 in slot order, as
       graph.neighbor_means does (np.add.reduceat would add segments of 8
-      or more rows pairwise).
+      or more rows pairwise); one segment, as the per-node aggregate sends,
+      takes gtvmin.ordered_total's running sum, which adds in that order
+      without building the indicator.
 
     A segment's row depends on its own rows only, so it equals a
     one-segment call bit for bit.
@@ -309,19 +312,22 @@ def aggregate_segments(rows, weights, counts, agg: RobustAgg) -> np.ndarray:
     totals = np.bincount(np.repeat(np.arange(counts.shape[0]), counts), weights, counts.shape[0])
     if not (totals > 0.0).all():
         raise ValueError("aggregation weights must have positive sum")
-    import scipy.sparse
-
     ends = np.cumsum(counts)
     if agg.kind == "clipped":
         rows = np.clip(rows, agg.tau_l, agg.tau_u)
     products = weights[:, None] * rows
     if t:
         products[_trimmed_slots(rows, counts, ends - counts, t)] = -0.0
-    M = rows.shape[0]
-    segments = scipy.sparse.csr_array(
-        (np.ones(M), np.arange(M), np.concatenate(([0], ends))), shape=(len(ends), M)
-    )
-    sums = segments @ products
+    if ends.shape[0] == 1:
+        sums = ordered_total(products)[None, :]
+    else:
+        import scipy.sparse
+
+        M = rows.shape[0]
+        segments = scipy.sparse.csr_array(
+            (np.ones(M), np.arange(M), np.concatenate(([0], ends))), shape=(len(ends), M)
+        )
+        sums = segments @ products
     if t:
         sums *= (counts / (counts - 2 * t))[:, None]
     return sums / totals[:, None]
