@@ -25,7 +25,8 @@ class NodeOperator:
     when present, is the _ArrayRound shared by all operators of the run; the
     engines run every event on it instead, synchronous or not, when every
     operator carries the same one and no message hook other than a
-    SenderRewrite is installed.
+    SenderRewrite is installed. Quadratic FedGD on one step schedule and
+    FedRelax carry one under every aggregation rule.
     """
 
     update: callable
@@ -173,7 +174,7 @@ def _gd_ops(p: GTVMinProblem, agg, scheds, batch):
 
 def _gd_round(p: GTVMinProblem, agg, scheds):
     """The _ArrayRound shared by FedGD operators on a quadratic problem whose
-    nodes share one schedule, where _array_round applies (None otherwise)."""
+    nodes share one schedule (None otherwise)."""
     s0 = scheds[0]
     if not p.is_quadratic() or not all(s is s0 or s == s0 for s in scheds):
         return None
@@ -183,7 +184,7 @@ def _gd_round(p: GTVMinProblem, agg, scheds):
     def finish(k, ids, own, avg):
         return own - s0.rate(k) * gd_gradient(stack, rhos, ids, own, avg)
 
-    return _array_round(p, agg, rhos, finish)
+    return _ArrayRound(p.graph, rhos, agg, finish)
 
 
 def fedsgd_op(p: GTVMinProblem, batch_size: int, seed: int, sched=None):
@@ -300,8 +301,8 @@ def _lone_minimizer(loss):
 
 
 def _relax_round(p: GTVMinProblem, agg, Ps, rhos, lone):
-    """The _ArrayRound shared by FedRelax operators on a quadratic problem,
-    where _array_round applies (None otherwise)."""
+    """The _ArrayRound shared by FedRelax operators on a quadratic problem
+    (None otherwise)."""
     if not p.is_quadratic():
         return None
     qs = loss_stack(p).qs
@@ -317,21 +318,6 @@ def _relax_round(p: GTVMinProblem, agg, Ps, rhos, lone):
         rhs = rhos[ids][:, None] * avg - qs[ids]
         return (Ps[ids] @ rhs[:, :, None])[:, :, 0]
 
-    return _array_round(p, agg, rhos, finish)
-
-
-def _array_round(p: GTVMinProblem, agg, rhos, finish):
-    """An _ArrayRound of finish when aggregate_segments can serve agg at
-    every node that aggregates, else None.
-
-    The operators aggregate exactly at the nodes with coupling rhos[i] =
-    2 alpha d_i != 0 (so none at alpha = 0); every other node takes finish
-    with avg None. The geometric median has no segment form, and a trim
-    must leave every segment a block.
-    """
-    counts = np.diff(p.graph.indptr)[rhos != 0.0]
-    if agg.kind == "geomedian" or (agg.kind == "trimmed" and (counts <= 2 * agg.trim_k).any()):
-        return None
     return _ArrayRound(p.graph, rhos, agg, finish)
 
 
@@ -340,7 +326,7 @@ _EVERY = slice(None)
 
 
 class _ArrayRound:
-    """Every event of quadratic FedGD or FedRelax as array code.
+    """Every event of quadratic FedGD or FedRelax as array code, any rule.
 
     One take gathers the neighbor rows that the active nodes with coupling
     rho_i != 0 read, in event and CSR slot order, from the blocks or the
@@ -353,7 +339,9 @@ class _ArrayRound:
     every node alike passes slice(None), which reads them without a copy.
     The per-node closures call the same kernel on one segment, and finish's
     stacked matmul hands each slice to their BLAS kernel, so every path
-    agrees bit for bit.
+    agrees bit for bit. A node the rule cannot serve (a trim that leaves it
+    no block) raises from the kernel at the first event it aggregates in,
+    as its closure would.
     """
 
     def __init__(self, g, rhos, agg, finish):
@@ -414,9 +402,9 @@ def _graph_step(ops, shape, events, B, interceptor):
     at the event the schedule names, from a ring of B + 1 state snapshots
     (the whole history when B is None); inactive nodes keep their block.
     The per-node updates are the reference. The operators' shared
-    _ArrayRound runs every event instead, unless a hook other than a
-    SenderRewrite is installed; a zero-delay event gets the bits of a
-    synchronous round.
+    _ArrayRound, when they carry one, runs every event instead, unless a
+    hook other than a SenderRewrite is installed; a zero-delay event gets
+    the bits of a synchronous round.
     """
     array = ops[0].batch_update
     rewrite = interceptor if isinstance(interceptor, SenderRewrite) else None

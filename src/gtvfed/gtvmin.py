@@ -337,7 +337,8 @@ class QuadOperator:
         n, d = p.n, p.d
         self.n, self.d, self.alpha = n, d, p.alpha
         self.graph = p.graph
-        self.Qs = loss_stack(p).Qs
+        self.stack = loss_stack(p)
+        self.Qs = self.stack.Qs
         ii, jj, self.weights = p.graph.edge_arrays()
         self.ends = (ii, jj)
         # Signed node-edge incidence: column e is +1 at ii[e] and -1 at jj[e].
@@ -367,7 +368,7 @@ class QuadOperator:
         of Q must be constant on components and annihilated by those sums.
         """
         if self._pre is None:
-            lam = np.linalg.eigvalsh(self.Qs)[:, 0]
+            lam = self.stack.eigenvalues()[:, 0]
             worst = int(np.argmin(lam))
             if lam[worst] < -SINGULAR_TOL:
                 raise SingularProblemError(
@@ -524,11 +525,9 @@ def eig_summaries(p: GTVMinProblem) -> EigSummaries:
     if not p.is_quadratic():
         raise ValueError("eigenvalue summaries require quadratic losses")
     if p._eig is None:
-        # One stacked eigvalsh hands each Q_i to the LAPACK call a per-node
-        # eigvalsh makes, so every eigenvalue keeps its bits.
-        Qs = loss_stack(p).Qs
-        lam_max = max(np.linalg.eigvalsh(Qs)[:, -1].tolist(), default=0.0)
-        mean_Q = ordered_total(Qs) / p.n
+        stack = loss_stack(p)
+        lam_max = max(stack.eigenvalues()[:, -1].tolist(), default=0.0)
+        mean_Q = ordered_total(stack.Qs) / p.n
         lam_bar_min = max(0.0, float(np.linalg.eigvalsh(mean_Q)[0]))
         rho = lam_bar_min / (4.0 * lam_max) if lam_max > 0.0 else None
         p._eig = EigSummaries(lam_max=lam_max, lam_bar_min=lam_bar_min, rho=rho)

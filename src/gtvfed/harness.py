@@ -960,11 +960,11 @@ def _run_graph(cfg, g, stack, train, val, meta):
     if mode == "sync":
         schedule = None
     else:
-        horizon = cfg.async_spec["horizon"] or cfg.stop.max_iters
+        horizon = cfg.async_spec["horizon"] or max(cfg.stop.max_iters, 1)  # one event at least
         if mode == "partial":
             # No partial event depends on the horizon: draw only those that run.
             schedule = gen_partially_async(
-                g, cfg.async_spec["B"], min(horizon, cfg.stop.max_iters),
+                g, cfg.async_spec["B"], max(min(horizon, cfg.stop.max_iters), 1),
                 seeds.stream(cfg.seed, "schedule"), p_active=cfg.async_spec["p_active"],
             )
         else:

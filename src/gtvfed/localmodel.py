@@ -209,7 +209,7 @@ class QuadStack:
     per-node products call, and the three terms are added in the same order.
     """
 
-    __slots__ = ("Qs", "qs", "cs", "data", "ridge")
+    __slots__ = ("Qs", "qs", "cs", "data", "ridge", "_eigs")
 
     def __init__(self, Qs, qs, cs, data=None, ridge=0.0):
         self.Qs, self.qs, self.cs = (np.asarray(a, dtype=float) for a in (Qs, qs, cs))
@@ -217,6 +217,7 @@ class QuadStack:
             arr.flags.writeable = False
         self.data = data
         self.ridge = float(ridge)
+        self._eigs = None
 
     @classmethod
     def of(cls, losses) -> "QuadStack":
@@ -254,6 +255,15 @@ class QuadStack:
     @property
     def d(self) -> int:
         return self.Qs.shape[1]
+
+    def eigenvalues(self) -> np.ndarray:
+        """(n, d) ascending eigenvalues of every Q_i, computed on the first
+        call and kept. One stacked eigvalsh hands each Q_i to the LAPACK
+        call a per-node eigvalsh makes, so every eigenvalue keeps its bits."""
+        if self._eigs is None:
+            self._eigs = np.linalg.eigvalsh(self.Qs)
+            self._eigs.flags.writeable = False
+        return self._eigs
 
     def losses(self) -> tuple:
         """One QuadLoss per node, viewing its slices and source dataset."""

@@ -261,8 +261,8 @@ def aggregate(blocks, weights, agg: RobustAgg) -> np.ndarray:
     per coordinate, drop the trim_k largest and smallest values, then take
     the weighted average of the survivors rescaled by c = count/kept so
     unit weights give the plain trimmed mean. geomedian: minimizer of the
-    summed Euclidean distances (weights ignored; block-level rule). Each
-    other rule is aggregate_segments over one segment.
+    summed Euclidean distances (weights ignored; block-level rule). Every
+    rule is aggregate_segments over one segment.
     """
     stack = np.asarray(blocks, dtype=float)
     if stack.ndim == 1:
@@ -270,12 +270,7 @@ def aggregate(blocks, weights, agg: RobustAgg) -> np.ndarray:
     wts = np.asarray(weights, dtype=float)
     if wts.shape != stack.shape[:1]:
         raise ValueError(f"got {wts.shape} weights for {stack.shape[0]} blocks")
-    if agg.kind != "geomedian":
-        return aggregate_segments(stack, wts, stack.shape[:1], agg)[0]
-    if not wts.sum() > 0.0:
-        raise ValueError("aggregation weights must have positive sum")
-    point, _ = geometric_median(stack, tol=agg.tol, max_iter=agg.max_iter)
-    return point
+    return aggregate_segments(stack, wts, stack.shape[:1], agg)[0]
 
 
 def aggregate_segments(rows, weights, counts, agg: RobustAgg) -> np.ndarray:
@@ -285,6 +280,8 @@ def aggregate_segments(rows, weights, counts, agg: RobustAgg) -> np.ndarray:
 
     - the total is np.bincount(segment, weights), the left-to-right sum
       EmpGraph.degree adds, so a node's total is its degree bit for bit;
+    - geomedian checks the counts and totals only: its row is
+      geometric_median(segment rows, tol, max_iter)'s point, weights unused;
     - clipped clamps the rows first; trimmed sets to -0.0, an exact additive
       identity, the weighted values a stable argsort puts among the trim_k
       lowest or highest (ties by slot, NaN last), and scales by count/kept;
@@ -298,8 +295,6 @@ def aggregate_segments(rows, weights, counts, agg: RobustAgg) -> np.ndarray:
     A segment's row depends on its own rows only, so it equals a
     one-segment call bit for bit.
     """
-    if agg.kind == "geomedian":
-        raise ValueError("the geometric median aggregates one node at a time")
     rows = np.asarray(rows, dtype=float)
     weights = np.asarray(weights, dtype=float)
     counts = np.asarray(counts, dtype=np.intp)
@@ -313,6 +308,11 @@ def aggregate_segments(rows, weights, counts, agg: RobustAgg) -> np.ndarray:
     if not (totals > 0.0).all():
         raise ValueError("aggregation weights must have positive sum")
     ends = np.cumsum(counts)
+    if agg.kind == "geomedian":
+        out = np.empty((counts.shape[0], rows.shape[1]))
+        for s, (b, c) in enumerate(zip(ends.tolist(), counts.tolist())):
+            out[s] = geometric_median(rows[b - c : b], agg.tol, agg.max_iter)[0]
+        return out
     if agg.kind == "clipped":
         rows = np.clip(rows, agg.tau_l, agg.tau_u)
     products = weights[:, None] * rows

@@ -300,8 +300,29 @@ def test_stacked_aggregate_rejects_what_aggregate_rejects():
         aggregate_segments(blocks, np.ones(4), counts, RobustAgg.trimmed(1))
     with pytest.raises(ValueError, match="positive sum"):
         aggregate_segments(blocks, np.zeros(4), counts, RobustAgg.mean())
-    with pytest.raises(ValueError, match="one node at a time"):
-        aggregate_segments(blocks, np.ones(4), counts, RobustAgg.geomedian())
+    with pytest.raises(ValueError, match="positive sum"):
+        aggregate_segments(blocks, np.zeros(4), counts, RobustAgg.geomedian())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(1, 9), min_size=1, max_size=5),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.sampled_from([RobustAgg.geomedian(), RobustAgg.geomedian(tol=1e-3, max_iter=3)]),
+)
+def test_geomedian_segments_are_the_per_segment_medians(counts, d, seed, ties, agg):
+    # Ties put the median on data points; max_iter = 3 stops short of tol.
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((sum(counts), d))
+    if ties:
+        rows = np.round(rows)
+    weights = rng.uniform(0.05, 4.0, sum(counts))
+    out = aggregate_segments(rows, weights, counts, agg)
+    ends = np.cumsum(counts)
+    ref = [trust.geometric_median(rows[e - c : e], agg.tol, agg.max_iter)[0] for e, c in zip(ends, counts)]
+    assert out.tobytes() == np.stack(ref).tobytes()
 
 
 # ---------------------------------------------------- array engine vs reference
@@ -401,8 +422,7 @@ def test_array_engine_covers_lone_nodes_and_one_dimension():
     schedule = gen_partially_async(g, 2, 30, seed=8)
     w0 = rng.standard_normal((7, 1))
     hook, reference_hook = rewrite(7, 1, POISON)
-    # The geometric median keeps the per-node path, where the rewrite is
-    # called once per message.
+    # The reference calls the plain-function hook once per message.
     for agg in (None, RobustAgg.clipped(-0.5, 0.5), RobustAgg.geomedian()):
         for make in (lambda: fedrelax_op(p, agg=agg),
                      lambda: fedgd_op(p, sched=LRSchedule.constant(0.1), agg=agg)):
@@ -414,7 +434,7 @@ def test_array_engine_covers_lone_nodes_and_one_dimension():
 def fedgd_runs(draw):
     """A FedGD problem, rule, schedule and attack: graphs with isolated
     nodes, disconnected graphs, d = 1, alpha = 0, ridge > 0, diminishing
-    steps, and every trim the graph allows."""
+    steps, every trim the graph allows and the geometric median."""
     g = with_isolated(
         generate("erdos_renyi", draw(st.integers(1, 9)), seed=draw(st.integers(0, 10**6)),
                  p=draw(st.sampled_from([0.0, 0.4, 0.9]))),
@@ -432,7 +452,8 @@ def fedgd_runs(draw):
     linked = counts[counts > 0]
     most = (int(linked.min()) - 1) // 2 if linked.size else 2
     agg = draw(st.sampled_from([
-        RobustAgg.mean(), RobustAgg.clipped(-0.5, 0.8), RobustAgg.trimmed(draw(st.integers(0, most)))
+        RobustAgg.mean(), RobustAgg.clipped(-0.5, 0.8), RobustAgg.trimmed(draw(st.integers(0, most))),
+        RobustAgg.geomedian(tol=1e-2),  # a loose tolerance keeps the median cheap
     ]))
     eta = 0.5 / eig_bounds(p).upper
     sched = draw(st.sampled_from([LRSchedule.constant(eta), LRSchedule.diminishing(eta)]))
@@ -465,6 +486,63 @@ def test_fedgd_array_events_match_the_per_node_closures(case):
     fast, _ = run_async(ops, w0, schedule, interceptor=hook)
     ref = reference_async(fedgd_op(p, sched=sched, agg=agg), w0, schedule, reference_hook)
     assert np.array_equal(fast.blocks, ref)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.9])
+@pytest.mark.parametrize("mode", ["sync", "partial", "total"])
+def test_geomedian_runs_match_the_per_node_closures(mode, alpha):
+    # Nodes 7 and 8 are isolated; at alpha = 0 no node aggregates.
+    g = with_isolated(generate("erdos_renyi", 7, seed=7, p=0.5), 2)
+    rng = np.random.default_rng(6)
+    losses = [
+        from_dataset(generate_local(rng.standard_normal(2), 6, 0.2, seed=i), 0.1) for i in range(g.n)
+    ]
+    p = GTVMinProblem(g, losses, alpha)
+    w0 = rng.standard_normal((g.n, 2))
+    sched = LRSchedule.constant(0.5 / eig_bounds(p).upper)
+    agg = RobustAgg.geomedian(tol=1e-2)  # both paths call the same median; loose is cheap
+    schedule = {
+        "sync": None,
+        "partial": gen_partially_async(g, 2, 10, seed=3),
+        "total": gen_totally_async(g, 10, seed=3),
+    }[mode]
+    for attacks in ((), (POISON, DOS)):
+        hook, reference_hook = rewrite(g.n, 2, *attacks)
+        if not attacks:
+            hook, reference_hook = None, lambda sender, receiver, value, k: value
+        for make in (lambda: fedgd_op(p, sched=sched, agg=agg), lambda: fedrelax_op(p, agg=agg)):
+            ops = make()
+            assert isinstance(ops[0].batch_update, _ArrayRound)
+            for op in ops:
+                op.update = None  # the array path must not call it
+            if schedule is None:
+                fast, _ = run_sync(ops, w0, StopRule(max_iters=10), interceptor=hook)
+                # A plain function hook keeps every round on the per-node path.
+                ref = run_sync(make(), w0, StopRule(max_iters=10), interceptor=reference_hook)[0].blocks
+            else:
+                fast, _ = run_async(ops, w0, schedule, interceptor=hook)
+                ref = reference_async(make(), w0, schedule, reference_hook)
+            assert fast.blocks.tobytes() == ref.tobytes(), (attacks, make)
+
+
+def test_a_short_trim_raises_at_the_first_event_that_reads_the_node():
+    # Star: the hub reads three leaves, enough for trim_k = 1; a leaf reads
+    # one block, too few. Leaf 2 first aggregates at event 2.
+    g = EmpGraph(4, [(0, 1), (0, 2), (0, 3)])
+    p = GTVMinProblem(g, problem(4, 0).losses, 0.7)
+    hub = {0: (0, 0, 0)}
+    schedule = AsyncSchedule(4, None, (
+        event([0], hub), event([0], hub), event([0, 2], hub | {2: (1,)}), event([1, 3], {1: (2,), 3: (2,)}),
+    ))
+    w0 = np.zeros((4, p.d))
+    plain = lambda sender, receiver, value, k: value  # keeps the per-node path
+    for make in (lambda: fedrelax_op(p, agg=RobustAgg.trimmed(1)),
+                 lambda: fedgd_op(p, sched=LRSchedule.constant(0.05), agg=RobustAgg.trimmed(1))):
+        assert isinstance(make()[0].batch_update, _ArrayRound)
+        for hook in (None, plain):
+            run_async(make(), w0, schedule, StopRule(max_iters=2), interceptor=hook)
+            with pytest.raises(ValueError, match="more than 2 blocks, got 1"):
+                run_async(make(), w0, schedule, StopRule(max_iters=3), interceptor=hook)
 
 
 def test_fedgd_runs_array_events_only_under_one_shared_schedule():

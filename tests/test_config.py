@@ -1,6 +1,7 @@
 """The config boundary: the key table, the cross-key rules, error texts,
 the CLI options drawn from the table, and the README's config reference."""
 
+import dataclasses
 import os
 import re
 
@@ -294,6 +295,93 @@ def test_fuzzed_lines_raise_only_config_errors(lines):
     for i, (key, val, sep) in enumerate(lines, start=1):
         if key in _KEYS and val in _JUNK and sep.strip() == "=":
             assert i in numbered, (i, errors)
+
+
+# ------------------------------------------------ parse, write, parse
+
+
+def written(cfg) -> str:
+    """A parsed config as key = value text: floats by repr, tuples
+    comma-joined, unset keys left out."""
+    sections = {
+        "graph": cfg.graph,
+        "data": cfg.data,
+        "algorithm": cfg.algorithm,
+        "async": cfg.async_spec,
+        "stop": dataclasses.asdict(cfg.stop),
+        "split": {"fraction": cfg.split_fraction},
+        "defense": dataclasses.asdict(cfg.defense),
+        "dp": {"kind": "none"} if cfg.dp is None else dataclasses.asdict(cfg.dp),
+    }
+    values = {"seed": cfg.seed, "record_every": cfg.record_every}
+    # RobustAgg's tol and max_iter and DPMechanism's seed have no key.
+    values |= {
+        f"{s}.{k}": v for s, fields in sections.items() for k, v in fields.items()
+        if f"{s}.{k}" in CONFIG_KEYS
+    }
+    values |= {f"attack.{i}.{k}": v for i, a in enumerate(cfg.attacks) for k, v in a.items()}
+
+    def text(v):
+        if isinstance(v, tuple):
+            return ",".join(map(text, v))
+        return repr(v) if isinstance(v, float) else str(v)
+
+    return "".join(f"{k} = {text(v)}\n" for k, v in values.items() if v is not None)
+
+
+def round_trip_configs(tmp_path):
+    """Configs that together set every key and every attack field."""
+    (tmp_path / "edges.txt").write_text("0 1 1.0\n1 2 0.5\n")
+    (tmp_path / "d.csv").write_text("0,1,4\n1,0,1\n4,1,0\n")
+    (tmp_path / "data").mkdir()
+    attack = {
+        "attack.0.kind": "feature_poison", "attack.0.nodes": "2,0", "attack.0.fraction": "0.3",
+        "attack.0.label_delta": "-1.5", "attack.0.feature_delta": "0.1,-2e-3",
+        "attack.0.trigger_delta": "1,0.25", "attack.0.target_label": "7", "attack.0.value": "1e-7",
+        "attack.3.kind": "model_poison", "attack.3.nodes": "1", "attack.3.value": "50",
+    }
+    return [
+        {
+            "seed": "4294967301", "record_every": "3", "graph.kind": "two_cluster", "graph.n": "7",
+            "graph.p": "0.1", "graph.p_in": "0.9", "graph.p_out": "0.01", "graph.weight": "0.3",
+            "data.kind": "synthetic", "data.d": "2", "data.m_min": "4", "data.m_max": "9",
+            "data.noise": "0.07", "data.model": "clustered", "data.ridge": "1e-4",
+            "algorithm.kind": "fedsgd", "algorithm.alpha": "0.3", "algorithm.penalty": "sq_norm",
+            "algorithm.eta": "0.01", "algorithm.schedule": "diminishing", "algorithm.batch": "3",
+            "async.mode": "partial", "async.B": "2", "async.horizon": "40", "async.p_active": "0.7",
+            "stop.max_iters": "30", "stop.obj_tol": "1e-9", "stop.dist_tol": "0.001",
+            "split.fraction": "0.3", "dp.kind": "gaussian", "dp.sigma": "0.05", "dp.b": "0.2",
+        } | attack,
+        {
+            "graph.kind": "file", "graph.path": str(tmp_path / "edges.txt"), "data.kind": "csv",
+            "data.dir": str(tmp_path / "data"), "algorithm.kind": "fedavg", "algorithm.eta": "0.1",
+            "algorithm.local_steps": "2", "algorithm.sample_size": "2", "dp.kind": "laplace",
+            "dp.b": "0.5",
+        },
+        {
+            "graph.kind": "learned", "graph.discrepancies": str(tmp_path / "d.csv"),
+            "graph.method": "budget", "graph.budget": "2.5", "graph.d_max": "1", "data.d": "1",
+            "algorithm.kind": "fedrelax", "defense.kind": "clipped", "defense.tau_l": "-0.5",
+            "defense.tau_u": "0.75", "defense.trim_k": "2",
+        },
+        {
+            "graph.kind": "chain", "graph.n": "5", "data.d": "3", "algorithm.kind": "fedgd",
+            "async.mode": "total", "defense.kind": "trimmed", "defense.trim_k": "0",
+        },
+    ]
+
+
+def test_written_configs_parse_back_to_the_same_config(tmp_path):
+    configs = round_trip_configs(tmp_path)
+    keys = set().union(*configs)
+    assert set(CONFIG_KEYS) <= keys
+    assert {k.split(".", 2)[2] for k in keys if k.startswith("attack.")} == set(ATTACK_KEYS)
+    for values in configs:
+        cfg = parse_config(text_of(values))
+        again = parse_config(written(cfg))
+        for f in dataclasses.fields(cfg):
+            if f.name != "text":
+                assert getattr(again, f.name) == getattr(cfg, f.name), f.name
 
 
 # -------------------------------------------------------- CLI and README

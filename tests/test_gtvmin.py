@@ -14,6 +14,7 @@ from gtvfed.gtvmin import (
     eig_bounds,
     eig_summaries,
     flat_loss,
+    loss_stack,
     node_gradient,
     objective,
     quad_operator,
@@ -488,3 +489,19 @@ def test_eig_summaries_computed_once_per_problem(monkeypatch):
     assert calls == []
     fresh = eig_summaries(two_node_problem())
     assert len(calls) == 2 and fresh == first  # one stacked call, one for the mean
+
+
+def test_local_spectra_solved_once_per_problem(monkeypatch):
+    # eig_bounds reads the largest eigenvalue of each Q_i, solve_direct's
+    # preconditioner the smallest: one stacked eigvalsh serves both.
+    p = random_problem(3, n=8, d=3)
+    Qs = loss_stack(p).Qs
+    on_stack = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(
+        np.linalg, "eigvalsh",
+        lambda a: on_stack.append(np.shape(a) == Qs.shape and np.array_equal(a, Qs)) or real(a),
+    )
+    eig_bounds(p)
+    solve_direct(p)
+    assert on_stack.count(True) == 1

@@ -505,6 +505,18 @@ def test_partial_async_runs_draw_only_the_events_they_run(monkeypatch, tmp_path)
     assert texts[5000] == texts[100]
 
 
+@pytest.mark.parametrize("mode", ["sync", "partial", "total"])
+def test_run_without_events_reports_the_start(mode):
+    # stop.max_iters = 0 runs no event; an async run still draws a schedule
+    # of one event, which it does not run.
+    text = (
+        "graph.kind = chain\ngraph.n = 4\ndata.d = 2\nalgorithm.kind = fedrelax\n"
+        f"async.mode = {mode}\nstop.max_iters = 0\n"
+    )
+    rep = run_experiment(parse_config(text))
+    assert [row[:2] for row in rep.rows] == [(0, i) for i in range(4)]
+
+
 def test_trimmed_defense_rejects_short_neighbourhood_before_solving(monkeypatch):
     from gtvfed import harness
 
