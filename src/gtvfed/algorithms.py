@@ -10,8 +10,8 @@ import numpy as np
 
 from gtvfed import seeds
 from gtvfed.graph import neighbor_means
-from gtvfed.gtvmin import GTVMinProblem, StackedParams, eig_bounds, gd_gradient, loss_stack
-from gtvfed.localmodel import QuadLoss
+from gtvfed.gtvmin import GTVMinProblem, StackedParams, eig_bounds, gd_gradient
+from gtvfed.localmodel import PSD_TOL
 from gtvfed.optim import DivergenceError, LRSchedule, StopRule, _drive, _Recorder
 from gtvfed.trust import RobustAgg, SenderRewrite, aggregate, aggregate_segments
 
@@ -25,8 +25,8 @@ class NodeOperator:
     when present, is the _ArrayRound shared by all operators of the run; the
     engines run every event on it instead, synchronous or not, when every
     operator carries the same one and no message hook other than a
-    SenderRewrite is installed. Quadratic FedGD on one step schedule and
-    FedRelax carry one under every aggregation rule.
+    SenderRewrite is installed. FedGD on one step schedule and FedRelax
+    carry one under every aggregation rule.
     """
 
     update: callable
@@ -173,12 +173,12 @@ def _gd_ops(p: GTVMinProblem, agg, scheds, batch):
 
 
 def _gd_round(p: GTVMinProblem, agg, scheds):
-    """The _ArrayRound shared by FedGD operators on a quadratic problem whose
-    nodes share one schedule (None otherwise)."""
+    """The _ArrayRound shared by FedGD operators whose nodes share one
+    schedule (None otherwise)."""
     s0 = scheds[0]
-    if not p.is_quadratic() or not all(s is s0 or s == s0 for s in scheds):
+    if not all(s is s0 or s == s0 for s in scheds):
         return None
-    stack = loss_stack(p)
+    stack = p.stack
     rhos = 2.0 * p.alpha * p.graph.degree
 
     def finish(k, ids, own, avg):
@@ -201,7 +201,7 @@ def fedsgd_op(p: GTVMinProblem, batch_size: int, seed: int, sched=None):
     scheds = _node_schedules(p, sched)
     exact = []
     for i, loss in enumerate(p.losses):
-        if not isinstance(loss, QuadLoss) or loss.source is None:
+        if loss.source is None:
             raise ValueError(f"node {i}: stochastic gradients need a source dataset")
         m = loss.source.m
         if batch_size > m:
@@ -243,74 +243,52 @@ def fedrelax_op(p: GTVMinProblem, agg: RobustAgg | None = None):
     """
     if agg is None:
         agg = _MEAN
-    # Shared by the closures and the round maps: the P_i and each lone
-    # node's minimizer or None.
+    # Shared by the closures and the round map: the P_i, and the lone nodes
+    # with a unique minimizer (fixed) and those minimizers.
+    stack = p.stack
     rhos = 2.0 * p.alpha * p.graph.degree
     Ps = _relax_inverses(p, rhos)
-    lone = {}
+    fixed = (rhos == 0.0) & (stack.eigenvalues()[:, 0] > 1e-12)
+    w_stars = np.zeros_like(stack.qs)
+    for i in np.flatnonzero(fixed).tolist():
+        w_stars[i] = np.linalg.solve(2.0 * stack.Qs[i], -stack.qs[i])
     ops = []
     for i in range(p.n):
         ids, wts = p.neighbor_arrays(i)
-        loss = p.losses[i]
         rho = float(rhos[i])
         if rho == 0.0:
-            w_star = lone[i] = _lone_minimizer(loss)
 
-            def update(own, nbrs, k, w_star=w_star):
+            def update(own, nbrs, k, w_star=w_stars[i] if fixed[i] else None):
                 return own.copy() if w_star is None else w_star.copy()
-
-        elif isinstance(loss, QuadLoss):
-
-            def update(own, nbrs, k, P=Ps[i], qv=loss.q, rho=rho, wts=wts, agg=agg):
-                avg = aggregate(nbrs, wts, agg)
-                return P @ (rho * avg - qv)
 
         else:
 
-            def update(own, nbrs, k, loss=loss, rho=rho, wts=wts, agg=agg):
+            def update(own, nbrs, k, P=Ps[i], qv=stack.qs[i], rho=rho, wts=wts):
                 avg = aggregate(nbrs, wts, agg)
-                return loss.prox(avg, rho)
+                return P @ (rho * avg - qv)
 
         ops.append(NodeOperator(update=update, neighbor_ids=ids))
-    batch = _relax_round(p, agg, Ps, rhos, lone)
+    batch = _relax_round(p, agg, Ps, rhos, fixed[:, None], w_stars)
     for op in ops:
         op.batch_update = batch
     return ops
 
 
 def _relax_inverses(p: GTVMinProblem, rhos) -> np.ndarray:
-    """(n, d, d) stack of P_i = (2 Q_i + rho_i I)^-1 at the quadratic nodes
-    with rho_i != 0, the identity elsewhere. One stacked inv hands each
-    slice to the LAPACK call a per-node inv makes, so each P_i has its bits."""
+    """(n, d, d) stack of P_i = (2 Q_i + rho_i I)^-1 at the nodes with
+    rho_i != 0, the identity elsewhere. One stacked inv hands each slice to
+    the LAPACK call a per-node inv makes, so each P_i has its bits."""
     n, d = p.n, p.d
     Ps = np.broadcast_to(np.eye(d), (n, d, d)).copy()
-    coupled = [i for i in range(n) if rhos[i] != 0.0 and isinstance(p.losses[i], QuadLoss)]
-    if coupled:
-        Qs = np.stack([p.losses[i].Q for i in coupled])
-        Ps[coupled] = np.linalg.inv(2.0 * Qs + rhos[coupled, None, None] * np.eye(d))
+    coupled = np.flatnonzero(rhos != 0.0)
+    if coupled.size:
+        Ps[coupled] = np.linalg.inv(2.0 * p.stack.Qs[coupled] + rhos[coupled, None, None] * np.eye(d))
     return Ps
 
 
-def _lone_minimizer(loss):
-    """A node's exact local minimizer when it is unique, else None."""
-    if isinstance(loss, QuadLoss) and loss.d:
-        lam_min = float(np.linalg.eigvalsh(loss.Q)[0])
-        if lam_min > 1e-12:
-            return np.linalg.solve(2.0 * loss.Q, -loss.q)
-    return None
-
-
-def _relax_round(p: GTVMinProblem, agg, Ps, rhos, lone):
-    """The _ArrayRound shared by FedRelax operators on a quadratic problem
-    (None otherwise)."""
-    if not p.is_quadratic():
-        return None
-    qs = loss_stack(p).qs
-    fixed = np.array([lone.get(i) is not None for i in range(p.n)])[:, None]
-    w_stars = np.zeros_like(qs)
-    for i, w_star in lone.items():
-        if w_star is not None:
-            w_stars[i] = w_star
+def _relax_round(p: GTVMinProblem, agg, Ps, rhos, fixed, w_stars):
+    """The _ArrayRound shared by FedRelax operators."""
+    qs = p.stack.qs
 
     def finish(k, ids, own, avg):
         if avg is None:
@@ -326,7 +304,7 @@ _EVERY = slice(None)
 
 
 class _ArrayRound:
-    """Every event of quadratic FedGD or FedRelax as array code, any rule.
+    """Every event of FedGD or FedRelax as array code, any rule.
 
     One take gathers the neighbor rows that the active nodes with coupling
     rho_i != 0 read, in event and CSR slot order, from the blocks or the
@@ -604,22 +582,25 @@ def async_bound(kappa: float, B: int, k: int, r0: float) -> float:
 def contraction_factor(p: GTVMinProblem) -> float:
     """Max-norm contraction factor of the block-coordinate operators.
 
-    Per node, kappa_i = 1/(1 + sigma_i/(2 alpha d_i)) where sigma_i is the
-    strong-convexity modulus; the factor for the network is the max. All
-    losses must be strongly convex and the coupling positive.
+    Per node, kappa_i = 1/(1 + sigma_i/(2 alpha d_i)) where sigma_i =
+    2 lambda_min(Q_i) is the strong-convexity modulus; the factor for the
+    network is the max. All losses must be strongly convex and the coupling
+    positive.
     """
     if p.alpha <= 0.0:
         raise ValueError("contraction analysis requires a positive coupling")
-    kappas = []
-    for i, loss in enumerate(p.losses):
-        sigma = getattr(loss, "sigma", None)
-        if sigma is None:
-            raise ValueError(f"node {i}: loss has no strong-convexity modulus")
-        if sigma <= 0.0:
-            raise ValueError(f"node {i}: loss is not strongly convex")
-        deg = float(p.graph.degree[i])
-        kappas.append(1.0 / (1.0 + sigma / (2.0 * p.alpha * deg)) if deg > 0.0 else 0.0)
-    return max(kappas)
+    lam = p.stack.eigenvalues()[:, 0]
+    weak = np.flatnonzero(lam <= 0.0)
+    if weak.size:
+        i = int(weak[0])
+        if lam[i] < -PSD_TOL:
+            raise ValueError(f"node {i}: Q is not positive semidefinite (lambda_min = {lam[i]:.3e})")
+        raise ValueError(f"node {i}: loss is not strongly convex")
+    deg = p.graph.degree
+    linked = deg > 0.0
+    kappas = np.zeros(p.n)
+    kappas[linked] = 1.0 / (1.0 + 2.0 * lam[linked] / (2.0 * p.alpha * deg[linked]))
+    return float(kappas.max())
 
 
 def _server_run(

@@ -1,10 +1,11 @@
 """Networked regularized least squares: the oracle solve, assembly, and bounds.
 
-The problem couples per-node losses through a graph total-variation penalty:
+The problem couples per-node quadratic losses through a graph
+total-variation penalty:
 
     min over blocks w_1..w_n of  sum_i L_i(w_i) + alpha * GTV(w).
 
-For quadratic losses the objective is w'Qw + q'w + c with
+The objective is w'Qw + q'w + c with
 Q = blockdiag(Q_i) + alpha * kron(L, I_d). The oracle (solve_direct) never
 forms Q: it runs block-Jacobi preconditioned conjugate gradients on the
 product W -> Q W, which costs O(n d^2 + |E| d). assemble() keeps the dense
@@ -114,18 +115,23 @@ class EigBounds:
 
 
 class GTVMinProblem:
-    """A graph, one loss per node, and a coupling strength; the nodes are
-    coupled through the sq_norm penalty, the one every solver implements.
+    """A graph, one quadratic loss per node, and a coupling strength; the
+    nodes are coupled through the sq_norm penalty, the one every solver
+    implements.
 
-    losses is a sequence of per-node losses or a QuadStack, which the
-    problem keeps as its loss_stack; losses then holds its per-node views.
+    losses is a QuadStack, or a sequence of QuadLoss that is stacked once;
+    anything else is rejected. The problem keeps the stack as stack, and
+    losses holds the per-node losses: the ones given, or the stack's views.
     """
 
-    __slots__ = ("graph", "losses", "alpha", "d", "_quadratic", "_quad", "_stack", "_eig")
+    __slots__ = ("graph", "stack", "losses", "alpha", "d", "_quad", "_eig")
 
     def __init__(self, graph: EmpGraph, losses, alpha: float, d=None):
         stack = losses if isinstance(losses, QuadStack) else None
         losses = stack.losses() if stack is not None else tuple(losses)
+        for i, loss in enumerate(losses):
+            if not isinstance(loss, QuadLoss):
+                raise ValueError(f"node {i}: GTVMin takes a QuadLoss, got {type(loss).__name__}")
         if len(losses) != graph.n:
             raise ValueError(
                 f"got {len(losses)} losses for a graph with {graph.n} nodes"
@@ -133,23 +139,17 @@ class GTVMinProblem:
         alpha = float(alpha)
         if alpha < 0.0:
             raise ValueError(f"coupling strength must be nonnegative, got {alpha}")
-        if stack is not None:
-            dims = {stack.d}
-        else:
-            dims = {loss.d for loss in losses if getattr(loss, "d", None) is not None}
+        dims = {loss.d for loss in losses}
         if d is not None:
             dims.add(int(d))
         if len(dims) > 1:
             raise ValueError(f"losses disagree on the block dimension: {sorted(dims)}")
-        if not dims:
-            raise ValueError("block dimension unknown; pass d explicitly")
         self.graph = graph
+        self.stack = stack if stack is not None else QuadStack.of(losses)
         self.losses = losses
         self.alpha = alpha
         self.d = dims.pop()
-        self._quadratic = stack is not None or all(isinstance(loss, QuadLoss) for loss in losses)
         self._quad = None
-        self._stack = stack
         self._eig = None
 
     @property
@@ -158,9 +158,6 @@ class GTVMinProblem:
 
     def neighbor_arrays(self, i):
         return self.graph.neighbor_arrays(i)
-
-    def is_quadratic(self) -> bool:
-        return self._quadratic
 
     def as_blocks(self, params) -> np.ndarray:
         blocks = getattr(params, "blocks", params)
@@ -174,30 +171,10 @@ class GTVMinProblem:
         return arr
 
 
-def loss_stack(p: GTVMinProblem) -> QuadStack:
-    """The problem's quadratic losses as one QuadStack, built once and kept."""
-    if not p.is_quadratic():
-        raise ValueError("stacking requires quadratic losses at every node")
-    if p._stack is None:
-        p._stack = QuadStack.of(p.losses)
-    return p._stack
-
-
-def ordered_sum(values) -> float:
-    """values added left to right from 0.0, as a Python accumulation loop does.
-
-    numpy's sum adds pairwise and can differ in the last bits; reports
-    keep the loop's bits.
-    """
-    total = 0.0
-    for v in np.asarray(values, dtype=float).reshape(-1).tolist():
-        total += v
-    return total
-
-
 def ordered_total(stack) -> np.ndarray:
     """stack[0] + stack[1] + ... added left to right from 0.0, as Python's
-    sum over the slices adds them.
+    sum over the slices adds them; for 1-D values, as a Python loop adds
+    them to a float total.
 
     np.sum may add pairwise. A running sum adds in order from stack[0],
     which differs only where every term is -0.0; + 0.0 turns that -0.0
@@ -209,17 +186,14 @@ def ordered_total(stack) -> np.ndarray:
 def objective_parts(p: GTVMinProblem, params):
     """(node losses, coupling penalty, objective) at params.
 
-    Node i's entry is its local loss at its own block; quadratic losses are
-    evaluated stacked. The objective adds the node losses in node order,
+    Node i's entry is its local loss at its own block, evaluated on the
+    stack. The objective adds the node losses in node order,
     then alpha times the penalty.
     """
     W = p.as_blocks(params)
-    if p.is_quadratic():
-        objs = loss_stack(p).values(W)
-    else:
-        objs = np.array([loss.value(W[i]) for i, loss in enumerate(p.losses)])
+    objs = p.stack.values(W)
     gtv = gtv_value(p.graph, W)
-    return objs, gtv, ordered_sum(objs) + p.alpha * gtv
+    return objs, gtv, float(ordered_total(objs)) + p.alpha * gtv
 
 
 def objective(p: GTVMinProblem, params) -> float:
@@ -251,16 +225,10 @@ def gd_gradient(stack: QuadStack, rhos, ids, own, avg):
 
 
 def batch_gradient_fn(p: GTVMinProblem):
-    """Vectorized all-nodes gradient (n, d) -> (n, d) for quadratic losses:
-    gd_gradient at the nodes without coupling, and at the others with their
-    graph.neighbor_means.
-
-    Returns None when a loss is not quadratic; callers then fall back to the
-    per-node kernel.
-    """
-    if not p.is_quadratic():
-        return None
-    stack = loss_stack(p)
+    """Vectorized all-nodes gradient (n, d) -> (n, d): gd_gradient at the
+    nodes without coupling, and at the others with their
+    graph.neighbor_means."""
+    stack = p.stack
     rhos = 2.0 * p.alpha * p.graph.degree
     coupled = rhos != 0.0
     lone, ids = np.flatnonzero(~coupled), np.flatnonzero(coupled)
@@ -283,16 +251,8 @@ def flat_loss(p: GTVMinProblem) -> CallableLoss:
     def value(wflat):
         return objective(p, wflat.reshape(n, d))
 
-    if batch is not None:
-
-        def gradient(wflat):
-            return batch(wflat.reshape(n, d)).reshape(-1)
-
-    else:
-
-        def gradient(wflat):
-            W = wflat.reshape(n, d)
-            return np.concatenate([node_gradient(p, i, W) for i in range(n)])
+    def gradient(wflat):
+        return batch(wflat.reshape(n, d)).reshape(-1)
 
     return CallableLoss(value, gradient, d=n * d)
 
@@ -300,10 +260,8 @@ def flat_loss(p: GTVMinProblem) -> CallableLoss:
 def assemble(p: GTVMinProblem):
     """Dense (Q, q, c) of the full quadratic over the flat vector.
 
-    Q = blockdiag(Q_i) + alpha * kron(L, I_d). Requires quadratic losses.
+    Q = blockdiag(Q_i) + alpha * kron(L, I_d).
     """
-    if not p.is_quadratic():
-        raise ValueError("assembly requires quadratic losses at every node")
     n, d = p.n, p.d
     Q = np.zeros((n * d, n * d))
     q = np.zeros(n * d)
@@ -319,7 +277,7 @@ def assemble(p: GTVMinProblem):
 
 
 class QuadOperator:
-    """The assembled Q of a quadratic problem, applied without forming it.
+    """The assembled Q of a problem, applied without forming it.
 
     Q acts on (n, d) blocks as W -> Q_i W_i + alpha sum_j A_ij (W_i - W_j).
     The coupling is summed from edge differences, so near consensus (stiff
@@ -330,14 +288,12 @@ class QuadOperator:
     """
 
     def __init__(self, p: GTVMinProblem):
-        if not p.is_quadratic():
-            raise ValueError("the quadratic operator requires quadratic losses at every node")
         import scipy.sparse
 
         n, d = p.n, p.d
         self.n, self.d, self.alpha = n, d, p.alpha
         self.graph = p.graph
-        self.stack = loss_stack(p)
+        self.stack = p.stack
         self.Qs = self.stack.Qs
         ii, jj, self.weights = p.graph.edge_arrays()
         self.ends = (ii, jj)
@@ -511,21 +467,19 @@ def quad_operator(p: GTVMinProblem) -> QuadOperator:
 
 
 def solve_direct(p: GTVMinProblem) -> StackedParams:
-    """Unique minimizer of the quadratic problem, by block-Jacobi PCG.
+    """Unique minimizer of the problem, by block-Jacobi PCG.
 
     Raises SingularProblemError when the minimizer is not unique (a zero
     local loss, or a component whose losses leave a direction free) or the
     solve cannot reach a small residual. Nothing of size (nd)^2 is formed.
     """
-    return quad_operator(p).solve(loss_stack(p).qs)
+    return quad_operator(p).solve(p.stack.qs)
 
 
 def eig_summaries(p: GTVMinProblem) -> EigSummaries:
     """The problem's EigSummaries, computed on the first call and kept."""
-    if not p.is_quadratic():
-        raise ValueError("eigenvalue summaries require quadratic losses")
     if p._eig is None:
-        stack = loss_stack(p)
+        stack = p.stack
         lam_max = max(stack.eigenvalues()[:, -1].tolist(), default=0.0)
         mean_Q = ordered_total(stack.Qs) / p.n
         lam_bar_min = max(0.0, float(np.linalg.eigvalsh(mean_Q)[0]))

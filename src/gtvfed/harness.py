@@ -51,7 +51,6 @@ from gtvfed.gtvmin import (
     clustered_bound,
     eig_bounds,
     objective_parts,
-    ordered_sum,
     ordered_total,
     quad_operator,
     sensitivity_bound,
@@ -665,7 +664,7 @@ def _dp_hook(mech: DPMechanism):
         Z = mech.draw_block(k, *blocks.shape)
         blocks += Z
         # Per-node z @ z through the same dot kernel, summed in node order.
-        return math.sqrt(ordered_sum(Z[:, None, :] @ Z[:, :, None]))
+        return math.sqrt(ordered_total((Z[:, None, :] @ Z[:, :, None]).reshape(-1)))
 
     return noise
 
@@ -724,8 +723,6 @@ def _bound_checks(cfg, g, p, oracle_sp, trace, train, meta, eta):
     NodeData and eta the constant step size, None under a diminishing
     schedule.
     """
-    if p is None or not p.is_quadratic():
-        return []
     quad = quad_operator(p)
     lam_min, lam_max = quad.extreme_eigenvalues()
     b = eig_bounds(p)

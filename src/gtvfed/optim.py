@@ -218,7 +218,11 @@ class _Recorder:
         """Record state k if sampled; return a terminal reason or ''.
 
         The oracle distance is computed only when a row is recorded or
-        dist_tol needs it."""
+        dist_tol needs it. The objective, and so its divergence guard
+        (non-finite, or above DIVERGENCE_FACTOR (|f_0| + 1)), is evaluated
+        only on sampled events unless stop.obj_tol is set: a slow blow-up
+        whose blocks stay finite is caught up to record_every - 1 events
+        late, so its DivergenceError event depends on record_every."""
         dist = None
         if self.oracle is not None and self.stop.dist_tol is not None:
             dist = self._dist(blocks)

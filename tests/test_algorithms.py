@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -469,6 +471,43 @@ def test_async_bound_values():
     assert async_bound(0.5, 1, 0, 7.0) == 7.0
     with pytest.raises(ValueError):
         async_bound(1.0, 1, 1, 1.0)
+
+
+ZERO_PROBLEM = GTVMinProblem(TWO_NODE_GRAPH, (QuadLoss([[0.0]], [0.0]),) * 2, 0.0)
+ONE_LOSS = (QuadLoss([[1.0]], [0.0]),)
+STOP = StopRule(max_iters=1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: fedgd_op(ZERO_PROBLEM), "cannot derive a default step size from a zero problem"),
+        (lambda: fedgd_op(two_node_problem(), sched=[LRSchedule.constant(0.1)]), "got 1 schedules for 2 nodes"),
+        (lambda: fedsgd_op(two_node_problem(), batch_size=0, seed=0), "batch size must be at least 1, got 0"),
+        (lambda: run_sync(fedrelax_op(two_node_problem()), np.zeros((2, 1, 1)), STOP),
+         "initial state must be (n, d), got shape (2, 1, 1)"),
+        (lambda: run_sync(fedrelax_op(two_node_problem()), np.zeros((3, 1)), STOP), "got 2 operators for 3 blocks"),
+        (lambda: gen_partially_async(TWO_NODE_GRAPH, 0, 5, seed=0), "staleness bound must be at least 1, got 0"),
+        (lambda: gen_partially_async(TWO_NODE_GRAPH, 1, 0, seed=0), "horizon must be at least 1, got 0"),
+        (lambda: gen_totally_async(TWO_NODE_GRAPH, 0, seed=0), "horizon must be at least 1, got 0"),
+        (lambda: async_bound(0.5, -1, 1, 1.0), "staleness bound and event index must be nonnegative"),
+        (lambda: fedavg_run(ONE_LOSS, 2, 1, 1, LRSchedule.constant(0.1), STOP, 0), "got 1 losses for n=2"),
+        (lambda: fedavg_run(None, 1, 1, 1, LRSchedule.constant(0.1), STOP, 0), "need losses or gradient oracles"),
+        (lambda: fedavg_run(None, 2, 1, 1, LRSchedule.constant(0.1), STOP, 0, gradients=[abs]),
+         "got 1 gradient oracles for n=2"),
+        (lambda: fedavg_run(ONE_LOSS, 1, 0, 1, LRSchedule.constant(0.1), STOP, 0),
+         "local step count must be at least 1, got 0"),
+        (lambda: fedavg_run(ONE_LOSS, 1, 1, 2, LRSchedule.constant(0.1), STOP, 0), "sample size must lie in 1..1, got 2"),
+        (lambda: fedavg_run(None, 1, 1, 1, LRSchedule.constant(0.1), STOP, 0, gradients=[abs]),
+         "pass w0 when the dimension cannot be inferred"),
+        (lambda: fedprox_run(ONE_LOSS, 2, 1, 0.5, STOP, 0), "got 1 losses for n=2"),
+        (lambda: fedprox_run(ONE_LOSS, 1, 1, 0.0, STOP, 0), "proximal step eta must be positive, got 0.0"),
+        (lambda: fedprox_run(ONE_LOSS, 1, 0, 0.5, STOP, 0), "sample size must lie in 1..1, got 0"),
+    ],
+)
+def test_argument_checks_name_the_bad_argument(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_contraction_factor_limits():

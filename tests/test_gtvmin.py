@@ -14,7 +14,6 @@ from gtvfed.gtvmin import (
     eig_bounds,
     eig_summaries,
     flat_loss,
-    loss_stack,
     node_gradient,
     objective,
     quad_operator,
@@ -22,7 +21,7 @@ from gtvfed.gtvmin import (
     solve_direct,
     variation_bound,
 )
-from gtvfed.localmodel import LocalDataset, QuadLoss, from_dataset, generate_local
+from gtvfed.localmodel import CallableLoss, LocalDataset, QuadLoss, from_dataset, generate_local
 
 TWO_NODE_GRAPH = EmpGraph(2, [(0, 1)])
 
@@ -70,6 +69,12 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         two = (QuadLoss([[1.0]], [0.0]),) * 2
         GTVMinProblem(TWO_NODE_GRAPH, two, -1.0)
+
+
+def test_problem_rejects_a_loss_that_is_not_quadratic():
+    losses = (QuadLoss([[1.0]], [0.0]), CallableLoss(lambda w: w @ w, lambda w: 2.0 * w, d=1))
+    with pytest.raises(ValueError, match="node 1: GTVMin takes a QuadLoss, got CallableLoss"):
+        GTVMinProblem(TWO_NODE_GRAPH, losses, 1.0)
 
 
 def test_assemble_two_node_example():
@@ -495,7 +500,7 @@ def test_local_spectra_solved_once_per_problem(monkeypatch):
     # eig_bounds reads the largest eigenvalue of each Q_i, solve_direct's
     # preconditioner the smallest: one stacked eigvalsh serves both.
     p = random_problem(3, n=8, d=3)
-    Qs = loss_stack(p).Qs
+    Qs = p.stack.Qs
     on_stack = []
     real = np.linalg.eigvalsh
     monkeypatch.setattr(

@@ -517,6 +517,23 @@ def test_run_without_events_reports_the_start(mode):
     assert [row[:2] for row in rep.rows] == [(0, i) for i in range(4)]
 
 
+def test_clean_partial_fedrelax_solves_no_per_node_spectrum(monkeypatch):
+    # FedRelax's lone-node minimizers and the async_contraction check read
+    # the stack's eigenvalues. The run makes one stacked call, then one each
+    # for the mean local Q, the Laplacian and the component sums; one call
+    # per node would add 300.
+    cfg = parse_config(
+        "seed = 5\ngraph.kind = erdos_renyi\ngraph.n = 300\ngraph.p = 0.03\ndata.d = 5\n"
+        "algorithm.kind = fedrelax\nasync.mode = partial\nasync.B = 3\nstop.max_iters = 100\n"
+    )
+    calls = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args: calls.append(np.shape(a)) or real(a, *args))
+    rep = run_experiment(cfg)
+    assert "async_contraction" in [row["name"] for row in rep.summary["bound_checks"]]
+    assert len(calls) <= 4, calls
+
+
 def test_trimmed_defense_rejects_short_neighbourhood_before_solving(monkeypatch):
     from gtvfed import harness
 

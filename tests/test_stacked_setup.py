@@ -213,6 +213,25 @@ def test_ordered_total_adds_as_python_sum(n, d, seed, signed_zeros):
     assert same(ordered_total(stack), sum(stack))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+            st.floats(-1e3, 1e3),
+        ),
+        min_size=1,
+        max_size=30,
+    )
+)
+def test_ordered_total_of_values_adds_as_a_python_loop(values):
+    total = 0.0
+    for v in values:
+        total += v
+    with np.errstate(invalid="ignore"):  # inf + -inf
+        assert same(ordered_total(np.array(values)), np.float64(total))
+
+
 def test_node_data_round_trip_and_dimension_check():
     rng = np.random.default_rng(3)
     datasets = [localmodel.LocalDataset(rng.standard_normal((m, 2)), rng.standard_normal(m)) for m in (3, 0, 5, 3)]

@@ -182,6 +182,18 @@ def test_geomedian_equilateral_triangle_hits_centroid():
         geometric_median(np.empty((0, 2)))
 
 
+def test_geomedian_leaves_a_non_optimal_coincident_iterate():
+    # The centroid (0, 0) is a data point but not the minimizer, so the
+    # Weiszfeld loop starts on it and must take the damped step away. By
+    # symmetry the minimizer lies on the x-axis, at 1/sqrt(3) - 1.
+    pts = np.array([[0.0, 0.0], [3.0, 0.0], [-1.0, 1.0], [-1.0, -1.0], [-1.0, 0.0]])
+    assert np.array_equal(pts.mean(axis=0), pts[0])
+    point, res = geometric_median(pts, tol=1e-6)
+    assert res <= 1e-6
+    assert point[1] == 0.0 and -1.0 < point[0] < 0.0
+    assert point[0] == pytest.approx(1.0 / math.sqrt(3.0) - 1.0, abs=1e-6)
+
+
 def test_geomedian_single_and_coincident_points():
     point, res = geometric_median(np.array([[2.0, -1.0]]))
     assert np.array_equal(point, [2.0, -1.0]) and res == 0.0
