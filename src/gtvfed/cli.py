@@ -15,14 +15,15 @@ import dataclasses
 import os
 import sys
 
-from gtvfed import __version__, seeds
+from gtvfed import __version__
 from gtvfed import graph as graphmod
-from gtvfed import graphlearn
 from gtvfed.graph import GraphError
 from gtvfed.harness import (
     CONFIG_KEYS,
     CONFIG_RULES,
     ConfigError,
+    ExperimentConfig,
+    build_graph,
     export,
     gen_node_data,
     load_report_json,
@@ -60,9 +61,9 @@ def _key_options(parser, *keys, required=False) -> None:
 def _option_errors(args) -> list:
     """Each given table option checked against its key's range, and each
     CONFIG_RULES entry that requires one of the options; errors name the
-    option. args.fixed holds keys the subcommand itself sets."""
+    option. args.kind, where a subcommand has it, is graph.kind."""
     keys = getattr(args, "table_keys", ())
-    values = dict(getattr(args, "fixed", {}))
+    values = {"graph.kind": getattr(args, "kind", None)}
     values.update((key, getattr(args, _dest(key))) for key in keys)
     errors = []
     for key in keys:
@@ -102,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     lg = sub.add_parser("learn-graph", help="fit edge weights to discrepancies")
     _key_options(lg, "graph.discrepancies", required=True)
     _key_options(lg, "graph.method", "graph.budget", "graph.d_max")
-    lg.set_defaults(fixed={"graph.kind": "learned"})
+    lg.set_defaults(kind="learned")
     lg.add_argument("--out", required=True, help="edge-list path")
 
     rn = sub.add_parser("run", help="run a config file and export reports")
@@ -127,16 +128,11 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _cmd_gen_graph(args) -> int:
-    g = graphmod.generate(
-        args.kind,
-        args.n,
-        weight=args.weight,
-        seed=seeds.stream(args.seed, "graph"),
-        p=args.p,
-        p_in=args.p_in,
-        p_out=args.p_out,
-    )
+def _cmd_graph(args) -> int:
+    """gen-graph and learn-graph: the graph build_graph makes from the
+    options, written as an edge list."""
+    graph = {_dest(key): getattr(args, _dest(key)) for key in args.table_keys if key.startswith("graph.")}
+    g = build_graph(ExperimentConfig(seed=getattr(args, "seed", 0), graph=dict(graph, kind=args.kind)))
     graphmod.save_edge_list(g, args.out)
     print(f"wrote {args.out} ({g.n} nodes, {g.num_edges} edges)")
     return 0
@@ -150,17 +146,6 @@ def _cmd_gen_data(args) -> int:
     for i, ds in enumerate(data.datasets()):
         save_dataset_csv(ds, os.path.join(args.out, f"node_{i}.csv"))
     print(f"wrote {args.n} dataset files under {args.out}")
-    return 0
-
-
-def _cmd_learn_graph(args) -> int:
-    D = graphlearn.load_discrepancy_csv(args.discrepancies)
-    if args.method == "budget":
-        g = graphlearn.learn_graph_budget(D, args.budget)
-    else:
-        g = graphlearn.learn_graph_degree(D, args.d_max)
-    graphmod.save_edge_list(g, args.out)
-    print(f"wrote {args.out} ({g.n} nodes, {g.num_edges} edges)")
     return 0
 
 
@@ -201,7 +186,10 @@ def _cmd_run(args) -> int:
         text = fh.read()
     cfg = parse_config(text)
     if args.seed is not None:
-        cfg.seed = int(args.seed)
+        try:
+            cfg.seed = CONFIG_KEYS["seed"].accept(args.seed)
+        except ValueError as exc:
+            raise ConfigError([f"--seed: {exc}"]) from None
         if cfg.dp is not None:
             cfg.dp = dataclasses.replace(cfg.dp, seed=cfg.seed)
     report = run_experiment(cfg)
@@ -238,9 +226,9 @@ def _cmd_report(args) -> int:
 
 
 _COMMANDS = {
-    "gen-graph": _cmd_gen_graph,
+    "gen-graph": _cmd_graph,
     "gen-data": _cmd_gen_data,
-    "learn-graph": _cmd_learn_graph,
+    "learn-graph": _cmd_graph,
     "run": _cmd_run,
     "report": _cmd_report,
 }

@@ -284,6 +284,10 @@ CONFIG_RULES = (
         "fedavg and fedprox are server algorithms and run sync only",
     ),
     Rule(
+        "algorithm.schedule", {"algorithm.kind": ("fedprox",)},
+        lambda v: v["algorithm.schedule"] == "constant", "fedprox takes one fixed proximal step",
+    ),
+    Rule(
         "defense.kind", {"algorithm.kind": ("fedsgd",) + SERVER_KINDS},
         lambda v: v["defense.kind"] == "mean", "robust aggregation applies to fedgd and fedrelax only",
     ),
@@ -906,31 +910,41 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     _apply_data_attacks(cfg, train)
     stack = QuadStack.from_data(train, cfg.data["ridge"])
 
-    kind = cfg.algorithm["kind"]
-    if kind in SERVER_KINDS:
-        return _run_server(cfg, g, stack, train, val, meta)
-    return _run_graph(cfg, g, stack, train, val, meta)
+    server = cfg.algorithm["kind"] in SERVER_KINDS
+    # A server run evaluates every node at the one global block. That state
+    # is a consensus, so the probes at alpha = 0 give the sum of the node
+    # losses and a zero gtv.
+    p = GTVMinProblem(g, stack, 0.0 if server else cfg.algorithm["alpha"])
+    run = _run_server if server else _run_graph
+    checks, divergence = [], None
+    try:
+        trace, checks = run(cfg, p, _schedule(cfg.algorithm, p), train, val, meta)
+    except DivergenceError as exc:
+        # The server's one row is the global block, not a node.
+        trace, divergence = exc.trace, {"event": exc.event, "node": None if server else exc.node}
+    return _make_report(cfg, trace, checks, meta, g.n, divergence)
 
 
-def _run_graph(cfg, g, stack, train, val, meta):
-    algo = cfg.algorithm
-    kind = algo["kind"]
-    d = stack.d
-    p = GTVMinProblem(g, stack, algo["alpha"])
+def _schedule(algo, p) -> LRSchedule:
+    """The configured step sizes; without algorithm.eta, the constant
+    1/(2U) for U the upper eigenvalue bound of p, or 1 for a zero problem."""
     eta = algo["eta"]
     if eta is None:
         upper = eig_bounds(p).upper
-        eta = 1.0 / (2.0 * upper) if upper > 0.0 else 1.0
-        sched = LRSchedule.constant(eta)
-    elif algo["schedule"] == "diminishing":
-        sched = LRSchedule.diminishing(eta)
-    else:
-        sched = LRSchedule.constant(eta)
+        return LRSchedule.constant(1.0 / (2.0 * upper) if upper > 0.0 else 1.0)
+    if algo["schedule"] == "diminishing":
+        return LRSchedule.diminishing(eta)
+    return LRSchedule.constant(eta)
+
+
+def _run_graph(cfg, p, sched, train, val, meta):
+    """Run a message-passing solver on p; returns (trace, check rows)."""
+    kind, g, n, d = cfg.algorithm["kind"], p.graph, p.n, p.d
     agg = None if cfg.defense.kind == "mean" else cfg.defense
     if kind == "fedgd":
         ops = fedgd_op(p, sched=sched, agg=agg)
     elif kind == "fedsgd":
-        ops = fedsgd_op(p, algo["batch"], cfg.seed, sched=sched)
+        ops = fedsgd_op(p, cfg.algorithm["batch"], cfg.seed, sched=sched)
     else:
         ops = fedrelax_op(p, agg=agg)
 
@@ -938,24 +952,19 @@ def _run_graph(cfg, g, stack, train, val, meta):
         oracle_sp = solve_direct(p)
     except (SingularProblemError, ValueError):
         oracle_sp = None
-    oracle_blocks = oracle_sp.blocks if oracle_sp is not None else None
-
-    n = g.n
-    probes = _Probes(p, train, val, oracle_blocks)
-    interceptor = _model_interceptor(cfg, d, n)
-    noise = _dp_hook(cfg.dp) if cfg.dp is not None else None
-    w0 = StackedParams.zeros(n, d)
-    mode = cfg.async_spec["mode"]
+    probes = _Probes(p, train, val, oracle_sp.blocks if oracle_sp is not None else None)
     common = dict(
         objective=probes.objective,
         oracle=oracle_sp,
         metrics=probes.metrics,
-        interceptor=interceptor,
-        noise=noise,
+        interceptor=_model_interceptor(cfg, d, n),
+        noise=_dp_hook(cfg.dp) if cfg.dp is not None else None,
         record_every=cfg.record_every,
     )
+    w0 = StackedParams.zeros(n, d)
+    mode = cfg.async_spec["mode"]
     if mode == "sync":
-        schedule = None
+        _, trace = run_sync(ops, w0, cfg.stop, **common)
     else:
         horizon = cfg.async_spec["horizon"] or max(cfg.stop.max_iters, 1)  # one event at least
         if mode == "partial":
@@ -970,41 +979,32 @@ def _run_graph(cfg, g, stack, train, val, meta):
                 g, horizon, seeds.stream(cfg.seed, "schedule"),
                 p_active=cfg.async_spec["p_active"],
             )
-    divergence = None
-    try:
-        if schedule is None:
-            _, trace = run_sync(ops, w0, cfg.stop, **common)
-        else:
-            _, trace = run_async(ops, w0, schedule, stop=cfg.stop, **common)
-    except DivergenceError as exc:
-        trace, divergence = exc.trace, {"event": exc.event, "node": exc.node}
-
-    checks = []
-    if divergence is None:
-        const_eta = eta if sched.kind == "constant" else None
-        checks = _bound_checks(cfg, g, p, oracle_sp, trace, train, meta, const_eta)
-    return _make_report(cfg, trace, checks, meta, n, divergence)
+        _, trace = run_async(ops, w0, schedule, stop=cfg.stop, **common)
+    const_eta = sched.eta if sched.kind == "constant" else None
+    return trace, _bound_checks(cfg, g, p, oracle_sp, trace, train, meta, const_eta)
 
 
-def _run_server(cfg, g, stack, train, val, meta):
+def _run_server(cfg, p, sched, train, val, meta):
+    """Run FedAvg or FedProx on p's losses; returns (trace, no check rows).
+
+    The server adds no noise and sends no graph messages, so a DP mechanism
+    or a message attack, which it would ignore, is rejected.
+    """
     algo = cfg.algorithm
-    kind = algo["kind"]
-    n, d = g.n, stack.d
+    kind, n, d = algo["kind"], p.n, p.d
     sample = algo["sample_size"] or n
-    if sample > n:
-        raise ConfigError([f"algorithm.sample_size: {sample} exceeds the {n} nodes"])
+    errors = [f"algorithm.sample_size: {sample} exceeds the {n} nodes"] if sample > n else []
+    ignored = [("dp.kind", cfg.dp.kind)] if cfg.dp is not None else []
+    ignored += [
+        (f"attack.{i}.kind", a["kind"]) for i, a in enumerate(cfg.attacks) if a["kind"] in MODEL_ATTACKS
+    ]
+    for key, value in ignored:
+        errors.append(f"{key}: {value} applies to fedgd, fedsgd and fedrelax only; {kind} would ignore it")
+    if errors:
+        raise ConfigError(errors)
 
-    Qp = ordered_total(stack.Qs)
-    qp = ordered_total(stack.qs)
-    oracle = None
-    if float(np.linalg.eigvalsh(Qp)[0]) > 1e-10:
-        oracle = np.linalg.solve(2.0 * Qp, -qp)
-
-    # Every node is evaluated at the one global block. That state is a
-    # consensus, so the graph probes at alpha = 0 give the sum of the node
-    # losses and a zero gtv.
-    p = GTVMinProblem(g, stack, 0.0)
-    losses = p.losses
+    Qp, qp = ordered_total(p.stack.Qs), ordered_total(p.stack.qs)
+    oracle = np.linalg.solve(2.0 * Qp, -qp) if float(np.linalg.eigvalsh(Qp)[0]) > 1e-10 else None
     probes = _Probes(p, train, val, None)
     spread = lambda w: np.repeat(np.reshape(w, (1, d)), n, axis=0)
     common = dict(
@@ -1014,33 +1014,22 @@ def _run_server(cfg, g, stack, train, val, meta):
         metrics=lambda k, w: probes.metrics(k, spread(w)),
         record_every=cfg.record_every,
     )
-    divergence = None
-    try:
-        if kind == "fedavg":
-            sched = LRSchedule.constant(algo["eta"])
-            if algo["schedule"] == "diminishing":
-                sched = LRSchedule.diminishing(algo["eta"])
-            _, trace = fedavg_run(
-                losses, n, algo["local_steps"], sample, sched, cfg.stop, cfg.seed, **common
-            )
-        else:
-            _, trace = fedprox_run(
-                losses, n, sample, algo["eta"], cfg.stop, cfg.seed, **common
-            )
-    except DivergenceError as exc:
-        # The server's one row is the global block, not a node.
-        trace, divergence = exc.trace, {"event": exc.event, "node": None}
-    return _make_report(cfg, trace, [], meta, n, divergence)
+    if kind == "fedavg":
+        _, trace = fedavg_run(
+            p.losses, n, algo["local_steps"], sample, sched, cfg.stop, cfg.seed, **common
+        )
+    else:
+        _, trace = fedprox_run(p.losses, n, sample, sched.eta, cfg.stop, cfg.seed, **common)
+    return trace, []
 
 
-def _make_report(cfg, trace, checks, meta, n, divergence=None):
+def _make_report(cfg, trace, checks, meta, n, divergence):
     rows = _rows_from_trace(trace, n)
     final_dist = trace.dists[-1] if trace.dists else None
     final_obj = trace.objectives[-1] if trace.objectives else None
-    last_train = [r[4] for r in rows[-n:]] if rows else []
-    last_val = [r[5] for r in rows[-n:]] if rows else []
-    train_mean = _nanmean(last_train)
-    val_mean = _nanmean(last_val)
+    last = lambda name: trace.extras[name][-1] if trace.ks else []
+    train_mean = _nanmean(last("train_err"))
+    val_mean = _nanmean(last("val_err"))
     overfit = bool(
         np.isfinite(train_mean)
         and np.isfinite(val_mean)

@@ -204,7 +204,9 @@ class _Recorder:
         self.stop = stop
         self.objective = objective
         self.metrics = metrics
-        self.record_every = max(1, int(record_every))
+        self.record_every = int(record_every)
+        if self.record_every < 1:
+            raise ValueError(f"record_every must be at least 1, got {record_every}")
         self.oracle = None
         if oracle is not None:
             self.oracle = np.asarray(

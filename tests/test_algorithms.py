@@ -503,6 +503,12 @@ STOP = StopRule(max_iters=1)
         (lambda: fedprox_run(ONE_LOSS, 2, 1, 0.5, STOP, 0), "got 1 losses for n=2"),
         (lambda: fedprox_run(ONE_LOSS, 1, 1, 0.0, STOP, 0), "proximal step eta must be positive, got 0.0"),
         (lambda: fedprox_run(ONE_LOSS, 1, 0, 0.5, STOP, 0), "sample size must lie in 1..1, got 0"),
+        (lambda: run_sync(fedrelax_op(two_node_problem()), np.zeros((2, 1)), STOP, record_every=0),
+         "record_every must be at least 1, got 0"),
+        (lambda: run_async(fedrelax_op(two_node_problem()), np.zeros((2, 1)), zero_delay_schedule(TWO_NODE_GRAPH, 1),
+                           record_every=0), "record_every must be at least 1, got 0"),
+        (lambda: fedavg_run(ONE_LOSS, 1, 1, 1, LRSchedule.constant(0.1), STOP, 0, record_every=-2),
+         "record_every must be at least 1, got -2"),
     ],
 )
 def test_argument_checks_name_the_bad_argument(call, message):

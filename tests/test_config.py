@@ -203,6 +203,9 @@ RULE_CASES = [
     ("async.mode", ("algorithm.kind",),
      {"algorithm.kind": "fedavg", "algorithm.eta": "0.1", "async.mode": "total"},
      "async.mode: fedavg and fedprox are server algorithms and run sync only"),
+    ("algorithm.schedule", ("algorithm.kind",),
+     {"algorithm.kind": "fedprox", "algorithm.eta": "0.5", "algorithm.schedule": "diminishing"},
+     "algorithm.schedule: fedprox takes one fixed proximal step"),
     ("defense.kind", ("algorithm.kind",),
      {"algorithm.kind": "fedsgd", "algorithm.batch": "2", "defense.kind": "geomedian"},
      "defense.kind: robust aggregation applies to fedgd and fedrelax only"),

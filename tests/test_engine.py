@@ -155,6 +155,18 @@ def test_diverged_fedavg_report_names_no_node():
     assert [row[0] for row in report.rows] == [0] * 4
 
 
+def test_diverged_graph_report_names_its_node():
+    # At record_every 1000 no event between the first and the last is
+    # probed, so the blow-up is caught as a non-finite block at its node.
+    text = DIVERGING_CONFIG.replace("eta = 5.0", "eta = 50").replace("max_iters = 50", "max_iters = 400")
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = run_experiment(parse_config(text + "record_every = 1000\n"))
+    assert report.summary["terminal"] == "diverged"
+    assert report.summary["divergence"] == {"event": 114, "node": 1}
+    assert report.summary["bound_checks"] == []
+    assert [row[0] for row in report.rows] == [0] * 4
+
+
 # ------------------------------------------------------------- snapshot ring
 
 

@@ -656,6 +656,65 @@ algorithm.sample_size = 5
         run_experiment(cfg)
 
 
+SERVER_CFG = """
+seed = 3
+graph.kind = erdos_renyi
+graph.n = 12
+data.d = 2
+algorithm.kind = fedavg
+algorithm.eta = 0.05
+stop.max_iters = 30
+"""
+LABEL_POISON = (
+    "attack.0.kind = label_poison\nattack.0.nodes = 1,4\n"
+    "attack.0.fraction = 1.0\nattack.0.label_delta = 5.0\n"
+)
+
+
+@pytest.mark.parametrize("kind", ["fedavg", "fedprox"])
+@pytest.mark.parametrize(
+    "extra, key, value",
+    [
+        ("dp.kind = gaussian\ndp.sigma = 0.1\n", "dp.kind", "gaussian"),
+        ("dp.kind = laplace\ndp.b = 0.1\n", "dp.kind", "laplace"),
+        (LABEL_POISON + "attack.1.kind = model_poison\nattack.1.nodes = 2\nattack.1.value = 50\n",
+         "attack.1.kind", "model_poison"),
+        ("attack.0.kind = dos\nattack.0.nodes = 2\n", "attack.0.kind", "dos"),
+    ],
+)
+def test_server_run_rejects_what_it_would_ignore(kind, extra, key, value):
+    cfg = parse_config(SERVER_CFG.replace("fedavg", kind) + extra)
+    with pytest.raises(ConfigError) as exc:
+        run_experiment(cfg)
+    assert exc.value.errors == [
+        f"{key}: {value} applies to fedgd, fedsgd and fedrelax only; {kind} would ignore it"
+    ]
+
+
+def test_server_run_reports_every_ignored_setting_at_once():
+    cfg = parse_config(
+        SERVER_CFG + "algorithm.sample_size = 13\ndp.kind = laplace\ndp.b = 0.1\n"
+        "attack.0.kind = dos\nattack.0.nodes = 2\n"
+        "attack.1.kind = model_poison\nattack.1.nodes = 3\nattack.1.value = 9\n"
+    )
+    with pytest.raises(ConfigError) as exc:
+        run_experiment(cfg)
+    assert [e.split(":")[0] for e in exc.value.errors] == [
+        "algorithm.sample_size", "dp.kind", "attack.0.kind", "attack.1.kind",
+    ]
+
+
+def test_server_run_applies_data_attacks():
+    clean = run_experiment(parse_config(SERVER_CFG))
+    poisoned = run_experiment(parse_config(SERVER_CFG + LABEL_POISON))
+    assert poisoned.summary["terminal"] == clean.summary["terminal"] == "max_iters"
+    # The victims' training losses move, and with them the global block.
+    first = lambda rep, node: next(r for r in rep.rows if r[1] == node)
+    assert first(poisoned, 1)[2] != first(clean, 1)[2]
+    assert first(poisoned, 0)[2] == first(clean, 0)[2]
+    assert poisoned.rows[-1][2] != clean.rows[-1][2]
+
+
 # ------------------------------------------------------------------- export
 
 
@@ -751,6 +810,33 @@ def test_cli_learn_graph(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, kind, options",
+    [
+        ("gen-graph", "chain", {"graph.n": "9"}),
+        ("gen-graph", "star", {"graph.n": "9", "graph.weight": "0.5"}),
+        ("gen-graph", "erdos_renyi", {"graph.n": "9", "graph.p": "0.4", "graph.weight": "2.0", "seed": "5"}),
+        ("gen-graph", "two_cluster", {"graph.n": "9", "graph.p_in": "0.7", "graph.p_out": "0.2", "seed": "5"}),
+        ("learn-graph", "learned", {"graph.discrepancies": "d.csv", "graph.budget": "3"}),
+        ("learn-graph", "learned", {"graph.discrepancies": "d.csv", "graph.method": "degree", "graph.d_max": "1.5"}),
+    ],
+)
+def test_cli_graph_commands_write_the_graph_build_graph_builds(tmp_path, monkeypatch, command, kind, options):
+    from gtvfed.graph import save_edge_list
+    from gtvfed.graphlearn import save_discrepancy_csv
+
+    monkeypatch.chdir(tmp_path)
+    pts = np.arange(6.0)
+    save_discrepancy_csv((pts[:, None] - pts[None, :]) ** 2, "d.csv")
+    argv = [command, "--out", "cli.txt"] + (["--kind", kind] if command == "gen-graph" else [])
+    for key, value in options.items():
+        argv += [cli._flag(key), value]
+    assert cli.main(argv) == 0
+    text = f"graph.kind = {kind}\nalgorithm.kind = fedgd\ndata.d = 1\n"
+    save_edge_list(build_graph(parse_config(text + "".join(f"{k} = {v}\n" for k, v in options.items()))), "cfg.txt")
+    assert (tmp_path / "cli.txt").read_bytes() == (tmp_path / "cfg.txt").read_bytes()
+
+
 def test_cli_run_and_report(tmp_path, capsys):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(RUN_CFG)
@@ -797,6 +883,17 @@ def test_cli_run_seed_override(tmp_path, capsys):
     capsys.readouterr()
     assert (a.with_suffix(".csv")).read_bytes() == (b.with_suffix(".csv")).read_bytes()
     assert (a.with_suffix(".csv")).read_bytes() != (c.with_suffix(".csv")).read_bytes()
+
+
+def test_cli_run_seed_override_takes_the_seed_range(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(RUN_CFG)
+    prefix = tmp_path / "run"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(prefix), "--seed", "-1"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {cfg_path}: --seed: must be >= 0, got -1"
+    ]
+    assert not prefix.with_suffix(".csv").exists()
 
 
 def test_cli_run_bad_config_exit_codes(tmp_path, capsys):
