@@ -25,8 +25,8 @@ class NodeOperator:
     when present, is the _ArrayRound shared by all operators of the run; the
     engines run every event on it instead, synchronous or not, when every
     operator carries the same one and no message hook other than a
-    SenderRewrite is installed. FedGD on one step schedule and FedRelax
-    carry one under every aggregation rule.
+    SenderRewrite is installed. FedGD, full-batch FedSGD and FedRelax carry
+    one under every aggregation rule; FedSGD with a mini-batch carries none.
     """
 
     update: callable
@@ -124,19 +124,18 @@ def _check_event(k, nodes, counts, flat, deg, B) -> None:
     raise ValueError(f"event {k}: node {i} reads state {k - r} events old, bound is {B}")
 
 
-def _node_schedules(p: GTVMinProblem, sched) -> list:
-    # Default eta = 1/(2U) with U the spectral upper estimate keeps plain GD
-    # stable.
+def default_step(p: GTVMinProblem) -> float:
+    """The step of a run that names none: 1/(2U) with U the spectral upper
+    estimate of p, which keeps plain GD stable, or 1 for a zero problem."""
+    upper = eig_bounds(p).upper
+    return 1.0 / (2.0 * upper) if upper > 0.0 else 1.0
+
+
+def _checked_schedule(p: GTVMinProblem, sched) -> LRSchedule:
     if sched is None:
-        upper = eig_bounds(p).upper
-        if upper <= 0.0:
-            raise ValueError("cannot derive a default step size from a zero problem")
-        sched = LRSchedule.constant(1.0 / (2.0 * upper))
-    if isinstance(sched, LRSchedule):
-        return [sched] * p.n
-    sched = list(sched)
-    if len(sched) != p.n:
-        raise ValueError(f"got {len(sched)} schedules for {p.n} nodes")
+        return LRSchedule.constant(default_step(p))
+    if not isinstance(sched, LRSchedule):
+        raise ValueError(f"sched must be an LRSchedule, got {type(sched).__name__}")
     return sched
 
 
@@ -146,60 +145,60 @@ _MEAN = RobustAgg.mean()
 def fedgd_op(p: GTVMinProblem, sched=None, agg: RobustAgg | None = None):
     """Gradient-step operators: w_i - eta [grad L_i(w_i) + 2 alpha d_i (w_i - a_i)],
     with a_i the aggregate of the neighbor blocks under agg (the weighted
-    mean by default). A node whose coupling 2 alpha d_i is zero takes a
-    plain local gradient step. Returns one operator per node.
+    mean by default) and eta from sched (default_step(p) when None). A node
+    whose coupling 2 alpha d_i is zero takes a plain local gradient step.
+    Returns one operator per node.
     """
     if agg is None:
         agg = _MEAN
-    scheds = _node_schedules(p, sched)
-    return _gd_ops(p, agg, scheds, _gd_round(p, agg, scheds))
+    sched = _checked_schedule(p, sched)
+    gradients = [loss.gradient for loss in p.losses]
+    return _gd_ops(p, agg, sched, gradients, _gd_round(p, agg, sched))
 
 
-def _gd_ops(p: GTVMinProblem, agg, scheds, batch):
-    """FedGD's per-node operators, all carrying the round map batch."""
+def _gd_ops(p: GTVMinProblem, agg, sched, gradients, batch):
+    """FedGD's per-node operators with gradients[i] as node i's local
+    gradient, all carrying the round map batch."""
     rhos = 2.0 * p.alpha * p.graph.degree
     ops = []
     for i in range(p.n):
         ids, wts = p.neighbor_arrays(i)
 
-        def update(own, nbrs, k, loss=p.losses[i], wts=wts, sch=scheds[i], rho=float(rhos[i])):
-            g = loss.gradient(own)
+        def update(own, nbrs, k, gradient=gradients[i], wts=wts, rho=float(rhos[i])):
+            g = gradient(own)
             if rho != 0.0:
                 g = g + rho * (own - aggregate(nbrs, wts, agg))
-            return own - sch.rate(k) * g
+            return own - sched.rate(k) * g
 
         ops.append(NodeOperator(update=update, neighbor_ids=ids, batch_update=batch))
     return ops
 
 
-def _gd_round(p: GTVMinProblem, agg, scheds):
-    """The _ArrayRound shared by FedGD operators whose nodes share one
-    schedule (None otherwise)."""
-    s0 = scheds[0]
-    if not all(s is s0 or s == s0 for s in scheds):
-        return None
+def _gd_round(p: GTVMinProblem, agg, sched):
+    """The _ArrayRound of FedGD's operators under the one schedule sched."""
     stack = p.stack
     rhos = 2.0 * p.alpha * p.graph.degree
 
     def finish(k, ids, own, avg):
-        return own - s0.rate(k) * gd_gradient(stack, rhos, ids, own, avg)
+        return own - sched.rate(k) * gd_gradient(stack, rhos, ids, own, avg)
 
     return _ArrayRound(p.graph, rhos, agg, finish)
 
 
 def fedsgd_op(p: GTVMinProblem, batch_size: int, seed: int, sched=None):
-    """Stochastic-gradient operators drawing a fresh seeded batch per event.
+    """FedGD's mean-aggregate operators with a mini-batch local gradient.
 
-    The local gradient is estimated from batch_size rows sampled without
-    replacement; batch sizes >= the dataset size fall back to the exact
-    gradient, i.e. to fedgd_op's operators, which share fedgd_op's round map
-    when every node does. Requires losses built from datasets.
+    Each event, a node whose dataset holds more than batch_size rows
+    estimates its gradient from batch_size rows drawn without replacement
+    from its own seeded "batches" stream. A node with at most batch_size
+    rows takes its exact gradient; when every node does, the operators are
+    fedgd_op's and carry its round map. Requires losses built from datasets.
     """
     batch_size = int(batch_size)
     if batch_size < 1:
         raise ValueError(f"batch size must be at least 1, got {batch_size}")
-    scheds = _node_schedules(p, sched)
-    exact = []
+    sched = _checked_schedule(p, sched)
+    gradients = []
     for i, loss in enumerate(p.losses):
         if loss.source is None:
             raise ValueError(f"node {i}: stochastic gradients need a source dataset")
@@ -210,28 +209,26 @@ def fedsgd_op(p: GTVMinProblem, batch_size: int, seed: int, sched=None):
                 "using the full batch",
                 stacklevel=2,
             )
-        exact.append(batch_size >= m)
-    ops = _gd_ops(p, _MEAN, scheds, _gd_round(p, _MEAN, scheds) if all(exact) else None)
-    for i, op in enumerate(ops):
-        if exact[i]:
-            continue
-        loss = p.losses[i]
+        if batch_size >= m:
+            gradients.append(loss.gradient)
+        else:
+            gradients.append(_batch_gradient(loss, batch_size, seeds.stream(seed, "batches", i)))
+    exact = all(batch_size >= loss.source.m for loss in p.losses)
+    return _gd_ops(p, _MEAN, sched, gradients, _gd_round(p, _MEAN, sched) if exact else None)
 
-        def update(
-            own, nbrs, k, ds=loss.source, rng=seeds.stream(seed, "batches", i),
-            ridge2=2.0 * loss.ridge, wts=p.neighbor_arrays(i)[1], sch=scheds[i],
-        ):
-            idx = np.sort(rng.choice(ds.m, size=batch_size, replace=False))
-            Xb = ds.X[idx]
-            g = (2.0 / batch_size) * (Xb.T @ (Xb @ own - ds.y[idx]))
-            if ridge2 != 0.0:
-                g = g + ridge2 * own
-            if wts.shape[0]:
-                g = g + (2.0 * p.alpha) * (wts @ (own - nbrs))
-            return own - sch.rate(k) * g
 
-        op.update = update
-    return ops
+def _batch_gradient(loss, batch_size, rng):
+    """loss's gradient estimated, per call, on batch_size rows of its
+    dataset that rng draws without replacement."""
+    ds, ridge2 = loss.source, 2.0 * loss.ridge
+
+    def gradient(w):
+        idx = np.sort(rng.choice(ds.m, size=batch_size, replace=False))
+        Xb = ds.X[idx]
+        g = (2.0 / batch_size) * (Xb.T @ (Xb @ w - ds.y[idx]))
+        return g + ridge2 * w if ridge2 != 0.0 else g
+
+    return gradient
 
 
 def fedrelax_op(p: GTVMinProblem, agg: RobustAgg | None = None):

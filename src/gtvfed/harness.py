@@ -33,6 +33,7 @@ from gtvfed import graphlearn
 from gtvfed.algorithms import (
     async_bound,
     contraction_factor,
+    default_step,
     fedavg_run,
     fedgd_op,
     fedprox_run,
@@ -926,15 +927,10 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
 
 
 def _schedule(algo, p) -> LRSchedule:
-    """The configured step sizes; without algorithm.eta, the constant
-    1/(2U) for U the upper eigenvalue bound of p, or 1 for a zero problem."""
+    """The configured step schedule; without algorithm.eta, which only a
+    constant schedule may omit, the step is algorithms.default_step(p)."""
     eta = algo["eta"]
-    if eta is None:
-        upper = eig_bounds(p).upper
-        return LRSchedule.constant(1.0 / (2.0 * upper) if upper > 0.0 else 1.0)
-    if algo["schedule"] == "diminishing":
-        return LRSchedule.diminishing(eta)
-    return LRSchedule.constant(eta)
+    return LRSchedule(algo["schedule"], default_step(p) if eta is None else eta)
 
 
 def _run_graph(cfg, p, sched, train, val, meta):
@@ -1024,7 +1020,14 @@ def _run_server(cfg, p, sched, train, val, meta):
 
 
 def _make_report(cfg, trace, checks, meta, n, divergence):
+    """The report of a run. events is the last event run: the last
+    recorded one, or the divergence event of a run that blew up; the
+    final_* values are those of the last recorded row."""
     rows = _rows_from_trace(trace, n)
+    if divergence is not None:
+        events = int(divergence["event"])
+    else:
+        events = int(trace.ks[-1]) if trace.ks else 0
     final_dist = trace.dists[-1] if trace.dists else None
     final_obj = trace.objectives[-1] if trace.objectives else None
     last = lambda name: trace.extras[name][-1] if trace.ks else []
@@ -1046,7 +1049,7 @@ def _make_report(cfg, trace, checks, meta, n, divergence):
         "baseline_err": baseline,
         "bound_checks": checks,
         "converged": bool(converged),
-        "events": int(trace.ks[-1]) if trace.ks else 0,
+        "events": events,
         "final_dist": None if final_dist is None else float(final_dist),
         "final_objective": None if final_obj is None else float(final_obj),
         "final_train_err": train_mean,

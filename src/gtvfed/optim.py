@@ -26,36 +26,35 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class LRSchedule:
-    """Step size rule: constant, diminishing c/(k+1), or condition-optimal."""
+    """Step size rule: constant eta, or diminishing eta/(k+1).
+
+    optimal(lam1, lamd) is the constant schedule at optimal_rate's step.
+    """
 
     kind: str
-    eta: float = 0.0
-    c: float = 0.0
+    eta: float
 
     def __post_init__(self):
-        if self.kind not in ("constant", "diminishing", "optimal"):
+        if self.kind not in ("constant", "diminishing"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.kind in ("constant", "optimal") and not self.eta > 0.0:
+        if not self.eta > 0.0:
             raise ValueError(f"step size must be positive, got {self.eta}")
-        if self.kind == "diminishing" and not self.c > 0.0:
-            raise ValueError(f"diminishing constant must be positive, got {self.c}")
 
     @classmethod
     def constant(cls, eta: float) -> "LRSchedule":
-        return cls(kind="constant", eta=float(eta))
+        return cls("constant", float(eta))
 
     @classmethod
-    def diminishing(cls, c: float) -> "LRSchedule":
-        return cls(kind="diminishing", c=float(c))
+    def diminishing(cls, eta: float) -> "LRSchedule":
+        return cls("diminishing", float(eta))
 
     @classmethod
     def optimal(cls, lam1: float, lamd: float) -> "LRSchedule":
-        eta, _ = optimal_rate(lam1, lamd)
-        return cls(kind="optimal", eta=eta)
+        return cls.constant(optimal_rate(lam1, lamd)[0])
 
     def rate(self, k: int) -> float:
         if self.kind == "diminishing":
-            return self.c / (k + 1)
+            return self.eta / (k + 1)
         return self.eta
 
 

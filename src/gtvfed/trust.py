@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from gtvfed import seeds
-from gtvfed.gtvmin import ordered_total
 from gtvfed.localmodel import LocalDataset
 
 DATA_ATTACKS = ("label_poison", "feature_poison", "backdoor")
@@ -285,12 +284,10 @@ def aggregate_segments(rows, weights, counts, agg: RobustAgg) -> np.ndarray:
     - clipped clamps the rows first; trimmed sets to -0.0, an exact additive
       identity, the weighted values a stable argsort puts among the trim_k
       lowest or highest (ties by slot, NaN last), and scales by count/kept;
-    - one sparse product by the segments' 0/1 indicator adds each segment's
-      weighted values left to right from 0.0 in slot order, as
-      graph.neighbor_means does (np.add.reduceat would add segments of 8
-      or more rows pairwise); one segment, as the per-node aggregate sends,
-      takes gtvmin.ordered_total's running sum, which adds in that order
-      without building the indicator.
+    - one np.bincount over the flattened weighted values adds each
+      segment's values per coordinate left to right from 0.0 in slot
+      order, as graph.neighbor_means does (np.add.reduceat would add
+      segments of 8 or more rows pairwise).
 
     A segment's row depends on its own rows only, so it equals a
     one-segment call bit for bit.
@@ -304,12 +301,14 @@ def aggregate_segments(rows, weights, counts, agg: RobustAgg) -> np.ndarray:
         raise ValueError("aggregation needs at least one neighbor block")
     if not least > 2 * t:
         raise ValueError(f"trimming {t} from each end needs more than {2 * t} blocks, got {least}")
-    totals = np.bincount(np.repeat(np.arange(counts.shape[0]), counts), weights, counts.shape[0])
+    S = counts.shape[0]
+    segment = np.repeat(np.arange(S), counts)
+    totals = np.bincount(segment, weights, S)
     if not (totals > 0.0).all():
         raise ValueError("aggregation weights must have positive sum")
     ends = np.cumsum(counts)
     if agg.kind == "geomedian":
-        out = np.empty((counts.shape[0], rows.shape[1]))
+        out = np.empty((S, rows.shape[1]))
         for s, (b, c) in enumerate(zip(ends.tolist(), counts.tolist())):
             out[s] = geometric_median(rows[b - c : b], agg.tol, agg.max_iter)[0]
         return out
@@ -318,16 +317,9 @@ def aggregate_segments(rows, weights, counts, agg: RobustAgg) -> np.ndarray:
     products = weights[:, None] * rows
     if t:
         products[_trimmed_slots(rows, counts, ends - counts, t)] = -0.0
-    if ends.shape[0] == 1:
-        sums = ordered_total(products)[None, :]
-    else:
-        import scipy.sparse
-
-        M = rows.shape[0]
-        segments = scipy.sparse.csr_array(
-            (np.ones(M), np.arange(M), np.concatenate(([0], ends))), shape=(len(ends), M)
-        )
-        sums = segments @ products
+    d = rows.shape[1]
+    bins = (segment[:, None] * d + np.arange(d)).reshape(-1)
+    sums = np.bincount(bins, products.reshape(-1), S * d).reshape(S, d)
     if t:
         sums *= (counts / (counts - 2 * t))[:, None]
     return sums / totals[:, None]

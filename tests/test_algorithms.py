@@ -5,6 +5,7 @@ import pytest
 
 from conftest import event
 
+from gtvfed import seeds
 from gtvfed.algorithms import (
     AsyncEvent,
     AsyncSchedule,
@@ -12,6 +13,7 @@ from gtvfed.algorithms import (
     agnostic_relax_step,
     async_bound,
     contraction_factor,
+    default_step,
     fedavg_run,
     fedgd_op,
     fedprox_run,
@@ -25,8 +27,10 @@ from gtvfed.algorithms import (
 )
 from gtvfed.graph import EmpGraph, generate, is_connected
 from gtvfed.gtvmin import GTVMinProblem, eig_bounds, flat_loss, solve_direct
+from gtvfed.harness import _schedule
 from gtvfed.localmodel import LocalDataset, QuadLoss, from_dataset, generate_local
 from gtvfed.optim import DivergenceError, LRSchedule, StopRule, gd_run, optimal_rate
+from gtvfed.trust import RobustAgg, aggregate
 
 TWO_NODE_GRAPH = EmpGraph(2, [(0, 1)])
 
@@ -133,6 +137,25 @@ def test_fedsgd_empty_dataset_node_has_zero_data_term():
     own, nbr = np.array([2.0]), np.array([[0.5]])
     new = ops[1].update(own, nbr, 0)
     assert new == pytest.approx(own - eta * 2.0 * 0.5 * (own - nbr[0]), abs=1e-15)
+
+
+def test_fedsgd_mini_batch_node_takes_the_fedgd_step_on_its_batch_gradient():
+    rng = np.random.default_rng(4)
+    g = EmpGraph(3, [(0, 1, 0.7), (0, 2, 1.9)])
+    losses = [from_dataset(generate_local(rng.standard_normal(2), 9, 0.3, seed=s), ridge=0.2) for s in range(3)]
+    p = GTVMinProblem(g, losses, 0.8)
+    eta, batch, seed = 0.05, 4, 11
+    ops = fedsgd_op(p, batch_size=batch, seed=seed, sched=LRSchedule.constant(eta))
+    ids, wts = p.neighbor_arrays(0)
+    ds, rho = losses[0].source, 2.0 * p.alpha * g.degree[0]
+    draws = seeds.stream(seed, "batches", 0)
+    for k in range(3):
+        own, nbrs = rng.standard_normal(2), rng.standard_normal((ids.shape[0], 2))
+        new = ops[0].update(own, nbrs, k)
+        idx = np.sort(draws.choice(ds.m, size=batch, replace=False))
+        Xb = ds.X[idx]
+        g_b = (2.0 / batch) * (Xb.T @ (Xb @ own - ds.y[idx])) + 2.0 * losses[0].ridge * own
+        assert np.array_equal(new, own - eta * (g_b + rho * (own - aggregate(nbrs, wts, RobustAgg.mean()))))
 
 
 def test_fedrelax_zero_loss_node_averages_neighbors():
@@ -481,8 +504,7 @@ STOP = StopRule(max_iters=1)
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: fedgd_op(ZERO_PROBLEM), "cannot derive a default step size from a zero problem"),
-        (lambda: fedgd_op(two_node_problem(), sched=[LRSchedule.constant(0.1)]), "got 1 schedules for 2 nodes"),
+        (lambda: fedgd_op(two_node_problem(), sched=[LRSchedule.constant(0.1)]), "sched must be an LRSchedule, got list"),
         (lambda: fedsgd_op(two_node_problem(), batch_size=0, seed=0), "batch size must be at least 1, got 0"),
         (lambda: run_sync(fedrelax_op(two_node_problem()), np.zeros((2, 1, 1)), STOP),
          "initial state must be (n, d), got shape (2, 1, 1)"),
@@ -514,6 +536,21 @@ STOP = StopRule(max_iters=1)
 def test_argument_checks_name_the_bad_argument(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+def test_default_step_is_the_pipeline_step():
+    algo = {"eta": None, "schedule": "constant"}
+    p = strongly_convex_problem(2)
+    sched = _schedule(algo, p)
+    assert sched == LRSchedule.constant(1.0 / (2.0 * eig_bounds(p).upper))
+    w0 = np.random.default_rng(0).standard_normal((p.n, p.d))
+    a, _ = run_sync(fedgd_op(p), w0, StopRule(max_iters=5))
+    b, _ = run_sync(fedgd_op(p, sched=sched), w0, StopRule(max_iters=5))
+    assert np.array_equal(a.blocks, b.blocks)
+    # A zero problem takes step 1 in both; its operators build and run.
+    assert _schedule(algo, ZERO_PROBLEM) == LRSchedule.constant(1.0) == LRSchedule.constant(default_step(ZERO_PROBLEM))
+    sp, _ = run_sync(fedgd_op(ZERO_PROBLEM), np.ones((2, 1)), StopRule(max_iters=2))
+    assert np.array_equal(sp.blocks, np.ones((2, 1)))
 
 
 def test_contraction_factor_limits():

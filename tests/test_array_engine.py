@@ -545,14 +545,6 @@ def test_a_short_trim_raises_at_the_first_event_that_reads_the_node():
                 run_async(make(), w0, schedule, StopRule(max_iters=3), interceptor=hook)
 
 
-def test_fedgd_runs_array_events_only_under_one_shared_schedule():
-    p = problem(6, 3)
-    same = [LRSchedule.constant(0.05) for _ in range(p.n)]
-    assert isinstance(fedgd_op(p, sched=same)[0].batch_update, _ArrayRound)
-    unequal = same[:-1] + [LRSchedule.diminishing(0.05)]
-    assert all(op.batch_update is None for op in fedgd_op(p, sched=unequal))
-
-
 def test_synchronous_defended_rounds_match_the_per_node_updates():
     p = problem(10, 21)
     w0 = np.random.default_rng(3).standard_normal((p.n, p.d))

@@ -163,6 +163,7 @@ def test_diverged_graph_report_names_its_node():
         report = run_experiment(parse_config(text + "record_every = 1000\n"))
     assert report.summary["terminal"] == "diverged"
     assert report.summary["divergence"] == {"event": 114, "node": 1}
+    assert report.summary["events"] == 114
     assert report.summary["bound_checks"] == []
     assert [row[0] for row in report.rows] == [0] * 4
 
