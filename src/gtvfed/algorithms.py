@@ -21,12 +21,13 @@ class NodeOperator:
     """Per-node fixed-point map.
 
     update(own block, neighbor blocks as a (k, d) array aligned with
-    neighbor_ids, event index) -> new own block: the reference. batch_update,
-    when present, is the _ArrayRound shared by all operators of the run; the
-    engines run every event on it instead, synchronous or not, when every
-    operator carries the same one and no message hook other than a
-    SenderRewrite is installed. FedGD, full-batch FedSGD and FedRelax carry
-    one under every aggregation rule; FedSGD with a mini-batch carries none.
+    neighbor_ids, event index) -> new own block. batch_update, when present,
+    is the _ArrayRound shared by all operators of the run; the engines run
+    every event on it, synchronous or not, when every operator carries the
+    same one and no message hook other than a SenderRewrite is installed.
+    FedGD, FedSGD at any batch size and FedRelax carry one under every
+    aggregation rule, and their update is its finish on one row; only a
+    hand-built operator goes without.
     """
 
     update: callable
@@ -149,38 +150,45 @@ def fedgd_op(p: GTVMinProblem, sched=None, agg: RobustAgg | None = None):
     whose coupling 2 alpha d_i is zero takes a plain local gradient step.
     Returns one operator per node.
     """
-    if agg is None:
-        agg = _MEAN
-    sched = _checked_schedule(p, sched)
-    gradients = [loss.gradient for loss in p.losses]
-    return _gd_ops(p, agg, sched, gradients, _gd_round(p, agg, sched))
+    return _node_ops(p, _gd_round(p, _MEAN if agg is None else agg, _checked_schedule(p, sched)))
 
 
-def _gd_ops(p: GTVMinProblem, agg, sched, gradients, batch):
-    """FedGD's per-node operators with gradients[i] as node i's local
-    gradient, all carrying the round map batch."""
-    rhos = 2.0 * p.alpha * p.graph.degree
+def _node_ops(p: GTVMinProblem, round):
+    """One operator per node, all carrying round. Node i's update is
+    round.finish on its one row, at the aggregate of its neighbor blocks
+    when it reads them (round.counts[i] > 0) and at avg None otherwise."""
     ops = []
     for i in range(p.n):
         ids, wts = p.neighbor_arrays(i)
 
-        def update(own, nbrs, k, gradient=gradients[i], wts=wts, rho=float(rhos[i])):
-            g = gradient(own)
-            if rho != 0.0:
-                g = g + rho * (own - aggregate(nbrs, wts, agg))
-            return own - sched.rate(k) * g
+        def update(own, nbrs, k, node=[i], wts=wts if round.counts[i] > 0 else None):
+            avg = None if wts is None else aggregate(nbrs, wts, round.agg)[None]
+            return round.finish(k, node, own[None], avg)[0]
 
-        ops.append(NodeOperator(update=update, neighbor_ids=ids, batch_update=batch))
+        ops.append(NodeOperator(update=update, neighbor_ids=ids, batch_update=round))
     return ops
 
 
-def _gd_round(p: GTVMinProblem, agg, sched):
-    """The _ArrayRound of FedGD's operators under the one schedule sched."""
+def _gd_round(p: GTVMinProblem, agg, sched, estimates=None):
+    """The _ArrayRound of FedGD's operators under the one schedule sched.
+    estimates maps FedSGD's sampled nodes to their mini-batch gradients:
+    finish overwrites their rows of the exact stacked gradient with one
+    estimate call each, then adds the coupling as at every other row."""
     stack = p.stack
     rhos = 2.0 * p.alpha * p.graph.degree
+    order = np.arange(p.n)
+    sampled = np.isin(order, list(estimates or ()))
 
     def finish(k, ids, own, avg):
-        return own - sched.rate(k) * gd_gradient(stack, rhos, ids, own, avg)
+        if not estimates:
+            return own - sched.rate(k) * gd_gradient(stack, rhos, ids, own, avg)
+        g = gd_gradient(stack, rhos, ids, own, None)
+        hit = np.flatnonzero(sampled[ids])
+        for t, i in zip(hit.tolist(), order[ids][hit].tolist()):
+            g[t] = estimates[i](own[t])
+        if avg is not None:
+            g = g + rhos[ids][:, None] * (own - avg)
+        return own - sched.rate(k) * g
 
     return _ArrayRound(p.graph, rhos, agg, finish)
 
@@ -190,31 +198,31 @@ def fedsgd_op(p: GTVMinProblem, batch_size: int, seed: int, sched=None):
 
     Each event, a node whose dataset holds more than batch_size rows
     estimates its gradient from batch_size rows drawn without replacement
-    from its own seeded "batches" stream. A node with at most batch_size
-    rows takes its exact gradient; when every node does, the operators are
-    fedgd_op's and carry its round map. Requires losses built from datasets.
+    from its own seeded "batches" stream, one choice call per event it is
+    active in. A node with at most batch_size rows takes its exact gradient;
+    one warning names the nodes with fewer. The operators carry one
+    _ArrayRound at any batch size. Requires losses built from datasets.
     """
     batch_size = int(batch_size)
     if batch_size < 1:
         raise ValueError(f"batch size must be at least 1, got {batch_size}")
     sched = _checked_schedule(p, sched)
-    gradients = []
+    estimates, short = {}, []
     for i, loss in enumerate(p.losses):
         if loss.source is None:
             raise ValueError(f"node {i}: stochastic gradients need a source dataset")
         m = loss.source.m
         if batch_size > m:
-            warnings.warn(
-                f"node {i}: batch size {batch_size} exceeds dataset size {m}; "
-                "using the full batch",
-                stacklevel=2,
-            )
-        if batch_size >= m:
-            gradients.append(loss.gradient)
-        else:
-            gradients.append(_batch_gradient(loss, batch_size, seeds.stream(seed, "batches", i)))
-    exact = all(batch_size >= loss.source.m for loss in p.losses)
-    return _gd_ops(p, _MEAN, sched, gradients, _gd_round(p, _MEAN, sched) if exact else None)
+            short.append(i)
+        elif batch_size < m:
+            estimates[i] = _batch_gradient(loss, batch_size, seeds.stream(seed, "batches", i))
+    if short:
+        warnings.warn(
+            f"batch size {batch_size} exceeds dataset size at {len(short)} of {p.n} nodes "
+            f"(first: node {short[0]}, {p.losses[short[0]].source.m} rows); using the full batch",
+            stacklevel=2,
+        )
+    return _node_ops(p, _gd_round(p, _MEAN, sched, estimates))
 
 
 def _batch_gradient(loss, batch_size, rng):
@@ -238,37 +246,7 @@ def fedrelax_op(p: GTVMinProblem, agg: RobustAgg | None = None):
     A node with no neighbors returns its exact local minimizer when that is
     unique, and its current block unchanged otherwise.
     """
-    if agg is None:
-        agg = _MEAN
-    # Shared by the closures and the round map: the P_i, and the lone nodes
-    # with a unique minimizer (fixed) and those minimizers.
-    stack = p.stack
-    rhos = 2.0 * p.alpha * p.graph.degree
-    Ps = _relax_inverses(p, rhos)
-    fixed = (rhos == 0.0) & (stack.eigenvalues()[:, 0] > 1e-12)
-    w_stars = np.zeros_like(stack.qs)
-    for i in np.flatnonzero(fixed).tolist():
-        w_stars[i] = np.linalg.solve(2.0 * stack.Qs[i], -stack.qs[i])
-    ops = []
-    for i in range(p.n):
-        ids, wts = p.neighbor_arrays(i)
-        rho = float(rhos[i])
-        if rho == 0.0:
-
-            def update(own, nbrs, k, w_star=w_stars[i] if fixed[i] else None):
-                return own.copy() if w_star is None else w_star.copy()
-
-        else:
-
-            def update(own, nbrs, k, P=Ps[i], qv=stack.qs[i], rho=rho, wts=wts):
-                avg = aggregate(nbrs, wts, agg)
-                return P @ (rho * avg - qv)
-
-        ops.append(NodeOperator(update=update, neighbor_ids=ids))
-    batch = _relax_round(p, agg, Ps, rhos, fixed[:, None], w_stars)
-    for op in ops:
-        op.batch_update = batch
-    return ops
+    return _node_ops(p, _relax_round(p, _MEAN if agg is None else agg))
 
 
 def _relax_inverses(p: GTVMinProblem, rhos) -> np.ndarray:
@@ -283,9 +261,19 @@ def _relax_inverses(p: GTVMinProblem, rhos) -> np.ndarray:
     return Ps
 
 
-def _relax_round(p: GTVMinProblem, agg, Ps, rhos, fixed, w_stars):
-    """The _ArrayRound shared by FedRelax operators."""
-    qs = p.stack.qs
+def _relax_round(p: GTVMinProblem, agg):
+    """The _ArrayRound of FedRelax's operators: P_i (rho_i a_i - q_i) at a
+    reading node; a lone node takes its minimizer w_i* when it is unique
+    (fixed) and keeps its block otherwise."""
+    stack = p.stack
+    qs = stack.qs
+    rhos = 2.0 * p.alpha * p.graph.degree
+    Ps = _relax_inverses(p, rhos)
+    fixed = (rhos == 0.0) & (stack.eigenvalues()[:, 0] > 1e-12)
+    w_stars = np.zeros_like(qs)
+    for i in np.flatnonzero(fixed).tolist():
+        w_stars[i] = np.linalg.solve(2.0 * stack.Qs[i], -qs[i])
+    fixed = fixed[:, None]
 
     def finish(k, ids, own, avg):
         if avg is None:
@@ -301,7 +289,7 @@ _EVERY = slice(None)
 
 
 class _ArrayRound:
-    """Every event of FedGD or FedRelax as array code, any rule.
+    """Every event of FedGD, FedSGD or FedRelax as array code, any rule.
 
     One take gathers the neighbor rows that the active nodes with coupling
     rho_i != 0 read, in event and CSR slot order, from the blocks or the
@@ -312,11 +300,12 @@ class _ArrayRound:
     avg) then updates those nodes at once, and the others with avg None;
     ids indexes the run's stacks, and a synchronous round that updates
     every node alike passes slice(None), which reads them without a copy.
-    The per-node closures call the same kernel on one segment, and finish's
-    stacked matmul hands each slice to their BLAS kernel, so every path
-    agrees bit for bit. A node the rule cannot serve (a trim that leaves it
-    no block) raises from the kernel at the first event it aggregates in,
-    as its closure would.
+    This finish is the solver's one update formula: a per-node operator
+    (_node_ops) calls it on its one row, after the same kernel on its one
+    segment, and the stacked matmul hands each slice to the BLAS kernel a
+    single row gets, so every path agrees bit for bit. A node the rule
+    cannot serve (a trim that leaves it no block) raises from the kernel at
+    the first event it aggregates in, on either path.
     """
 
     def __init__(self, g, rhos, agg, finish):
@@ -376,10 +365,11 @@ def _graph_step(ops, shape, events, B, interceptor):
     round). With them, the active nodes of event k read each neighbor's row
     at the event the schedule names, from a ring of B + 1 state snapshots
     (the whole history when B is None); inactive nodes keep their block.
-    The per-node updates are the reference. The operators' shared
-    _ArrayRound, when they carry one, runs every event instead, unless a
-    hook other than a SenderRewrite is installed; a zero-delay event gets
-    the bits of a synchronous round.
+    The operators' shared _ArrayRound, when they carry one, runs every
+    event, unless a hook other than a SenderRewrite is installed; a
+    zero-delay event gets the bits of a synchronous round. The per-node
+    loop serves only hand-built operators and plain-function hooks, and is
+    the engine reference the array path is tested against.
     """
     array = ops[0].batch_update
     rewrite = interceptor if isinstance(interceptor, SenderRewrite) else None

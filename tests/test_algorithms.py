@@ -107,6 +107,12 @@ def test_fedsgd_oversized_batch_warns():
     p = two_node_problem()
     with pytest.warns(UserWarning, match="exceeds dataset size"):
         fedsgd_op(p, batch_size=2, seed=0)
+    # Every node is short: one warning for the call, not one per node.
+    p = strongly_convex_problem(1)
+    with pytest.warns(UserWarning, match="exceeds dataset size") as caught:
+        fedsgd_op(p, batch_size=10**6, seed=0)
+    assert len(caught) == 1
+    assert f"at {p.n} of {p.n} nodes" in str(caught[0].message)
 
 
 def test_fedsgd_batch_gradient_is_unbiased():

@@ -372,9 +372,10 @@ DEFENCES = [None, RobustAgg.mean(), RobustAgg.clipped(-2.0, 2.5), RobustAgg.trim
 
 
 def makers(p):
-    """(name, operator factory): FedRelax and FedGD under each rule; both
-    take the array path, which applies a rewrite once per gathered row."""
-    out = []
+    """(name, operator factory): FedRelax and FedGD under each rule, and
+    mini-batch FedSGD; all take the array path, which applies a rewrite
+    once per gathered row."""
+    out = [("fedsgd-3", lambda: fedsgd_op(p, 3, seed=8, sched=LRSchedule.constant(0.05)))]
     for agg in DEFENCES:
         out.append((f"fedrelax-{agg}", lambda agg=agg: fedrelax_op(p, agg=agg)))
         out.append(
@@ -585,7 +586,8 @@ def hook_free_runs(draw):
     most = (int(linked.min()) - 1) // 2 if linked.size else 2
     kind = draw(st.sampled_from(["fedgd", "fedsgd", "fedrelax"]))
     if kind == "fedsgd":
-        return p, lambda: fedsgd_op(p, M, seed=0, sched=sched), rng.standard_normal((g.n, d))
+        batch = draw(st.sampled_from([1, 3, M]))
+        return p, lambda: fedsgd_op(p, batch, seed=seed, sched=sched), rng.standard_normal((g.n, d))
     agg = draw(st.sampled_from([
         RobustAgg.mean(), RobustAgg.clipped(-0.5, 0.8), RobustAgg.trimmed(draw(st.integers(0, most)))
     ]))
@@ -663,13 +665,15 @@ attack.1.kind = dos
 attack.1.nodes = 7
 """
 TRIMMED = "defense.kind = trimmed\ndefense.trim_k = 1\n"
-# Every node trains on 8 of its 10 rows, so a batch of 8 is the full batch.
+# Every node trains on 8 of its 10 rows, so a batch of 8 is the full batch
+# and a batch of 3 samples at every node.
 FULL_BATCH = "algorithm.batch = 8\n"
+MINI_BATCH = "algorithm.batch = 3\n"
 DEFENDED_RUNS = [
     pytest.param("fedrelax", mode, TRIMMED, id=mode) for mode in ("partial", "total")
 ] + [
-    pytest.param(kind, mode, extra, id=f"{kind}-{mode}")
-    for kind, extra in (("fedgd", TRIMMED), ("fedsgd", FULL_BATCH))
+    pytest.param(kind, mode, extra, id=f"{kind}{tag}-{mode}")
+    for kind, tag, extra in (("fedgd", "", TRIMMED), ("fedsgd", "", FULL_BATCH), ("fedsgd", "-batch3", MINI_BATCH))
     for mode in ("partial", "total")
 ]
 

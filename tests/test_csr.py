@@ -8,10 +8,11 @@ that one array.
 import numpy as np
 import pytest
 
-from gtvfed.algorithms import contraction_factor, fedrelax_op
+from gtvfed.algorithms import contraction_factor, fedgd_op, fedrelax_op
 from gtvfed.graph import EmpGraph, degrees, generate, laplacian
 from gtvfed.gtvmin import GTVMinProblem, batch_gradient_fn, eig_bounds, eig_summaries, quad_operator
 from gtvfed.localmodel import from_dataset, generate_local
+from gtvfed.optim import LRSchedule
 from gtvfed.trust import RobustAgg, aggregate
 
 
@@ -115,13 +116,17 @@ def test_every_solver_weighs_by_the_one_degree():
     pre = np.linalg.inv(Qs + alpha * deg[:, None, None] * np.eye(d))
     assert _same_bits(quad_operator(p)._preconditioner(), pre)
 
-    ops = fedrelax_op(p)
+    ops, eta = fedrelax_op(p), 0.03
+    gd_ops = fedgd_op(p, sched=LRSchedule.constant(eta))
     for i in range(g.n):
         ids, wts = g.neighbor_arrays(i)
         rho = 2.0 * alpha * float(deg[i])
         P = np.linalg.inv(2.0 * losses[i].Q + rho * np.eye(d))
-        want = P @ (rho * aggregate(W[ids], wts, mean) - losses[i].q)
+        avg = aggregate(W[ids], wts, mean)
+        want = P @ (rho * avg - losses[i].q)
         assert _same_bits(ops[i].update(W[i], W[ids], 0), want), i
+        want = W[i] - eta * (losses[i].gradient(W[i]) + rho * (W[i] - avg))
+        assert _same_bits(gd_ops[i].update(W[i], W[ids], 0), want), i
 
     kappas = [1.0 / (1.0 + loss.sigma / (2.0 * alpha * float(di))) for loss, di in zip(losses, deg)]
     assert contraction_factor(p) == max(kappas)

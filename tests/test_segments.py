@@ -1,14 +1,15 @@
 """The segment kernel of robust aggregation against a stable-argsort
-reference, and the totals every FedRelax path divides by."""
+reference, and the totals every FedRelax and FedGD path divides by."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtvfed.algorithms import AsyncEvent, AsyncSchedule, fedrelax_op, run_async
+from gtvfed.algorithms import AsyncEvent, AsyncSchedule, fedgd_op, fedrelax_op, run_async
 from gtvfed.graph import generate
 from gtvfed.gtvmin import GTVMinProblem
 from gtvfed.localmodel import from_dataset, generate_local
+from gtvfed.optim import LRSchedule
 from gtvfed.trust import RobustAgg, _trimmed_slots, aggregate_segments
 
 SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
@@ -122,10 +123,13 @@ def test_fedrelax_events_divide_by_the_graph_degree():
     counts = np.diff(g.indptr)[nodes]
     event = AsyncEvent(nodes, counts, np.zeros(int(counts.sum()), dtype=np.int64))
     schedule = AsyncSchedule(n=g.n, B=3, events=(event,))
+    eta = 0.03
     for agg in (RobustAgg.mean(), RobustAgg.trimmed(1)):
         ops = fedrelax_op(p, agg)
+        gd_ops = fedgd_op(p, sched=LRSchedule.constant(eta), agg=agg)
         out, _ = run_async(ops, w0, schedule)
-        want = w0.copy()
+        gd_out, _ = run_async(gd_ops, w0, schedule)
+        want, gd_want = w0.copy(), w0.copy()
         for i in nodes.tolist():
             ids, wts = g.neighbor_arrays(i)
             values = np.sort(wts[:, None] * w0[ids], axis=0)
@@ -138,4 +142,7 @@ def test_fedrelax_events_divide_by_the_graph_degree():
             P = np.linalg.inv(2.0 * losses[i].Q + rho * np.eye(d))
             want[i] = P @ (rho * avg - losses[i].q)
             assert np.array_equal(ops[i].update(w0[i], w0[ids], 0), want[i]), (agg.kind, i)
+            gd_want[i] = w0[i] - eta * (losses[i].gradient(w0[i]) + rho * (w0[i] - avg))
+            assert np.array_equal(gd_ops[i].update(w0[i], w0[ids], 0), gd_want[i]), (agg.kind, i)
         assert np.array_equal(out.blocks, want), agg.kind
+        assert np.array_equal(gd_out.blocks, gd_want), agg.kind
