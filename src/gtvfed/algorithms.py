@@ -161,7 +161,7 @@ def _node_ops(p: GTVMinProblem, round):
     for i in range(p.n):
         ids, wts = p.neighbor_arrays(i)
 
-        def update(own, nbrs, k, node=[i], wts=wts if round.counts[i] > 0 else None):
+        def update(own, nbrs, k, node=slice(i, i + 1), wts=wts if round.counts[i] > 0 else None):
             avg = None if wts is None else aggregate(nbrs, wts, round.agg)[None]
             return round.finish(k, node, own[None], avg)[0]
 
@@ -176,16 +176,16 @@ def _gd_round(p: GTVMinProblem, agg, sched, estimates=None):
     estimate call each, then adds the coupling as at every other row."""
     stack = p.stack
     rhos = 2.0 * p.alpha * p.graph.degree
-    order = np.arange(p.n)
-    sampled = np.isin(order, list(estimates or ()))
+    if estimates:
+        order = np.arange(p.n)
+        sampled = np.isin(order, list(estimates))
 
     def finish(k, ids, own, avg):
-        if not estimates:
-            return own - sched.rate(k) * gd_gradient(stack, rhos, ids, own, avg)
         g = gd_gradient(stack, rhos, ids, own, None)
-        hit = np.flatnonzero(sampled[ids])
-        for t, i in zip(hit.tolist(), order[ids][hit].tolist()):
-            g[t] = estimates[i](own[t])
+        if estimates:
+            hit = np.flatnonzero(sampled[ids])
+            for t, i in zip(hit.tolist(), order[ids][hit].tolist()):
+                g[t] = estimates[i](own[t])
         if avg is not None:
             g = g + rhos[ids][:, None] * (own - avg)
         return own - sched.rate(k) * g
@@ -301,9 +301,9 @@ class _ArrayRound:
     ids indexes the run's stacks, and a synchronous round that updates
     every node alike passes slice(None), which reads them without a copy.
     This finish is the solver's one update formula: a per-node operator
-    (_node_ops) calls it on its one row, after the same kernel on its one
-    segment, and the stacked matmul hands each slice to the BLAS kernel a
-    single row gets, so every path agrees bit for bit. A node the rule
+    (_node_ops) calls it on its one row, as slice(i, i + 1), after the
+    same kernel on its one segment, and the stacked matmul hands each slice
+    to the BLAS kernel a single row gets, so every path agrees bit for bit. A node the rule
     cannot serve (a trim that leaves it no block) raises from the kernel at
     the first event it aggregates in, on either path.
     """

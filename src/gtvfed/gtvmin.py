@@ -215,9 +215,10 @@ def gd_gradient(stack: QuadStack, rhos, ids, own, avg):
     """Gradients 2 Q_i w_i + q_i + rho_i (w_i - a_i) of the nodes ids at
     their (S, d) blocks own and neighbour means avg; avg None drops the
     coupling, as at a node with rho_i = 2 alpha d_i = 0. ids is an index
-    array, or slice(None) for every node, which reads the stacks without a
-    copy. FedGD's round and batch_gradient_fn share it, so flat_loss steps
-    equal run_sync rounds bit for bit."""
+    array or a slice (slice(None) for every node, slice(i, i + 1) for node
+    i alone), which reads the stacks without a copy. FedGD's round and
+    batch_gradient_fn share it, so flat_loss steps equal run_sync rounds
+    bit for bit."""
     g = 2.0 * (stack.Qs[ids] @ own[:, :, None])[:, :, 0] + stack.qs[ids]
     if avg is not None:
         g = g + rhos[ids][:, None] * (own - avg)

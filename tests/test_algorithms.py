@@ -252,9 +252,10 @@ def test_run_sync_single_node_reduces_to_gd_run():
 )
 def test_gd_run_and_one_node_fedgd_share_the_event_loop(eta, stop, terminal):
     # A lone node is uncoupled, so FedGD is plain gradient descent. The
-    # pass-through interceptor keeps FedGD on its per-node closure, whose
-    # step is gd_run's bit for bit, so both runs record the same rows, stop
-    # on the same rule and blow up at the same event.
+    # pass-through interceptor keeps the run on the engine's per-node loop,
+    # which calls the round's finish on node 0's row; that steps as gd_run
+    # does bit for bit, so both runs record the same rows, stop on the same
+    # rule and blow up at the same event.
     ds = generate_local([1.0, -2.0], 12, 0.2, seed=7)
     p = GTVMinProblem(EmpGraph(1, []), (from_dataset(ds),), 1.0)
     loss = p.losses[0]

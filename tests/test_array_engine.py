@@ -597,7 +597,7 @@ def hook_free_runs(draw):
 
 
 def closure_rounds(ops, w0, rounds):
-    """Synchronous rounds as a loop over the per-node closures."""
+    """Synchronous rounds as a loop over the per-node updates."""
     W = np.array(w0, dtype=float)
     for k in range(rounds):
         W = np.array([op.update(W[i], W[op.neighbor_ids], k) for i, op in enumerate(ops)])
@@ -608,7 +608,8 @@ def closure_rounds(ops, w0, rounds):
 @given(hook_free_runs())
 def test_hook_free_rounds_match_the_per_node_closures(case):
     # Sync rounds and zero-delay events both run on the array path, whose
-    # sums add in the closures' order and whose updates are their formulas.
+    # sums add in the per-node kernel's order and whose stacked finish gives
+    # each row the bits of its one-row call.
     p, make, w0 = case
     rounds = 12
     ref = closure_rounds(make(), w0, rounds)
