@@ -24,6 +24,8 @@ import os
 import re
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,18 +110,38 @@ class ExperimentConfig:
     text: str = ""
 
 
-@dataclass
+class EventColumns(NamedTuple):
+    """A run's recorded metrics: event, gtv and dist of shape (E,), one entry
+    per recorded event (dist NaN without an oracle), and objective,
+    train_err and val_err of shape (E, n), one column per node."""
+
+    event: np.ndarray
+    gtv: np.ndarray
+    dist: np.ndarray
+    objective: np.ndarray
+    train_err: np.ndarray
+    val_err: np.ndarray
+
+
+@dataclass(eq=False)
 class Report:
-    """Per-event metric rows plus a run summary and environment stamp.
+    """A run's recorded metrics as EventColumns, plus a run summary and an
+    environment stamp."""
 
-    rows holds one (event, node, objective, gtv, train_err, val_err,
-    dist_oracle) tuple per recorded event and node: event and node are Python
-    ints, the five metrics Python floats.
-    """
-
-    rows: list
+    events: EventColumns
     summary: dict
     environment: dict
+
+    @cached_property
+    def rows(self) -> list:
+        """One (event, node, objective, gtv, train_err, val_err, dist_oracle)
+        tuple per recorded event and node, built from events on first use:
+        event and node are Python ints, the five metrics Python floats."""
+        e = self.events
+        count, n = e.objective.shape
+        event, gtv, dist = (np.repeat(col, n).tolist() for col in (e.event, e.gtv, e.dist))
+        obj, e_t, e_v = (col.reshape(-1).tolist() for col in (e.objective, e.train_err, e.val_err))
+        return list(zip(event, np.tile(np.arange(n), count).tolist(), obj, gtv, e_t, e_v, dist))
 
     def to_dict(self) -> dict:
         return {
@@ -561,6 +583,15 @@ def split_data(data: NodeData, fraction: float, seed):
     return NodeData(data.d, train), NodeData(data.d, val)
 
 
+def _warn_empty_sides(train: NodeData, val: NodeData, fraction: float) -> None:
+    """One warning for the nodes whose split leaves the training side, or at
+    a positive fraction the validation side, empty: those metrics read NaN."""
+    empty = np.flatnonzero((train.sizes == 0) | ((val.sizes == 0) & (fraction > 0.0)))
+    if empty.size:
+        message = f"at {empty.size} of {train.n} nodes (first: node {empty[0]}); metrics absent"
+        warnings.warn("split leaves an empty side " + message, stacklevel=3)
+
+
 def _sq_err(ds: LocalDataset, w) -> float:
     # Reference kernel of SqErrors, kept for the tests.
     if ds.m == 0:
@@ -610,8 +641,7 @@ def train_val_report(datasets, blocks, split: float, seed=0):
     if data.n != blocks.shape[0]:
         raise ValueError(f"got {data.n} datasets for {blocks.shape[0]} blocks")
     train, val = split_data(data, split, seed)
-    for i in np.flatnonzero((train.sizes == 0) | (val.sizes == 0)).tolist():
-        warnings.warn(f"node {i}: split leaves an empty side, metrics absent")
+    _warn_empty_sides(train, val, split)
     return SqErrors(train)(blocks), SqErrors(val)(blocks)
 
 
@@ -825,32 +855,6 @@ def _nanmean(values) -> float:
     return float(np.nanmean(arr))
 
 
-def _rows_from_trace(trace, n):
-    """One (event, node, objective, gtv, train_err, val_err, dist) tuple per
-    recorded event and node, built column by column from the metrics the
-    run recorded (node_objs, train_err and val_err per node, gtv per event);
-    a missing oracle distance reads NaN."""
-    if not trace.ks:
-        return []
-    node_objs, gtvs, e_ts, e_vs = (
-        trace.extras[key] for key in ("node_objs", "gtv", "train_err", "val_err")
-    )
-    per_node = lambda values: np.asarray(values, dtype=float).reshape(-1).tolist()
-    per_event = lambda values: np.repeat(np.asarray(values, dtype=float), n).tolist()
-    dists = [float("nan") if dist is None else dist for dist in trace.dists]
-    return list(
-        zip(
-            np.repeat(np.asarray(trace.ks, dtype=np.int64), n).tolist(),
-            np.tile(np.arange(n, dtype=np.int64), len(trace.ks)).tolist(),
-            per_node(node_objs),
-            per_event(gtvs),
-            per_node(e_ts),
-            per_node(e_vs),
-            per_event(dists),
-        )
-    )
-
-
 class _Probes:
     """The per-event probes of a run, vectorized over the nodes; a server
     run probes its global block repeated at every node.
@@ -905,9 +909,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     data, meta = build_data(cfg, g.n)
     frac = cfg.split_fraction
     train, val = split_data(data, frac, cfg.seed)
-    empty = (train.sizes == 0) | ((val.sizes == 0) & (frac > 0.0))
-    for i in np.flatnonzero(empty).tolist():
-        warnings.warn(f"node {i}: split leaves an empty side, metrics absent")
+    _warn_empty_sides(train, val, frac)
     _apply_data_attacks(cfg, train)
     stack = QuadStack.from_data(train, cfg.data["ridge"])
 
@@ -1020,19 +1022,28 @@ def _run_server(cfg, p, sched, train, val, meta):
 
 
 def _make_report(cfg, trace, checks, meta, n, divergence):
-    """The report of a run. events is the last event run: the last
+    """The report of a run: its recorded metrics as EventColumns, converted
+    from the trace, and its summary. events is the last event run: the last
     recorded one, or the divergence event of a run that blew up; the
-    final_* values are those of the last recorded row."""
-    rows = _rows_from_trace(trace, n)
+    final_* values are those of the last recorded event."""
+    count = len(trace.ks)
+    per_node = lambda key: np.asarray(trace.extras.get(key, ()), dtype=float).reshape(count, n)
+    columns = EventColumns(
+        event=np.asarray(trace.ks, dtype=np.int64),
+        gtv=np.asarray(trace.extras.get("gtv", ()), dtype=float),
+        dist=np.array([np.nan if dist is None else dist for dist in trace.dists], dtype=float),
+        objective=per_node("node_objs"),
+        train_err=per_node("train_err"),
+        val_err=per_node("val_err"),
+    )
     if divergence is not None:
         events = int(divergence["event"])
     else:
         events = int(trace.ks[-1]) if trace.ks else 0
     final_dist = trace.dists[-1] if trace.dists else None
     final_obj = trace.objectives[-1] if trace.objectives else None
-    last = lambda name: trace.extras[name][-1] if trace.ks else []
-    train_mean = _nanmean(last("train_err"))
-    val_mean = _nanmean(last("val_err"))
+    train_mean = _nanmean(columns.train_err[-1:])
+    val_mean = _nanmean(columns.val_err[-1:])
     overfit = bool(
         np.isfinite(train_mean)
         and np.isfinite(val_mean)
@@ -1065,16 +1076,14 @@ def _make_report(cfg, trace, checks, meta, n, divergence):
         "package_version": __version__,
         "seed": int(cfg.seed),
     }
-    return Report(rows=rows, summary=summary, environment=environment)
+    return Report(events=columns, summary=summary, environment=environment)
 
 
-# Rows formatted and written per chunk, so no whole file is held as one string.
-_EXPORT_CHUNK = 4096
-# The rows of one event share its event, gtv and dist: each run of rows that
-# shares them is written through one template holding them, so a row formats
-# only its node id and its own three floats. In JSON the layout is that of
-# json.dump(..., indent=2) two levels deep, and a number is its repr except
-# for nan and +-inf, which json spells NaN, Infinity and -Infinity.
+# The rows of one event share its event, gtv and dist: export fills one
+# template with them per event, so a row formats only its node id and its
+# own three floats. In JSON the layout is that of json.dump(..., indent=2)
+# two levels deep, and a number is its repr except for nan and +-inf, which
+# json spells NaN, Infinity and -Infinity.
 _CSV_RUN = "%d,%%d,%%.11e,%.11e,%%.11e,%%.11e,%.11e\n"
 _JSON_RUN = "    [\n      %d,\n      %%d,\n      %%s,\n      %s,\n      %%s,\n      %%s,\n      %s\n    ]"
 _JSON_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -1085,35 +1094,21 @@ def _json_number(value) -> str:
     return _JSON_WORDS.get(text, text)
 
 
-def _formatted_chunks(rows, json_layout: bool):
-    """Each chunk of rows as a list of formatted rows."""
-    for start in range(0, len(rows), _EXPORT_CHUNK):
-        chunk = rows[start : start + _EXPORT_CHUNK]
-        event, node, obj, gtv, e_t, e_v, dist = zip(*chunk)
-        own = [obj, e_t, e_v]
+def _event_lines(events: EventColumns, json_layout: bool):
+    """Each recorded event's formatted rows, one list per event."""
+    nodes = range(events.objective.shape[1])
+    shared = zip(events.event.tolist(), events.gtv.tolist(), events.dist.tolist())
+    for (event, gtv, dist), *own_rows in zip(shared, events.objective, events.train_err, events.val_err):
+        # Python floats: repr of an np.float64 is not its JSON number.
+        own = [row.tolist() for row in own_rows]
         if json_layout:
-            for k, col in enumerate(own):
-                bad = np.flatnonzero(~np.isfinite(np.array(col, dtype=float))).tolist()
-                if bad:
-                    own[k] = col = list(col)
-                    for i in bad:
-                        col[i] = _json_number(col[i])
-        # A run starts where any shared value changes bits, so 0.0 and -0.0
-        # start different runs and equal NaNs share one.
-        starts = np.zeros(len(chunk), dtype=bool)
-        starts[0] = True
-        for col, dtype in ((event, np.int64), (gtv, np.float64), (dist, np.float64)):
-            bits = np.array(col, dtype=dtype).view(np.uint64)
-            starts[1:] |= bits[1:] != bits[:-1]
-        bounds = np.flatnonzero(starts).tolist() + [len(chunk)]
-        lines = []
-        for a, b in zip(bounds, bounds[1:]):
-            if json_layout:
-                template = _JSON_RUN % (event[a], _json_number(gtv[a]), _json_number(dist[a]))
-            else:
-                template = _CSV_RUN % (event[a], gtv[a], dist[a])
-            lines += [template % vals for vals in zip(node[a:b], *(col[a:b] for col in own))]
-        yield lines
+            template = _JSON_RUN % (event, _json_number(gtv), _json_number(dist))
+            for row, values in zip(own_rows, own):
+                for i in np.flatnonzero(~np.isfinite(row)).tolist():
+                    values[i] = _json_number(values[i])
+        else:
+            template = _CSV_RUN % (event, gtv, dist)
+        yield [template % row for row in zip(nodes, *own)]
 
 
 def _json_nested(value) -> str:
@@ -1122,36 +1117,29 @@ def _json_nested(value) -> str:
     return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
 
 
-def _json_rows(fh, rows) -> None:
-    if not rows:
-        fh.write("[]")
-        return
-    fh.write("[\n")
-    sep = ""
-    for lines in _formatted_chunks(rows, json_layout=True):
-        fh.write(sep + ",\n".join(lines))
-        sep = ",\n"
-    fh.write("\n  ]")
-
-
 def export(report: Report, fmt: str, path) -> str:
     """Write the report as CSV rows or a JSON mirror; returns the path.
 
     The JSON bytes are those of json.dump(report.to_dict(), sort_keys=True,
-    indent=2) plus a newline; rows are written in chunks through per-event
-    row templates instead of the pure-Python encoder.
+    indent=2) plus a newline. Both formats write report.events one event at
+    a time through a row template holding the event's shared values,
+    instead of the pure-Python encoder.
     """
     if fmt == "csv":
         with open(path, "w") as fh:
             fh.write(",".join(CSV_HEADER) + "\n")
-            for lines in _formatted_chunks(report.rows, json_layout=False):
+            for lines in _event_lines(report.events, json_layout=False):
                 fh.write("".join(lines))
         return str(path)
     if fmt == "json":
         with open(path, "w") as fh:
             fh.write('{\n  "environment": ' + _json_nested(report.environment))
             fh.write(',\n  "rows": ')
-            _json_rows(fh, report.rows)
+            sep = "[\n"
+            for lines in _event_lines(report.events, json_layout=True):
+                fh.write(sep + ",\n".join(lines))
+                sep = ",\n"
+            fh.write("[]" if sep == "[\n" else "\n  ]")
             fh.write(',\n  "summary": ' + _json_nested(report.summary) + "\n}\n")
         return str(path)
     raise ValueError(f"unknown export format {fmt!r}; expected csv or json")

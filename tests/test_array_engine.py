@@ -469,7 +469,7 @@ def fedgd_runs(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(fedgd_runs())
-def test_fedgd_array_events_match_the_per_node_closures(case):
+def test_fedgd_array_events_match_the_per_node_updates(case):
     p, agg, sched, schedule, w0, victims = case
     if victims:
         hook, reference_hook = rewrite(p.n, p.d, ("model_poison", victims, 40.0))
@@ -479,11 +479,9 @@ def test_fedgd_array_events_match_the_per_node_closures(case):
     ops = fedgd_op(p, sched=sched, agg=agg)
     # At alpha = 0 no node aggregates: the array code steps every node as a
     # lone one.
-    array = isinstance(ops[0].batch_update, _ArrayRound)
-    assert array
-    if array:
-        for op in ops:
-            op.update = None  # the array path must not call it
+    assert isinstance(ops[0].batch_update, _ArrayRound)
+    for op in ops:
+        op.update = None  # the array path must not call it
     fast, _ = run_async(ops, w0, schedule, interceptor=hook)
     ref = reference_async(fedgd_op(p, sched=sched, agg=agg), w0, schedule, reference_hook)
     assert np.array_equal(fast.blocks, ref)
@@ -491,7 +489,7 @@ def test_fedgd_array_events_match_the_per_node_closures(case):
 
 @pytest.mark.parametrize("alpha", [0.0, 0.9])
 @pytest.mark.parametrize("mode", ["sync", "partial", "total"])
-def test_geomedian_runs_match_the_per_node_closures(mode, alpha):
+def test_geomedian_runs_match_the_per_node_updates(mode, alpha):
     # Nodes 7 and 8 are isolated; at alpha = 0 no node aggregates.
     g = with_isolated(generate("erdos_renyi", 7, seed=7, p=0.5), 2)
     rng = np.random.default_rng(6)
@@ -596,7 +594,7 @@ def hook_free_runs(draw):
     return p, lambda: fedrelax_op(p, agg=agg), rng.standard_normal((g.n, d))
 
 
-def closure_rounds(ops, w0, rounds):
+def per_node_rounds(ops, w0, rounds):
     """Synchronous rounds as a loop over the per-node updates."""
     W = np.array(w0, dtype=float)
     for k in range(rounds):
@@ -606,13 +604,13 @@ def closure_rounds(ops, w0, rounds):
 
 @settings(max_examples=200, deadline=None)
 @given(hook_free_runs())
-def test_hook_free_rounds_match_the_per_node_closures(case):
+def test_hook_free_rounds_match_the_per_node_updates(case):
     # Sync rounds and zero-delay events both run on the array path, whose
     # sums add in the per-node kernel's order and whose stacked finish gives
     # each row the bits of its one-row call.
     p, make, w0 = case
     rounds = 12
-    ref = closure_rounds(make(), w0, rounds)
+    ref = per_node_rounds(make(), w0, rounds)
     for run in (
         lambda ops: run_sync(ops, w0, StopRule(max_iters=rounds)),
         lambda ops: run_async(ops, w0, zero_delay_schedule(p.graph, rounds)),

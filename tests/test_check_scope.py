@@ -124,7 +124,7 @@ def _node_data(root):
     return root
 
 
-@pytest.mark.filterwarnings("ignore:node 3")
+@pytest.mark.filterwarnings("ignore:split leaves an empty side")
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_reported_checks(case, tmp_path):
     text, names = CASES[case]

@@ -9,6 +9,7 @@ import pytest
 from gtvfed import cli, seeds
 from gtvfed.harness import (
     ConfigError,
+    EventColumns,
     Report,
     build_graph,
     export,
@@ -722,7 +723,9 @@ CSV_HEADER = "event,node,objective,gtv,train_err,val_err,dist_oracle"
 
 
 def test_export_empty_report_header_only(tmp_path):
-    rep = Report(rows=[], summary={"n": 0}, environment={"seed": 0})
+    none, nodes = np.empty(0), np.empty((0, 0))
+    columns = EventColumns(np.empty(0, dtype=np.int64), none, none, nodes, nodes, nodes)
+    rep = Report(events=columns, summary={"n": 0}, environment={"seed": 0})
     path = export(rep, "csv", tmp_path / "empty.csv")
     assert path == str(tmp_path / "empty.csv")
     assert (tmp_path / "empty.csv").read_text() == CSV_HEADER + "\n"

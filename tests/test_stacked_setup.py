@@ -352,12 +352,20 @@ def test_empty_side_warnings_name_the_per_node_splits(seed, n, sizes, fraction):
     for i, ds in enumerate(datasets):
         t, v = split_dataset(ds, fraction, seeds.stream(seed, "data", i, 1))
         if t.m == 0 or (fraction > 0.0 and v.m == 0):
-            want.append(f"node {i}: split leaves an empty side, metrics absent")
+            want.append(i)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        run_experiment(parse_config(text))
-    got = [str(w.message) for w in caught if "empty side" in str(w.message)]
-    assert got == want
+        rep = run_experiment(parse_config(text))
+    got = [str(w.message) for w in caught if "split leaves an empty side" in str(w.message)]
+    if want:
+        assert len(got) == 1
+        assert f"at {len(want)} of {n} nodes (first: node {want[0]})" in got[0]
+    else:
+        assert got == []
+    absent = np.isnan(rep.events.train_err[-1])
+    if fraction > 0.0:
+        absent |= np.isnan(rep.events.val_err[-1])
+    assert np.flatnonzero(absent).tolist() == want
 
 
 class CountingGenerator(np.random.Generator):

@@ -13,6 +13,7 @@ from gtvfed.graph import EmpGraph
 from gtvfed.gtvmin import GTVMinProblem, objective, objective_parts
 from gtvfed.harness import (
     CSV_HEADER,
+    EventColumns,
     Report,
     SqErrors,
     _Probes,
@@ -272,36 +273,103 @@ def _assert_exports_match(report, tmp_path):
     assert (tmp_path / "r.json").read_text() == _old_json(report)
 
 
+# The CI diverge run: FedGD blows up on a chain of 4 at eta = 5.
+DIVERGE = """
+graph.kind = chain
+graph.n = 4
+data.d = 2
+algorithm.kind = fedgd
+algorithm.eta = 5.0
+stop.max_iters = 50
+"""
+
+OBJ_TOL = """
+seed = 3
+record_every = 7
+graph.kind = erdos_renyi
+graph.n = 8
+graph.p = 0.5
+data.d = 2
+algorithm.kind = fedgd
+stop.max_iters = 400
+stop.obj_tol = 1e-4
+"""
+
+DEFENDED = """
+seed = 5
+graph.kind = erdos_renyi
+graph.n = 12
+graph.p = 0.5
+data.d = 3
+algorithm.kind = fedrelax
+async.mode = partial
+async.B = 2
+stop.max_iters = 40
+attack.0.kind = model_poison
+attack.0.nodes = 3,7
+attack.0.value = 50.0
+defense.kind = trimmed
+defense.trim_k = 1
+"""
+
+LAPLACE = """
+seed = 9
+record_every = 1
+graph.kind = erdos_renyi
+graph.n = 10
+graph.p = 0.4
+data.d = 3
+algorithm.kind = fedgd
+dp.kind = laplace
+dp.b = 0.05
+stop.max_iters = 30
+"""
+
+
 def test_export_bytes_equal_reference_encoders(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        no_oracle = run_experiment(parse_config(NO_ORACLE))
-        fedavg = run_experiment(parse_config(FEDAVG))
+        no_oracle, fedavg, diverged, obj_tol, defended, laplace = (
+            run_experiment(parse_config(text))
+            for text in (NO_ORACLE, FEDAVG, DIVERGE, OBJ_TOL, DEFENDED, LAPLACE)
+        )
     assert all(np.isnan(r[6]) for r in no_oracle.rows)
     assert all(np.isnan(r[5]) for r in fedavg.rows)
-    assert len(fedavg.rows) > 4096  # spans more than one export chunk
-    for report in (no_oracle, fedavg):
+    assert len(fedavg.rows) == 6 * 701
+    assert diverged.summary["terminal"] == "diverged"
+    assert obj_tol.summary["terminal"] == "obj_tol" and obj_tol.rows[-1][0] % 7 != 0
+    assert sorted({r[0] for r in laplace.rows}) == list(range(31))
+    for report in (no_oracle, fedavg, diverged, obj_tol, defended, laplace):
         _assert_exports_match(report, tmp_path)
+
+
+def _columns(event, gtv, dist, objective, train_err, val_err) -> EventColumns:
+    n = len(objective[0]) if objective else 0
+    per_node = lambda rows: np.array(rows, dtype=float).reshape(len(event), n)
+    return EventColumns(
+        np.array(event, dtype=np.int64),
+        np.array(gtv, dtype=float),
+        np.array(dist, dtype=float),
+        per_node(objective),
+        per_node(train_err),
+        per_node(val_err),
+    )
 
 
 def test_export_maps_non_finite_values_like_json(tmp_path):
     inf, nan = float("inf"), float("nan")
     report = Report(
-        rows=[
-            (0, 0, inf, -inf, nan, -0.0, 1e-310),
-            (7, 1, 1e300, 0.1, 2.5, -3.0, 123456789.0),
-            # Rows share an export template only where event, gtv and dist
-            # have the same bits: 0.0 and -0.0 differ, equal NaNs do not.
-            (7, 2, 0.5, 0.0, 1.0, 2.0, 0.0),
-            (7, 3, -0.5, -0.0, nan, 2.0, 0.0),
-            (7, 4, 0.25, 0.0, 1.0, 2.0, -0.0),
-            (7, 5, 0.125, nan, 1.0, inf, nan),
-            (7, 6, -inf, nan, 1.0, 2.0, nan),
-            (8, 6, 1.0, nan, 1.0, 2.0, nan),
-        ],
+        events=_columns(
+            event=[0, 7, 8, 9, 10, 11],
+            gtv=[-inf, 0.1, 0.0, -0.0, nan, inf],
+            dist=[1e-310, 123456789.0, -0.0, 0.0, nan, 1e300],
+            objective=[[inf, 1e300], [0.5, -0.5], [-inf, 0.0], [-0.0, 1e-310], [nan, 1.0], [2.0, 123456789.0]],
+            train_err=[[nan, 2.5], [1.0, nan], [0.0, -0.0], [1e300, -inf], [1.0, 1.0], [inf, 1e-310]],
+            val_err=[[-0.0, -3.0], [2.0, inf], [nan, nan], [123456789.0, 0.0], [-inf, 2.0], [1e-310, -0.0]],
+        ),
         summary={"final": nan, "big": -inf, "checks": [{"name": "x", "holds": True}], "none": None},
         environment={},
     )
     _assert_exports_match(report, tmp_path)
-    empty = Report(rows=[], summary={}, environment={"seed": 0})
+    empty = Report(events=_columns([], [], [], [], [], []), summary={}, environment={"seed": 0})
     _assert_exports_match(empty, tmp_path)
