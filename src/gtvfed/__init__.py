@@ -8,7 +8,7 @@ differentially private sharing.
 
 from gtvfed.graph import EmpGraph, GraphError, Spectrum, generate, laplacian, spectrum
 from gtvfed.localmodel import LocalDataset, QuadLoss, CallableLoss, from_dataset
-from gtvfed.gtvmin import GTVMinProblem, StackedParams, solve_direct
+from gtvfed.gtvmin import GTVMinProblem, solve_direct
 from gtvfed.optim import LRSchedule, StopRule, Trace, DivergenceError
 
 __version__ = "0.1.0"
@@ -25,7 +25,6 @@ __all__ = [
     "CallableLoss",
     "from_dataset",
     "GTVMinProblem",
-    "StackedParams",
     "solve_direct",
     "LRSchedule",
     "StopRule",

@@ -9,8 +9,8 @@ from typing import NamedTuple
 import numpy as np
 
 from gtvfed import seeds
-from gtvfed.graph import neighbor_means
-from gtvfed.gtvmin import GTVMinProblem, StackedParams, eig_bounds, gd_gradient
+from gtvfed.graph import as_blocks, neighbor_means
+from gtvfed.gtvmin import GTVMinProblem, eig_bounds, gd_gradient
 from gtvfed.localmodel import PSD_TOL
 from gtvfed.optim import DivergenceError, LRSchedule, StopRule, _drive, _Recorder
 from gtvfed.trust import RobustAgg, SenderRewrite, aggregate, aggregate_segments
@@ -406,13 +406,9 @@ def _graph_step(ops, shape, events, B, interceptor):
     return step
 
 
-def _checked_blocks(ops, w0) -> np.ndarray:
-    blocks = getattr(w0, "blocks", w0)
-    blocks = np.array(blocks, dtype=float)
-    if blocks.ndim == 1:
-        blocks = blocks.reshape(-1, 1)
-    if blocks.ndim != 2:
-        raise ValueError(f"initial state must be (n, d), got shape {blocks.shape}")
+def _initial_blocks(ops, w0) -> np.ndarray:
+    """A copy of w0 as the engine's (n, d) state, one block per operator."""
+    blocks = as_blocks(w0, name="initial state").copy()
     if len(ops) != blocks.shape[0]:
         raise ValueError(f"got {len(ops)} operators for {blocks.shape[0]} blocks")
     return blocks
@@ -434,13 +430,13 @@ def run_sync(
     objective(blocks) and metrics(k, blocks) are optional per-event probes;
     interceptor(sender, receiver, value, k) rewrites messages in flight;
     noise(k, blocks) mutates state in place before each round's updates and
-    its returned norm is logged. Returns (StackedParams, Trace).
+    its returned norm is logged. Returns ((n, d) blocks, Trace).
     """
-    blocks = _checked_blocks(ops, w0)
+    blocks = _initial_blocks(ops, w0)
     step = _graph_step(ops, blocks.shape, None, None, interceptor)
     rec = _Recorder(stop, objective, oracle, metrics, record_every)
     blocks, trace = _drive(blocks, stop.max_iters, step, rec, noise)
-    return StackedParams(blocks), trace
+    return blocks, trace
 
 
 def run_async(
@@ -464,7 +460,7 @@ def run_async(
     every node active and zero delays each event equals a synchronous round
     exactly.
     """
-    blocks = _checked_blocks(ops, w0)
+    blocks = _initial_blocks(ops, w0)
     schedule.validate([op.neighbor_ids for op in ops])
     events = schedule.events
     if stop is None:
@@ -473,7 +469,7 @@ def run_async(
     step = _graph_step(ops, blocks.shape, events[:kend], schedule.B, interceptor)
     rec = _Recorder(stop, objective, oracle, metrics, record_every)
     blocks, trace = _drive(blocks, kend, step, rec, noise)
-    return StackedParams(blocks), trace
+    return blocks, trace
 
 
 def _everyone_reads(deg, r) -> AsyncEvent:

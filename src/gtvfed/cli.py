@@ -210,8 +210,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    data = load_report_json(args.path)
-    summary = data.get("summary", {})
+    summary = load_report_json(args.path)["summary"]
     lines = _summary_lines(summary)
     for line in lines:
         print(line)
@@ -219,8 +218,7 @@ def _cmd_report(args) -> int:
         with open(args.out, "w") as fh:
             fh.write("\n".join(lines) + "\n")
         print(f"wrote {args.out}")
-    checks = summary.get("bound_checks") or []
-    if args.strict and any(not c["holds"] for c in checks):
+    if args.strict and any(not c["holds"] for c in summary["bound_checks"]):
         return 2
     return 0
 

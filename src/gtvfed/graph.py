@@ -274,15 +274,16 @@ def is_connected(g: EmpGraph) -> bool:
     return len(components(g)) == 1
 
 
-def _as_blocks(params, n):
-    blocks = getattr(params, "blocks", params)
-    arr = np.asarray(blocks, dtype=float)
-    if arr.ndim == 1:
+def as_blocks(params, n=None, d=None, name="parameters") -> np.ndarray:
+    """params as a float (n, d) array, not copied. The one rule for every
+    parameter argument: an (n, d) array, or a 1-D array of n entries when
+    d = 1. n or d None leaves that size free; d None reads 1-D as d = 1."""
+    arr = np.asarray(params, dtype=float)
+    if arr.ndim == 1 and d in (None, 1):
         arr = arr.reshape(-1, 1)
-    if arr.ndim != 2 or arr.shape[0] != n:
-        raise GraphError(
-            f"expected {n} parameter blocks, got array of shape {arr.shape}"
-        )
+    if arr.ndim != 2 or (n is not None and arr.shape[0] != n) or (d is not None and arr.shape[1] != d):
+        n, d = ("n" if n is None else n), ("d" if d is None else d)
+        raise ValueError(f"{name} must be ({n}, {d}), got shape {arr.shape}")
     return arr
 
 
@@ -294,7 +295,7 @@ def gtv_value(g: EmpGraph, params, penalty: str = "sq_norm") -> float:
     """
     if penalty not in PENALTIES:
         raise GraphError(f"unknown penalty {penalty!r}; expected one of {PENALTIES}")
-    W = _as_blocks(params, g.n)
+    W = as_blocks(params, g.n)
     if not g.num_edges:
         return 0.0
     ii, jj, ww = g.edge_arrays()
@@ -307,10 +308,7 @@ def gtv_value(g: EmpGraph, params, penalty: str = "sq_norm") -> float:
 
 def consensus_split(params) -> ConsensusSplit:
     """Split stacked blocks into their mean and per-node deviations."""
-    blocks = getattr(params, "blocks", params)
-    arr = np.asarray(blocks, dtype=float)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
+    arr = as_blocks(params)
     mean = arr.mean(axis=0)
     return ConsensusSplit(mean_block=mean, deviations=arr - mean)
 

@@ -16,7 +16,7 @@ PRUNE_TOL = 1e-6
 
 
 class DiscrepancyMatrix:
-    """Symmetric nonnegative n x n matrix with zero diagonal."""
+    """Symmetric nonnegative finite n x n matrix with zero diagonal."""
 
     __slots__ = ("D",)
 
@@ -24,6 +24,9 @@ class DiscrepancyMatrix:
         D = np.asarray(D, dtype=float)
         if D.ndim != 2 or D.shape[0] != D.shape[1]:
             raise ValueError(f"discrepancy matrix must be square, got {D.shape}")
+        if not np.isfinite(D).all():
+            i, j = np.argwhere(~np.isfinite(D))[0].tolist()
+            raise ValueError(f"discrepancy ({i}, {j}) is {D[i, j]}; entries must be finite")
         if D.size and float(np.max(np.abs(D - D.T))) > 1e-9:
             raise ValueError("discrepancy matrix must be symmetric")
         if D.size and float(np.min(D)) < 0.0:
@@ -205,6 +208,8 @@ def load_discrepancy_csv(path) -> np.ndarray:
                 rows.append([float(v) for v in row])
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric entry") from None
+            if not all(map(math.isfinite, rows[-1])):
+                raise ValueError(f"{path}:{lineno}: non-finite entry in {row}")
     if not rows:
         raise ValueError(f"{path}: empty discrepancy file")
     n = len(rows)

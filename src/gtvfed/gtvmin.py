@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gtvfed import graph as graphmod
-from gtvfed.graph import EmpGraph, GraphError, algebraic_connectivity, gtv_value, laplacian
+from gtvfed.graph import EmpGraph, GraphError, algebraic_connectivity, as_blocks, gtv_value, laplacian
 from gtvfed.localmodel import CallableLoss, QuadLoss, QuadStack
 
 SINGULAR_TOL = 1e-10
@@ -41,49 +41,6 @@ LANCZOS_STEPS = 10
 
 class SingularProblemError(ValueError):
     """The assembled quadratic has no unique minimizer."""
-
-
-class StackedParams:
-    """n parameter blocks of dimension d with a consistent flat view."""
-
-    __slots__ = ("blocks",)
-
-    def __init__(self, blocks):
-        arr = np.asarray(blocks, dtype=float)
-        if arr.ndim == 1:
-            arr = arr.reshape(-1, 1)
-        if arr.ndim != 2:
-            raise ValueError(f"blocks must be 2-d (n, d), got shape {arr.shape}")
-        self.blocks = arr
-
-    @classmethod
-    def from_flat(cls, flat, n: int, d: int) -> "StackedParams":
-        flat = np.asarray(flat, dtype=float)
-        if flat.shape != (n * d,):
-            raise ValueError(f"flat vector has shape {flat.shape}, expected ({n * d},)")
-        return cls(flat.reshape(n, d).copy())
-
-    @classmethod
-    def zeros(cls, n: int, d: int) -> "StackedParams":
-        return cls(np.zeros((int(n), int(d))))
-
-    @property
-    def n(self) -> int:
-        return self.blocks.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.blocks.shape[1]
-
-    @property
-    def flat(self) -> np.ndarray:
-        return self.blocks.reshape(-1)
-
-    def copy(self) -> "StackedParams":
-        return StackedParams(self.blocks.copy())
-
-    def __repr__(self):
-        return f"StackedParams(n={self.n}, d={self.d})"
 
 
 @dataclass(frozen=True)
@@ -159,17 +116,6 @@ class GTVMinProblem:
     def neighbor_arrays(self, i):
         return self.graph.neighbor_arrays(i)
 
-    def as_blocks(self, params) -> np.ndarray:
-        blocks = getattr(params, "blocks", params)
-        arr = np.asarray(blocks, dtype=float)
-        if arr.ndim == 1 and self.d == 1:
-            arr = arr.reshape(-1, 1)
-        if arr.shape != (self.n, self.d):
-            raise ValueError(
-                f"parameters have shape {arr.shape}, expected ({self.n}, {self.d})"
-            )
-        return arr
-
 
 def ordered_total(stack) -> np.ndarray:
     """stack[0] + stack[1] + ... added left to right from 0.0, as Python's
@@ -190,7 +136,7 @@ def objective_parts(p: GTVMinProblem, params):
     stack. The objective adds the node losses in node order,
     then alpha times the penalty.
     """
-    W = p.as_blocks(params)
+    W = as_blocks(params, p.n, p.d)
     objs = p.stack.values(W)
     gtv = gtv_value(p.graph, W)
     return objs, gtv, float(ordered_total(objs)) + p.alpha * gtv
@@ -203,7 +149,7 @@ def objective(p: GTVMinProblem, params) -> float:
 
 def node_gradient(p: GTVMinProblem, i: int, params) -> np.ndarray:
     """Gradient of the objective in block i."""
-    W = p.as_blocks(params)
+    W = as_blocks(params, p.n, p.d)
     ids, wts = p.graph.neighbor_arrays(i)
     g = p.losses[i].gradient(W[i])
     if wts.shape[0]:
@@ -350,8 +296,9 @@ class QuadOperator:
             self._pre = np.linalg.inv(blocks)
         return self._pre
 
-    def solve(self, qs) -> StackedParams:
-        """Minimizer of w'Qw + q'w for the stacked linear terms qs (n, d).
+    def solve(self, qs) -> np.ndarray:
+        """Minimizer of w'Qw + q'w, as an (n, d) array, for the stacked linear
+        terms qs (n, d).
 
         Raises SingularProblemError when the minimizer is not unique or the
         final residual |2Qw + q| exceeds 1e-8 max(1, |q/2|) or is not finite.
@@ -365,7 +312,7 @@ class QuadOperator:
                 f"oracle residual {resid:.3e} is too large; "
                 "the quadratic is badly conditioned or its data are not finite"
             )
-        return StackedParams(x)
+        return x
 
     def extreme_eigenvalues(self):
         """(lambda_min, lambda_max) of Q by one Lanczos pass from a fixed start vector."""
@@ -467,8 +414,8 @@ def quad_operator(p: GTVMinProblem) -> QuadOperator:
     return p._quad
 
 
-def solve_direct(p: GTVMinProblem) -> StackedParams:
-    """Unique minimizer of the problem, by block-Jacobi PCG.
+def solve_direct(p: GTVMinProblem) -> np.ndarray:
+    """Unique minimizer of the problem as an (n, d) array, by block-Jacobi PCG.
 
     Raises SingularProblemError when the minimizer is not unique (a zero
     local loss, or a component whose losses leave a direction free) or the

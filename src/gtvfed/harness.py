@@ -46,11 +46,10 @@ from gtvfed.algorithms import (
     run_async,
     run_sync,
 )
-from gtvfed.graph import EmpGraph, is_connected
+from gtvfed.graph import EmpGraph, as_blocks, is_connected
 from gtvfed.gtvmin import (
     GTVMinProblem,
     SingularProblemError,
-    StackedParams,
     clustered_bound,
     eig_bounds,
     objective_parts,
@@ -628,16 +627,17 @@ class SqErrors:
 def train_val_report(datasets, blocks, split: float, seed=0):
     """Per-node average squared errors on a seeded train/validation split.
 
+    blocks is an (n, d) array, or one 1-D block that every node shares.
     Returns (E_t, E_v) arrays; a split that leaves one side of some node
     empty raises a warning and marks that side's entry NaN.
     """
     split = float(split)
     if not 0.0 < split < 1.0:
         raise ValueError(f"split must lie in (0, 1), got {split}")
-    blocks = np.asarray(getattr(blocks, "blocks", blocks), dtype=float)
     data = NodeData.from_datasets(datasets)
-    if blocks.ndim == 1:
+    if np.ndim(blocks) == 1:
         blocks = np.tile(blocks, (data.n, 1))
+    blocks = as_blocks(blocks)
     if data.n != blocks.shape[0]:
         raise ValueError(f"got {data.n} datasets for {blocks.shape[0]} blocks")
     train, val = split_data(data, split, seed)
@@ -748,7 +748,7 @@ def _noise_sq(data: NodeData, wbars) -> np.ndarray:
     return out
 
 
-def _bound_checks(cfg, g, p, oracle_sp, trace, train, meta, eta):
+def _bound_checks(cfg, g, p, oracle_w, trace, train, meta, eta):
     """One row per analytic check that applies to the run, in report order.
 
     Each check's bound function owns its scope (alpha > 0, n >= 2, lam2 > 0,
@@ -763,7 +763,7 @@ def _bound_checks(cfg, g, p, oracle_sp, trace, train, meta, eta):
     b = eig_bounds(p)
     sizes = train.sizes
     filled = bool((sizes >= 1).all())
-    oracle = oracle_sp is not None
+    oracle = oracle_w is not None
     # The consensus bounds assume the oracle fits the truth model's data unridged.
     truth = meta["model"] if oracle and cfg.data["ridge"] == 0.0 else None
     kind, mode = cfg.algorithm["kind"], cfg.async_spec["mode"]
@@ -780,17 +780,17 @@ def _bound_checks(cfg, g, p, oracle_sp, trace, train, meta, eta):
 
     def variation():
         bound = variation_bound(p, noise_sq(slice(None)), sizes)
-        return _check_row("variation", _consensus_dev(oracle_sp.blocks), bound)
+        return _check_row("variation", _consensus_dev(oracle_w), bound)
 
     def cluster_row(cluster, radius):
         wbar = meta["wbars"][cluster[0]]
         sub_sizes = sizes[cluster]
         bound = clustered_bound(p, cluster, noise_sq(cluster), sub_sizes, float(wbar @ wbar), radius)
-        return _check_row("clustered_variation", _consensus_dev(oracle_sp.blocks[cluster]), bound)
+        return _check_row("clustered_variation", _consensus_dev(oracle_w[cluster]), bound)
 
     def clustered_variation():
         half = (p.n + 1) // 2
-        radius = float(np.max(np.linalg.norm(oracle_sp.blocks, axis=1)))
+        radius = float(np.max(np.linalg.norm(oracle_w, axis=1)))
         # Cluster A is the first ceil(n/2) nodes; with n = 1, B is empty.
         clusters = [c for c in (list(range(half)), list(range(half, p.n))) if c]
         rows = [_accepted(cluster_row, c, radius) for c in clusters]
@@ -807,8 +807,8 @@ def _bound_checks(cfg, g, p, oracle_sp, trace, train, meta, eta):
         for m, idx, X, y in train.groups:
             e = perts[starts[idx][:, None] + np.arange(m)]
             shifted[idx] = -2.0 / m * (np.swapaxes(X, 1, 2) @ (y + e)[:, :, None])[:, :, 0]
-        moved = quad.solve(shifted).blocks
-        return _check_row("label_sensitivity", np.sum((moved - oracle_sp.blocks) ** 2), bound)
+        moved = quad.solve(shifted)
+        return _check_row("label_sensitivity", np.sum((moved - oracle_w) ** 2), bound)
 
     # At event 0 both event bounds equal the measured distance, so these
     # checks take the worst later event and name it in the row.
@@ -947,19 +947,19 @@ def _run_graph(cfg, p, sched, train, val, meta):
         ops = fedrelax_op(p, agg=agg)
 
     try:
-        oracle_sp = solve_direct(p)
+        oracle_w = solve_direct(p)
     except (SingularProblemError, ValueError):
-        oracle_sp = None
-    probes = _Probes(p, train, val, oracle_sp.blocks if oracle_sp is not None else None)
+        oracle_w = None
+    probes = _Probes(p, train, val, oracle_w)
     common = dict(
         objective=probes.objective,
-        oracle=oracle_sp,
+        oracle=oracle_w,
         metrics=probes.metrics,
         interceptor=_model_interceptor(cfg, d, n),
         noise=_dp_hook(cfg.dp) if cfg.dp is not None else None,
         record_every=cfg.record_every,
     )
-    w0 = StackedParams.zeros(n, d)
+    w0 = np.zeros((n, d))
     mode = cfg.async_spec["mode"]
     if mode == "sync":
         _, trace = run_sync(ops, w0, cfg.stop, **common)
@@ -979,7 +979,7 @@ def _run_graph(cfg, p, sched, train, val, meta):
             )
         _, trace = run_async(ops, w0, schedule, stop=cfg.stop, **common)
     const_eta = sched.eta if sched.kind == "constant" else None
-    return trace, _bound_checks(cfg, g, p, oracle_sp, trace, train, meta, const_eta)
+    return trace, _bound_checks(cfg, g, p, oracle_w, trace, train, meta, const_eta)
 
 
 def _run_server(cfg, p, sched, train, val, meta):
@@ -1146,5 +1146,21 @@ def export(report: Report, fmt: str, path) -> str:
 
 
 def load_report_json(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    """A JSON report as export writes it: an object whose summary is an
+    object whose bound_checks lists rows with a name, holds and numbers
+    measured, bound and margin. Other input raises ValueError naming path."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ValueError(f"{path}: {exc}") from None
+    summary = data.get("summary") if isinstance(data, dict) else None
+    checks = summary.get("bound_checks") if isinstance(summary, dict) else None
+    if not isinstance(checks, list):
+        raise ValueError(f"{path}: not a report: no summary object holding a bound_checks list")
+    for i, row in enumerate(checks):
+        row = row if isinstance(row, dict) else {}
+        numbers = [row.get(k) for k in ("measured", "bound", "margin")]
+        if not ({"name", "holds"} <= row.keys() and all(isinstance(v, (int, float)) for v in numbers)):
+            raise ValueError(f"{path}: bound check {i} needs name, holds and numeric measured, bound, margin")
+    return data

@@ -37,8 +37,8 @@ class LRSchedule:
     def __post_init__(self):
         if self.kind not in ("constant", "diminishing"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if not self.eta > 0.0:
-            raise ValueError(f"step size must be positive, got {self.eta}")
+        if not 0.0 < self.eta < math.inf:
+            raise ValueError(f"step size must be positive and finite, got {self.eta}")
 
     @classmethod
     def constant(cls, eta: float) -> "LRSchedule":
@@ -206,11 +206,7 @@ class _Recorder:
         self.record_every = int(record_every)
         if self.record_every < 1:
             raise ValueError(f"record_every must be at least 1, got {record_every}")
-        self.oracle = None
-        if oracle is not None:
-            self.oracle = np.asarray(
-                getattr(oracle, "blocks", oracle), dtype=float
-            ).reshape(-1)
+        self.oracle = None if oracle is None else np.asarray(oracle, dtype=float).reshape(-1)
         self.trace = Trace()
         self.f_prev = None
         self.f_guard = None

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from gtvfed import seeds
+from gtvfed.graph import as_blocks
 from gtvfed.localmodel import LocalDataset
 
 DATA_ATTACKS = ("label_poison", "feature_poison", "backdoor")
@@ -111,10 +112,11 @@ class DPMechanism:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown mechanism kind {self.kind!r}")
-        if self.kind == "gaussian" and self.sigma < 0.0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
-        if self.kind == "laplace" and self.b < 0.0:
-            raise ValueError(f"scale b must be nonnegative, got {self.b}")
+        name, scale = ("sigma", self.sigma) if self.kind == "gaussian" else ("scale b", self.b)
+        if not math.isfinite(scale):
+            raise ValueError(f"{name} must be finite, got {scale}")
+        if scale < 0.0:
+            raise ValueError(f"{name} must be nonnegative, got {scale}")
 
     def draw(self, shape, node: int = 0, counter: int = 0) -> np.ndarray:
         rng = seeds.stream(self.seed, "noise", int(node), int(counter))
@@ -263,9 +265,7 @@ def aggregate(blocks, weights, agg: RobustAgg) -> np.ndarray:
     summed Euclidean distances (weights ignored; block-level rule). Every
     rule is aggregate_segments over one segment.
     """
-    stack = np.asarray(blocks, dtype=float)
-    if stack.ndim == 1:
-        stack = stack.reshape(-1, 1)
+    stack = as_blocks(blocks)
     wts = np.asarray(weights, dtype=float)
     if wts.shape != stack.shape[:1]:
         raise ValueError(f"got {wts.shape} weights for {stack.shape[0]} blocks")
@@ -365,9 +365,7 @@ def geometric_median(points, tol: float = 1e-6, max_iter: int = 1000):
     found even if max_iter is exhausted (check residual <= tol for
     success).
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
+    pts = as_blocks(points)
     if pts.shape[0] < 1:
         raise ValueError("geometric median needs at least one point")
     tol = float(tol)

@@ -189,7 +189,7 @@ def test_solution_bounds_hold_without_violation():
                 sizes.append(m)
             p = GTVMinProblem(g, losses, 1.0)
             what = solve_direct(p)
-            radius = float(np.max(np.linalg.norm(what.blocks, axis=1)))
+            radius = float(np.max(np.linalg.norm(what, axis=1)))
             for cluster, w in zip(clusters, truths):
                 bound = clustered_bound(
                     p, cluster,
@@ -197,7 +197,7 @@ def test_solution_bounds_hold_without_violation():
                     [sizes[i] for i in cluster],
                     float(w @ w), radius,
                 )
-                dev = consensus_split(what.blocks[cluster]).deviations
+                dev = consensus_split(what[cluster]).deviations
                 assert float(np.sum(dev**2)) <= bound
             done += 1
 
@@ -218,7 +218,7 @@ def test_solution_bounds_hold_without_violation():
                 from_dataset(LocalDataset(X, y + e)) for (X, y), e in zip(data, perts)
             ]
             moved = solve_direct(GTVMinProblem(g, shifted, 1.0))
-            shift = float(np.sum((moved.blocks - what.blocks) ** 2))
+            shift = float(np.sum((moved - what) ** 2))
             assert shift <= sensitivity_bound(p, perts)
 
 
@@ -231,7 +231,7 @@ def test_stiff_coupling_reaches_consensus_and_averaging_matches_projected_descen
             losses = [from_dataset(LocalDataset([1.0], [float(y)])) for y in ys]
             what = solve_direct(GTVMinProblem(g, losses, 1e6))
             spread = float(np.max(ys) - np.min(ys))
-            assert np.max(np.abs(what.blocks - np.mean(ys))) <= 1e-6 * spread
+            assert np.max(np.abs(what - np.mean(ys))) <= 1e-6 * spread
 
         # full participation, one exact local step: server averaging is
         # gradient descent projected onto the consensus subspace
@@ -273,14 +273,14 @@ def test_async_execution_matches_sync_and_contracts_under_staleness():
         w0 = np.zeros((p.n, p.d))
         sp_async, _ = run_async(ops, w0, zero_delay_schedule(p.graph, 40))
         sp_sync, _ = run_sync(ops, w0, StopRule(max_iters=40))
-        assert np.array_equal(sp_async.blocks, sp_sync.blocks)
+        assert np.array_equal(sp_async, sp_sync)
 
         kappa = contraction_factor(p)
         assert kappa < 1.0
         wstar = solve_direct(p)
 
         def maxdist(blocks):
-            return float(np.max(np.linalg.norm(blocks - wstar.blocks, axis=1)))
+            return float(np.max(np.linalg.norm(blocks - wstar, axis=1)))
 
         scheduled = 0
         for B in (1, 5, 10):

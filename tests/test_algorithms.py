@@ -25,12 +25,20 @@ from gtvfed.algorithms import (
     run_sync,
     zero_delay_schedule,
 )
-from gtvfed.graph import EmpGraph, generate, is_connected
-from gtvfed.gtvmin import GTVMinProblem, eig_bounds, flat_loss, solve_direct
+from gtvfed.graph import EmpGraph, consensus_split, generate, gtv_value, is_connected
+from gtvfed.gtvmin import (
+    GTVMinProblem,
+    eig_bounds,
+    flat_loss,
+    node_gradient,
+    objective,
+    quad_operator,
+    solve_direct,
+)
 from gtvfed.harness import _schedule
 from gtvfed.localmodel import LocalDataset, QuadLoss, from_dataset, generate_local
 from gtvfed.optim import DivergenceError, LRSchedule, StopRule, gd_run, optimal_rate
-from gtvfed.trust import RobustAgg, aggregate
+from gtvfed.trust import DPMechanism, RobustAgg, aggregate
 
 TWO_NODE_GRAPH = EmpGraph(2, [(0, 1)])
 
@@ -88,7 +96,7 @@ def test_fedgd_two_node_converges_to_oracle():
         ops, np.zeros((2, 1)), StopRule(max_iters=2000, dist_tol=1e-7),
         oracle=solve_direct(p),
     )
-    assert np.max(np.abs(sp.blocks - [[0.5], [1.5]])) <= 1e-6
+    assert np.max(np.abs(sp - [[0.5], [1.5]])) <= 1e-6
     assert trace.terminal == "dist_tol"
 
 
@@ -100,7 +108,7 @@ def test_fedsgd_full_batch_matches_fedgd_bitwise():
     w0 = np.zeros((p.n, p.d))
     a, _ = run_sync(fedgd_op(p, sched=sched), w0, stop)
     b, _ = run_sync(fedsgd_op(p, batch_size=10**6, seed=0, sched=sched), w0, stop)
-    assert np.array_equal(a.blocks, b.blocks)
+    assert np.array_equal(a, b)
 
 
 def test_fedsgd_oversized_batch_warns():
@@ -184,7 +192,7 @@ def test_fedrelax_two_node_converges_to_oracle():
         fedrelax_op(p), np.zeros((2, 1)),
         StopRule(max_iters=5000, dist_tol=1e-9), oracle=solve_direct(p),
     )
-    assert np.max(np.abs(sp.blocks - [[0.5], [1.5]])) <= 1e-8
+    assert np.max(np.abs(sp - [[0.5], [1.5]])) <= 1e-8
 
 
 def test_fedrelax_update_satisfies_its_stationarity_system():
@@ -226,7 +234,7 @@ def test_run_sync_identity_operators_keep_w0():
     ]
     w0 = np.arange(6.0).reshape(3, 2)
     sp, trace = run_sync(ident, w0, StopRule(max_iters=7))
-    assert np.array_equal(sp.blocks, w0)
+    assert np.array_equal(sp, w0)
     assert trace.terminal == "max_iters"
     assert trace.ks == list(range(8))
 
@@ -238,7 +246,7 @@ def test_run_sync_single_node_reduces_to_gd_run():
     stop = StopRule(max_iters=60)
     sp, _ = run_sync(fedgd_op(p, sched=sched), np.zeros((1, 2)), stop)
     w, _ = gd_run(p.losses[0], np.zeros(2), sched, stop)
-    assert np.array_equal(sp.blocks[0], w)
+    assert np.array_equal(sp[0], w)
 
 
 @pytest.mark.parametrize(
@@ -287,7 +295,7 @@ def test_run_sync_fedgd_matches_flat_gd_run_bitwise():
     stop = StopRule(max_iters=80)
     sp, _ = run_sync(fedgd_op(p, sched=sched), np.zeros((p.n, p.d)), stop)
     w, _ = gd_run(flat_loss(p), np.zeros(p.n * p.d), sched, stop)
-    assert np.array_equal(sp.flat, w)
+    assert np.array_equal(sp.reshape(-1), w)
 
 
 def test_run_sync_distance_ratio_below_contraction_bound():
@@ -319,7 +327,7 @@ def test_run_sync_interceptor_rewrites_messages():
         return np.zeros_like(value)
 
     jammed, _ = run_sync(fedgd_op(p, sched=sched), w0, stop, interceptor=zero_out)
-    assert not np.allclose(plain.blocks, jammed.blocks)
+    assert not np.allclose(plain, jammed)
     assert (1, 0, 0) in seen and (0, 1, 0) in seen
 
 
@@ -335,8 +343,8 @@ def test_fedgd_step_ignores_non_neighbor_blocks():
     stop = StopRule(max_iters=1)
     a, _ = run_sync(ops, W, stop)
     b, _ = run_sync(ops, W2, stop)
-    assert np.array_equal(a.blocks[0], b.blocks[0])
-    assert not np.array_equal(a.blocks[2], b.blocks[2])
+    assert np.array_equal(a[0], b[0])
+    assert not np.array_equal(a[2], b[2])
 
 
 def test_pseudo_contraction_runs_share_one_fixed_point():
@@ -349,14 +357,14 @@ def test_pseudo_contraction_runs_share_one_fixed_point():
     b, tb = run_sync(fedrelax_op(p), rng.standard_normal((p.n, p.d)) * 5.0, stop,
                      oracle=oracle)
     assert ta.terminal == "dist_tol" and tb.terminal == "dist_tol"
-    assert float(np.linalg.norm(a.flat - b.flat)) <= 2 * tol
+    assert float(np.linalg.norm(a.reshape(-1) - b.reshape(-1))) <= 2 * tol
 
 
 def test_max_norm_contraction_per_round():
     p = strongly_convex_problem(12, alpha=1.0)
     kappa = contraction_factor(p)
     assert 0.0 < kappa < 1.0
-    target = solve_direct(p).blocks
+    target = solve_direct(p)
 
     def dist_inf(k, blocks):
         return {"dist_inf": float(np.max(np.linalg.norm(blocks - target, axis=1)))}
@@ -382,7 +390,7 @@ def test_zero_delay_schedule_matches_run_sync_bitwise():
                  lambda: fedrelax_op(p)):
         s, _ = run_sync(make(), w0, stop)
         a, _ = run_async(make(), w0, zero_delay_schedule(p.graph, 50), stop=stop)
-        assert np.array_equal(s.blocks, a.blocks)
+        assert np.array_equal(s, a)
 
 
 def test_partially_async_fedrelax_converges():
@@ -393,13 +401,13 @@ def test_partially_async_fedrelax_converges():
         stop=StopRule(max_iters=4000, dist_tol=1e-7), oracle=solve_direct(p),
     )
     assert trace.terminal == "dist_tol"
-    assert float(np.linalg.norm(sp.flat - solve_direct(p).flat)) <= 1e-6
+    assert float(np.linalg.norm(sp.reshape(-1) - solve_direct(p).reshape(-1))) <= 1e-6
 
 
 def test_partially_async_error_respects_staleness_bound():
     p = strongly_convex_problem(18, alpha=1.5)
     kappa = contraction_factor(p)
-    target = solve_direct(p).blocks
+    target = solve_direct(p)
     w0 = np.zeros((p.n, p.d))
     r0 = float(np.max(np.linalg.norm(w0 - target, axis=1)))
 
@@ -423,8 +431,8 @@ def test_permanently_inactive_node_never_changes():
     sched = AsyncSchedule(n=2, B=10, events=events)
     w0 = np.array([[4.0], [-7.0]])
     sp, _ = run_async(fedrelax_op(p), w0, sched)
-    assert sp.blocks[1, 0] == -7.0
-    assert sp.blocks[0, 0] != 4.0
+    assert sp[1, 0] == -7.0
+    assert sp[0, 0] != 4.0
 
 
 def test_schedule_validation_errors():
@@ -538,11 +546,52 @@ STOP = StopRule(max_iters=1)
                            record_every=0), "record_every must be at least 1, got 0"),
         (lambda: fedavg_run(ONE_LOSS, 1, 1, 1, LRSchedule.constant(0.1), STOP, 0, record_every=-2),
          "record_every must be at least 1, got -2"),
+        (lambda: DPMechanism("gaussian", sigma=float("nan")), "sigma must be finite, got nan"),
+        (lambda: DPMechanism("gaussian", sigma=float("inf")), "sigma must be finite, got inf"),
+        (lambda: DPMechanism("laplace", b=float("nan")), "scale b must be finite, got nan"),
+        (lambda: LRSchedule("constant", float("inf")), "step size must be positive and finite, got inf"),
     ],
 )
 def test_argument_checks_name_the_bad_argument(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+def test_parameter_blocks_are_plain_arrays():
+    """The engines and the oracle return (n, d) arrays; every entry point
+    reads a 1-D array of n entries as the blocks at d = 1 and rejects other
+    shapes."""
+    p = strongly_convex_problem(3)
+    w0 = np.zeros((p.n, p.d))
+    for out in (
+        run_sync(fedgd_op(p), w0, StopRule(max_iters=4))[0],
+        run_async(fedgd_op(p), w0, zero_delay_schedule(p.graph, 4))[0],
+        solve_direct(p),
+        quad_operator(p).solve(p.stack.qs),
+    ):
+        assert type(out) is np.ndarray and out.shape == (p.n, p.d)
+
+    q = two_node_problem()
+    flat, blocks = np.array([0.5, 1.5]), np.array([[0.5], [1.5]])
+    schedule = zero_delay_schedule(TWO_NODE_GRAPH, 3)
+    assert np.array_equal(run_sync(fedrelax_op(q), flat, STOP)[0], run_sync(fedrelax_op(q), blocks, STOP)[0])
+    assert np.array_equal(run_async(fedrelax_op(q), flat, schedule)[0], run_async(fedrelax_op(q), blocks, schedule)[0])
+    assert objective(q, flat) == objective(q, blocks)
+    assert np.array_equal(node_gradient(q, 1, flat), node_gradient(q, 1, blocks))
+    assert gtv_value(TWO_NODE_GRAPH, flat) == gtv_value(TWO_NODE_GRAPH, blocks)
+    assert np.array_equal(consensus_split(flat).deviations, consensus_split(blocks).deviations)
+
+    for engine in (lambda w: run_sync(fedrelax_op(q), w, STOP), lambda w: run_async(fedrelax_op(q), w, schedule)):
+        with pytest.raises(ValueError, match=re.escape("initial state must be (n, d), got shape (2, 1, 1)")):
+            engine(np.zeros((2, 1, 1)))
+        with pytest.raises(ValueError, match=re.escape("got 2 operators for 3 blocks")):
+            engine(np.zeros(3))
+    with pytest.raises(ValueError, match=re.escape("parameters must be (5, 2), got shape (10,)")):
+        objective(p, np.zeros(10))
+    with pytest.raises(ValueError, match=re.escape("parameters must be (5, d), got shape (4, 2)")):
+        gtv_value(p.graph, np.zeros((4, 2)))
+    with pytest.raises(ValueError, match=re.escape("parameters must be (n, d), got shape ()")):
+        consensus_split(0.0)
 
 
 def test_default_step_is_the_pipeline_step():
@@ -553,11 +602,11 @@ def test_default_step_is_the_pipeline_step():
     w0 = np.random.default_rng(0).standard_normal((p.n, p.d))
     a, _ = run_sync(fedgd_op(p), w0, StopRule(max_iters=5))
     b, _ = run_sync(fedgd_op(p, sched=sched), w0, StopRule(max_iters=5))
-    assert np.array_equal(a.blocks, b.blocks)
+    assert np.array_equal(a, b)
     # A zero problem takes step 1 in both; its operators build and run.
     assert _schedule(algo, ZERO_PROBLEM) == LRSchedule.constant(1.0) == LRSchedule.constant(default_step(ZERO_PROBLEM))
     sp, _ = run_sync(fedgd_op(ZERO_PROBLEM), np.ones((2, 1)), StopRule(max_iters=2))
-    assert np.array_equal(sp.blocks, np.ones((2, 1)))
+    assert np.array_equal(sp, np.ones((2, 1)))
 
 
 def test_contraction_factor_limits():

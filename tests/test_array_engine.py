@@ -405,10 +405,10 @@ def test_array_engine_matches_the_reference_loop(mode):
             assert array, name
             fast, _ = run_async(ops, w0, schedule, interceptor=hook)
             ref = reference_async(make(), w0, schedule, reference_hook if attacks else None)
-            assert np.array_equal(fast.blocks, ref), (name, attacks)
+            assert np.array_equal(fast, ref), (name, attacks)
             if not attacks:
                 plain, _ = run_async(make(), w0, schedule)
-                assert np.array_equal(plain.blocks, ref), name
+                assert np.array_equal(plain, ref), name
 
 
 def test_array_engine_covers_lone_nodes_and_one_dimension():
@@ -428,7 +428,7 @@ def test_array_engine_covers_lone_nodes_and_one_dimension():
         for make in (lambda: fedrelax_op(p, agg=agg),
                      lambda: fedgd_op(p, sched=LRSchedule.constant(0.1), agg=agg)):
             fast, _ = run_async(make(), w0, schedule, interceptor=hook)
-            assert np.array_equal(fast.blocks, reference_async(make(), w0, schedule, reference_hook))
+            assert np.array_equal(fast, reference_async(make(), w0, schedule, reference_hook))
 
 
 @st.composite
@@ -484,7 +484,7 @@ def test_fedgd_array_events_match_the_per_node_updates(case):
         op.update = None  # the array path must not call it
     fast, _ = run_async(ops, w0, schedule, interceptor=hook)
     ref = reference_async(fedgd_op(p, sched=sched, agg=agg), w0, schedule, reference_hook)
-    assert np.array_equal(fast.blocks, ref)
+    assert np.array_equal(fast, ref)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.9])
@@ -517,11 +517,11 @@ def test_geomedian_runs_match_the_per_node_updates(mode, alpha):
             if schedule is None:
                 fast, _ = run_sync(ops, w0, StopRule(max_iters=10), interceptor=hook)
                 # A plain function hook keeps every round on the per-node path.
-                ref = run_sync(make(), w0, StopRule(max_iters=10), interceptor=reference_hook)[0].blocks
+                ref = run_sync(make(), w0, StopRule(max_iters=10), interceptor=reference_hook)[0]
             else:
                 fast, _ = run_async(ops, w0, schedule, interceptor=hook)
                 ref = reference_async(make(), w0, schedule, reference_hook)
-            assert fast.blocks.tobytes() == ref.tobytes(), (attacks, make)
+            assert fast.tobytes() == ref.tobytes(), (attacks, make)
 
 
 def test_a_short_trim_raises_at_the_first_event_that_reads_the_node():
@@ -552,7 +552,7 @@ def test_synchronous_defended_rounds_match_the_per_node_updates():
         fast, _ = run_sync(make(), w0, StopRule(max_iters=15), interceptor=hook)
         # A plain function hook keeps every round on the per-node path.
         ref, _ = run_sync(make(), w0, StopRule(max_iters=15), interceptor=reference_hook)
-        assert np.array_equal(fast.blocks, ref.blocks)
+        assert np.array_equal(fast, ref)
 
 
 # Every node draws M rows, so a FedSGD batch of M is the full batch.
@@ -620,7 +620,7 @@ def test_hook_free_rounds_match_the_per_node_updates(case):
         for op in ops:
             op.update = None  # the array path must not call it
         fast, _ = run(ops)
-        assert fast.blocks.tobytes() == ref.tobytes()
+        assert fast.tobytes() == ref.tobytes()
 
 
 def test_rounds_never_build_the_dense_adjacency(monkeypatch):

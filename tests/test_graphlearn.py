@@ -1,5 +1,6 @@
 import itertools
 import os
+import re
 import subprocess
 import sys
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import gtvfed
+from gtvfed import cli
 from gtvfed.graphlearn import (
     DiscrepancyMatrix,
     discrepancy,
@@ -220,6 +222,32 @@ def test_graph_objective_counts_ordered_pairs():
     assert graph_objective(D3, g) == pytest.approx(2.0 * 0.1)
     with pytest.raises(ValueError, match="node count"):
         graph_objective(np.zeros((2, 2)), g)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_discrepancy_matrix_rejects_non_finite_entries(value):
+    # nan passes the symmetry, sign and diagonal tests alike.
+    D = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, value], [2.0, value, 0.0]])
+    with pytest.raises(ValueError, match=re.escape(f"discrepancy (1, 2) is {value}; entries must be finite")):
+        DiscrepancyMatrix(D)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_discrepancy_csv_rejects_non_finite_entries(tmp_path, cell):
+    path = tmp_path / "d.csv"
+    path.write_text(f"0,1,2\n1,0,{cell}\n2,{cell},0\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: non-finite entry")):
+        load_discrepancy_csv(path)
+
+
+def test_cli_learn_graph_rejects_nan_discrepancies(tmp_path, capsys):
+    path = tmp_path / "nan-d.csv"
+    path.write_text("0,nan\nnan,0\n")
+    out = tmp_path / "g.txt"
+    assert cli.main(["learn-graph", "--discrepancies", str(path), "--method", "budget",
+                     "--budget", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}:1: non-finite entry")
+    assert not out.exists()
 
 
 def test_discrepancy_csv_round_trip(tmp_path):

@@ -7,7 +7,6 @@ from gtvfed.graph import EmpGraph, consensus_split, generate, gtv_value, is_conn
 from gtvfed.gtvmin import (
     GTVMinProblem,
     SingularProblemError,
-    StackedParams,
     assemble,
     batch_gradient_fn,
     clustered_bound,
@@ -48,16 +47,6 @@ def random_problem(seed, n=6, d=2, alpha=1.0, p=0.6, noise=0.3, ridge=0.0):
         ds = generate_local(w_bar, int(rng.integers(d + 2, 15)), noise, seed=seed * 1009 + 7000 + i)
         losses.append(from_dataset(ds, ridge=ridge))
     return GTVMinProblem(g, losses, alpha)
-
-
-def test_stacked_params_views():
-    sp = StackedParams.from_flat(np.arange(6.0), 3, 2)
-    assert sp.n == 3 and sp.d == 2
-    assert np.array_equal(sp.blocks[1], [2.0, 3.0])
-    assert np.array_equal(sp.flat, np.arange(6.0))
-    with pytest.raises(ValueError):
-        StackedParams.from_flat(np.arange(5.0), 3, 2)
-    assert StackedParams.zeros(2, 3).blocks.shape == (2, 3)
 
 
 def test_problem_validation():
@@ -121,8 +110,8 @@ def test_objective_matches_assembled_quadratic(seed):
 
 def test_solve_direct_two_node_example():
     sp = solve_direct(two_node_problem())
-    assert sp.blocks == pytest.approx(np.array([[0.5], [1.5]]), abs=1e-12)
-    resid = 2 * assemble(two_node_problem())[0] @ sp.flat + assemble(two_node_problem())[1]
+    assert sp == pytest.approx(np.array([[0.5], [1.5]]), abs=1e-12)
+    resid = 2 * assemble(two_node_problem())[0] @ sp.reshape(-1) + assemble(two_node_problem())[1]
     assert np.max(np.abs(resid)) <= 1e-8
 
 
@@ -131,12 +120,12 @@ def test_solve_direct_alpha_zero_decouples():
     sp = solve_direct(p)
     for i, loss in enumerate(p.losses):
         local = np.linalg.solve(2 * loss.Q, -loss.q)
-        assert np.max(np.abs(sp.blocks[i] - local)) <= 1e-9
+        assert np.max(np.abs(sp[i] - local)) <= 1e-9
 
 
 def test_solve_direct_consensus_limit():
     sp = solve_direct(two_node_problem(alpha=1e6))
-    assert np.max(np.abs(sp.blocks - 1.0)) <= 1e-3
+    assert np.max(np.abs(sp - 1.0)) <= 1e-3
 
 
 def test_solve_direct_singular_is_an_error():
@@ -153,7 +142,7 @@ def test_solve_direct_beats_random_points():
     best = objective(p, sp)
     rng = np.random.default_rng(0)
     for _ in range(100):
-        w = sp.blocks + rng.standard_normal(sp.blocks.shape) * rng.uniform(0.01, 3.0)
+        w = sp + rng.standard_normal(sp.shape) * rng.uniform(0.01, 3.0)
         assert best <= objective(p, w) - 1e-12
 
 
@@ -162,7 +151,7 @@ def test_monotone_clustering_in_alpha():
     spread = []
     for alpha in (0.01, 0.1, 1.0, 10.0, 100.0):
         p = GTVMinProblem(p0.graph, p0.losses, alpha)
-        W = solve_direct(p).blocks
+        W = solve_direct(p)
         diffs = W[:, None, :] - W[None, :, :]
         spread.append(float(np.sqrt((diffs**2).sum(axis=2)).max()))
     assert all(a >= b - 1e-12 for a, b in zip(spread, spread[1:]))
@@ -258,7 +247,7 @@ def test_variation_bound_zero_noise_exact_consensus():
     ]
     p = GTVMinProblem(g, losses, 1.0)
     assert variation_bound(p, [0.0] * 5, [10] * 5) == 0.0
-    dev = consensus_split(solve_direct(p).blocks).deviations
+    dev = consensus_split(solve_direct(p)).deviations
     assert float(np.sum(dev**2)) <= 1e-16
 
 
@@ -279,7 +268,7 @@ def test_variation_bound_dominates_measured_deviation(seed):
     p = GTVMinProblem(g, [from_dataset(ds) for ds in datasets], 1.0)
     noise_sq = [float(np.sum((ds.y - ds.X @ w_bar) ** 2)) for ds in datasets]
     bound = variation_bound(p, noise_sq, [ds.m for ds in datasets])
-    dev = consensus_split(solve_direct(p).blocks).deviations
+    dev = consensus_split(solve_direct(p)).deviations
     assert float(np.sum(dev**2)) <= bound + 1e-12
 
 
@@ -328,7 +317,7 @@ def test_sensitivity_bound_dominates_label_shift(seed):
         perts.append(eps)
         new_losses.append(from_dataset(LocalDataset(ds.X, ds.y + eps)))
     shifted = solve_direct(GTVMinProblem(p.graph, new_losses, p.alpha))
-    moved = float(np.sum((base.flat - shifted.flat) ** 2))
+    moved = float(np.sum((base.reshape(-1) - shifted.reshape(-1)) ** 2))
     assert moved <= sensitivity_bound(p, perts) + 1e-12
 
 
@@ -339,7 +328,7 @@ def test_scalar_mean_estimation_consensus():
     assert is_connected(g)
     losses = [from_dataset(LocalDataset([1.0], [yi])) for yi in y]
     p = GTVMinProblem(g, losses, 1e6)
-    blocks = solve_direct(p).blocks[:, 0]
+    blocks = solve_direct(p)[:, 0]
     spread = float(np.max(y) - np.min(y))
     assert np.max(np.abs(blocks - y.mean())) <= 1e-6 * spread
 
@@ -422,7 +411,7 @@ def test_pcg_oracle_matches_dense_solve(case):
         return
     Q, q, _ = assemble(p)
     ref = np.linalg.solve(2.0 * Q, -q)
-    got = solve_direct(p).flat
+    got = solve_direct(p).reshape(-1)
     assert np.linalg.norm(got - ref) <= 1e-9 * max(1.0, float(np.linalg.norm(ref)))
 
 
@@ -433,7 +422,7 @@ def test_oracle_reuses_operator_for_new_linear_terms():
     rng = np.random.default_rng(5)
     qs = rng.standard_normal((p.n, p.d))
     Q, _, _ = assemble(p)
-    got = op.solve(qs).flat
+    got = op.solve(qs).reshape(-1)
     assert np.max(np.abs(got - np.linalg.solve(2.0 * Q, -qs.reshape(-1)))) <= 1e-10
 
 

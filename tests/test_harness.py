@@ -938,6 +938,56 @@ def test_cli_report_strict_failed_check(tmp_path, capsys):
     assert cli.main(["report", "--in", str(path), "--strict"]) == 2
 
 
+@pytest.mark.parametrize(
+    "text, strict",
+    [
+        ("[1, 2]", False),
+        ('{"summary": []}', False),
+        ('{"summary": {"bound_checks": [{"name": "eig_upper", "measured": 2.0, "bound": 1.0, "margin": -1.0}]}}', False),
+        ('{"summary": {"bound_checks": [{"name": "eig_upper", "measured": null, "bound": 1.0, "margin": -1.0, '
+         '"holds": false}]}}', False),
+        ('{"summary": ', False),
+        ("{}", True),
+    ],
+)
+def test_cli_report_rejects_input_that_is_not_a_report(tmp_path, capsys, text, strict):
+    path = tmp_path / "r.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
+        load_report_json(path)
+    assert cli.main(["report", "--in", str(path)] + ["--strict"] * strict) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: ")
+
+
+# One config per kind of report the CI --strict runs write: graph solvers
+# sync and async, under attack and defence, with DP noise, server runs, and
+# a diverged run.
+REPORT_KINDS = {
+    "sync": "algorithm.kind = fedgd\n",
+    "async": "algorithm.kind = fedrelax\nasync.mode = total\nattack.0.kind = dos\nattack.0.nodes = 1\n",
+    "trimmed": "algorithm.kind = fedgd\nasync.mode = partial\nasync.B = 2\nattack.0.kind = model_poison\n"
+    "attack.0.nodes = 1\nattack.0.value = 50.0\ndefense.kind = trimmed\ndefense.trim_k = 1\n",
+    "dp": "algorithm.kind = fedgd\nrecord_every = 1\ndp.kind = gaussian\ndp.sigma = 0.05\n",
+    "fedavg": "algorithm.kind = fedavg\nalgorithm.eta = 0.05\nalgorithm.sample_size = 3\n",
+    "fedprox": "algorithm.kind = fedprox\nalgorithm.eta = 0.5\n",
+    "diverged": "algorithm.kind = fedgd\nalgorithm.eta = 5.0\n",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REPORT_KINDS))
+def test_every_exported_report_loads(tmp_path, capsys, kind):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 5\ngraph.kind = erdos_renyi\ngraph.n = 8\ngraph.p = 0.6\ndata.d = 2\n"
+                   "stop.max_iters = 20\n" + REPORT_KINDS[kind])
+    prefix = str(tmp_path / "run")
+    assert cli.main(["run", "--config", str(cfg), "--out", prefix, "--format", "json"]) in (0, 3)
+    report = load_report_json(prefix + ".json")
+    assert (report["summary"]["terminal"] == "diverged") == (kind == "diverged")
+    assert cli.main(["report", "--in", prefix + ".json"]) == 0
+    capsys.readouterr()
+
+
 def test_hash_inside_a_value_is_kept(tmp_path):
     path = tmp_path / "a#b.txt"
     path.write_text("# nodes: 3\n1 2 1.0\n2 3 1.0\n")
