@@ -9,11 +9,11 @@ from typing import NamedTuple
 import numpy as np
 
 from gtvfed import seeds
-from gtvfed.graph import as_blocks, neighbor_means
+from gtvfed.graph import as_blocks
 from gtvfed.gtvmin import GTVMinProblem, eig_bounds, gd_gradient
 from gtvfed.localmodel import PSD_TOL
 from gtvfed.optim import DivergenceError, LRSchedule, StopRule, _drive, _Recorder
-from gtvfed.trust import RobustAgg, SenderRewrite, aggregate, aggregate_segments
+from gtvfed.trust import RobustAgg, Segments, SenderRewrite, aggregate_segments
 
 
 @dataclass
@@ -155,14 +155,15 @@ def fedgd_op(p: GTVMinProblem, sched=None, agg: RobustAgg | None = None):
 
 def _node_ops(p: GTVMinProblem, round):
     """One operator per node, all carrying round. Node i's update is
-    round.finish on its one row, at the aggregate of its neighbor blocks
-    when it reads them (round.counts[i] > 0) and at avg None otherwise."""
+    round.finish on its one row, at its neighbor blocks' aggregate (one
+    segment, CSR kept) when it reads them (round.counts[i] > 0), else at avg None."""
     ops = []
     for i in range(p.n):
         ids, wts = p.neighbor_arrays(i)
+        segment = Segments(np.arange(len(ids)), wts, [len(ids)], len(ids)) if round.counts[i] > 0 else None
 
-        def update(own, nbrs, k, node=slice(i, i + 1), wts=wts if round.counts[i] > 0 else None):
-            avg = None if wts is None else aggregate(nbrs, wts, round.agg)[None]
+        def update(own, nbrs, k, node=slice(i, i + 1), segment=segment):
+            avg = None if segment is None else aggregate_segments(as_blocks(nbrs, segment.width), segment, round.agg)
             return round.finish(k, node, own[None], avg)[0]
 
         ops.append(NodeOperator(update=update, neighbor_ids=ids, batch_update=round))
@@ -284,71 +285,55 @@ def _relax_round(p: GTVMinProblem, agg):
     return _ArrayRound(p.graph, rhos, agg, finish)
 
 
-# The ids of a synchronous round's nodes, which are every node in order.
-_EVERY = slice(None)
-
-
 class _ArrayRound:
     """Every event of FedGD, FedSGD or FedRelax as array code, any rule.
 
-    One take gathers the neighbor rows that the active nodes with coupling
-    rho_i != 0 read, in event and CSR slot order, from the blocks or the
-    flattened snapshot ring; a SenderRewrite overwrites the victims' rows;
-    one trust.aggregate_segments call reduces each node's segment. A
-    synchronous mean round without a rewrite takes one neighbor_means
-    product instead, which adds in the kernel's order. finish(k, ids, own,
-    avg) then updates those nodes at once, and the others with avg None;
-    ids indexes the run's stacks, and a synchronous round that updates
-    every node alike passes slice(None), which reads them without a copy.
-    This finish is the solver's one update formula: a per-node operator
-    (_node_ops) calls it on its one row, as slice(i, i + 1), after the
-    same kernel on its one segment, and the stacked matmul hands each slice
-    to the BLAS kernel a single row gets, so every path agrees bit for bit. A node the rule
-    cannot serve (a trim that leaves it no block) raises from the kernel at
-    the first event it aggregates in, on either path.
+    plan lists the slots the active nodes with coupling rho_i != 0 read, in
+    event and CSR slot order, as rows of a source: the blocks in a
+    synchronous round (its plan, CSR included, is built once) or the
+    flattened snapshot ring. step reduces every node's segment with one
+    trust.aggregate_segments call; finish(k, ids, own, avg) then updates
+    those nodes at once, and the others with avg None. ids indexes the
+    run's stacks; a synchronous round that updates every node alike passes
+    slice(None), which reads them without a copy. A per-node operator
+    (_node_ops) calls the same finish on its one row, slice(i, i + 1),
+    after the same kernel on its one segment, and the stacked matmul hands
+    each slice to the BLAS kernel a single row gets, so every path agrees
+    bit for bit. A node the rule cannot serve (a trim that leaves it no
+    block) raises from the kernel at the first event it aggregates in.
     """
 
     def __init__(self, g, rhos, agg, finish):
-        self.indptr, self.indices, self.weights = g.indptr, g.indices, g.weights
+        self.n, self.indptr, self.indices, self.weights = g.n, g.indptr, g.indices, g.weights
         self.linked = np.diff(self.indptr)
         self.counts = np.where(rhos != 0.0, self.linked, 0)  # the slots a node reads
         self.agg, self.finish = agg, finish
-        reads = self.counts > 0
-        self.means = neighbor_means(g, reads) if agg.kind == "mean" and reads.any() else None
-        self.synchronous = self.plan(np.arange(g.n), None)  # every node reads the blocks
+        self.synchronous = self.plan(np.arange(g.n), None, 1)  # every node reads the blocks
 
-    def plan(self, nodes, flat):
-        """The gather of one event: (nodes, senders, weights, refs, counts)
-        with one sender, weight and ref (flat; None when synchronous) per
-        slot the nodes read, in order, and their read counts."""
+    def plan(self, nodes, flat, ring):
+        """The reads of one event: (nodes, senders, segments, counts) with
+        one sender per slot the nodes read, in order, their trust.Segments
+        over ring stacked blocks (slot at row ref % ring * n + sender, refs
+        from flat; None reads the blocks), and the nodes' read counts."""
         cnt = self.counts[nodes]
         ends = np.cumsum(cnt)
         within = np.arange(ends[-1] if ends.size else 0) - np.repeat(ends - cnt, cnt)
         slots = np.repeat(self.indptr[nodes], cnt) + within
+        senders = self.indices[slots]
         if flat is not None and flat.shape[0] != slots.shape[0]:
             flat = flat[np.repeat(cnt > 0, self.linked[nodes])]  # drop unread refs
-        return nodes, self.indices[slots], self.weights[slots], flat, cnt
+        index = senders if flat is None else flat % ring * self.n + senders
+        return nodes, senders, Segments(index, self.weights[slots], cnt[cnt > 0], ring * self.n), cnt
 
-    def round(self, k, W, rewrite=None):
-        """One synchronous round."""
-        avg = self.means(W) if self.means is not None and rewrite is None else None
-        return self.step(k, W, W, self.synchronous, rewrite, avg)
-
-    def step(self, k, blocks, source, plan, rewrite=None, avg=None):
-        """The next blocks; source is the blocks, or the snapshot ring that
-        the plan's refs index modulo its length. avg, when given, holds the
-        reading nodes' aggregates in place of the gathered rows'."""
-        nodes, senders, weights, refs, cnt = plan
+    def step(self, k, blocks, source, plan, rewrite=None):
+        """The next blocks; source is the blocks, or the ring the plan reads."""
+        nodes, senders, segments, cnt = plan
         reads = cnt > 0
-        if avg is None and senders.size:
-            index = senders if refs is None else refs % source.shape[0] * source.shape[1] + senders
-            rows = source.reshape(-1, blocks.shape[1]).take(index, axis=0)
-            if rewrite is not None:
-                rewrite.apply(rows, senders)
-            avg = aggregate_segments(rows, weights, cnt[reads], self.agg)
+        edit = None if rewrite is None else lambda rows: rewrite.apply(rows, senders)
+        avg = aggregate_segments(source.reshape(-1, blocks.shape[1]), segments, self.agg, edit) if senders.size else None
         everyone = reads.all()
-        if refs is None and (everyone or avg is None):  # a synchronous round of one kind
-            return self.finish(k, _EVERY, blocks, avg)
+        if plan is self.synchronous and (everyone or avg is None):  # a round of one kind
+            return self.finish(k, slice(None), blocks, avg)
         new = blocks.copy()
         if not everyone:
             ids = nodes[~reads]
@@ -382,13 +367,13 @@ def _graph_step(ops, shape, events, B, interceptor):
     def step(k, blocks):
         if events is None:
             if array is not None:
-                return array.round(k, blocks, rewrite)
+                return array.step(k, blocks, blocks, array.synchronous, rewrite)
             nodes, flat = everyone, None
         else:
             nodes, counts, flat = events[k]
             ring[k % len(ring)] = blocks
             if array is not None:
-                return array.step(k, blocks, ring, array.plan(nodes, flat), rewrite)
+                return array.step(k, blocks, ring, array.plan(nodes, flat, len(ring)), rewrite)
             ends = np.cumsum(counts).tolist()
         new = blocks.copy()
         for t, i in enumerate(nodes.tolist()):

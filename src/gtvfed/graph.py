@@ -198,24 +198,6 @@ def laplacian(g: EmpGraph) -> np.ndarray:
     return np.diag(g.degree) - g.adjacency()
 
 
-def neighbor_means(g: EmpGraph, mask):
-    """The map W -> (S, d) of the weighted neighbour means
-    sum_j A_ij W_j / d_i of the S nodes in the boolean mask, in node order;
-    each must have a neighbour. One scipy CSR product adds each node's
-    weighted rows left to right from 0.0 in CSR slot order and d_i is
-    g.degree, as in trust.aggregate_segments, so the bits are the same."""
-    import scipy.sparse
-
-    counts = np.diff(g.indptr)
-    slots = np.repeat(mask, counts)
-    csr = scipy.sparse.csr_array(
-        (g.weights[slots], g.indices[slots], np.concatenate(([0], np.cumsum(counts[mask])))),
-        shape=(int(np.count_nonzero(mask)), g.n),
-    )
-    deg = g.degree[mask][:, None]
-    return lambda W: (csr @ W) / deg
-
-
 def spectrum(g: EmpGraph) -> Spectrum:
     """Eigenvalues of the Laplacian, clamped near zero (see Spectrum).
 

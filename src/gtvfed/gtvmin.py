@@ -21,6 +21,7 @@ import numpy as np
 from gtvfed import graph as graphmod
 from gtvfed.graph import EmpGraph, GraphError, algebraic_connectivity, as_blocks, gtv_value, laplacian
 from gtvfed.localmodel import CallableLoss, QuadLoss, QuadStack
+from gtvfed.trust import RobustAgg, Segments, aggregate_segments
 
 SINGULAR_TOL = 1e-10
 
@@ -173,18 +174,19 @@ def gd_gradient(stack: QuadStack, rhos, ids, own, avg):
 
 def batch_gradient_fn(p: GTVMinProblem):
     """Vectorized all-nodes gradient (n, d) -> (n, d): gd_gradient at the
-    nodes without coupling, and at the others with their
-    graph.neighbor_means."""
-    stack = p.stack
-    rhos = 2.0 * p.alpha * p.graph.degree
+    nodes without coupling, and at the others with their neighbour means,
+    trust.aggregate_segments over the blocks as in a synchronous round."""
+    g, stack = p.graph, p.stack
+    rhos = 2.0 * p.alpha * g.degree
     coupled = rhos != 0.0
     lone, ids = np.flatnonzero(~coupled), np.flatnonzero(coupled)
-    means = graphmod.neighbor_means(p.graph, coupled)
+    slots = np.repeat(coupled, np.diff(g.indptr))
+    segments = Segments(g.indices[slots], g.weights[slots], np.diff(g.indptr)[coupled], g.n)
 
     def grad(W):
         G = np.empty_like(W)
         G[lone] = gd_gradient(stack, rhos, lone, W[lone], None)
-        G[ids] = gd_gradient(stack, rhos, ids, W[ids], means(W))
+        G[ids] = gd_gradient(stack, rhos, ids, W[ids], aggregate_segments(W, segments, RobustAgg.mean()))
         return G
 
     return grad

@@ -1148,7 +1148,8 @@ def export(report: Report, fmt: str, path) -> str:
 def load_report_json(path) -> dict:
     """A JSON report as export writes it: an object whose summary is an
     object whose bound_checks lists rows with a name, holds and numbers
-    measured, bound and margin. Other input raises ValueError naming path."""
+    measured, bound and margin, and whose divergence, unless absent or
+    null, holds an int event and an int or null node; else ValueError naming path."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -1163,4 +1164,9 @@ def load_report_json(path) -> dict:
         numbers = [row.get(k) for k in ("measured", "bound", "margin")]
         if not ({"name", "holds"} <= row.keys() and all(isinstance(v, (int, float)) for v in numbers)):
             raise ValueError(f"{path}: bound check {i} needs name, holds and numeric measured, bound, margin")
+    div = summary.get("divergence")
+    if div is not None and not (
+        isinstance(div, dict) and type(div.get("event")) is int and type(div.get("node", "")) in (int, type(None))
+    ):
+        raise ValueError(f"{path}: divergence needs an integer event and an integer or null node")
     return data

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -269,57 +270,79 @@ def aggregate(blocks, weights, agg: RobustAgg) -> np.ndarray:
     wts = np.asarray(weights, dtype=float)
     if wts.shape != stack.shape[:1]:
         raise ValueError(f"got {wts.shape} weights for {stack.shape[0]} blocks")
-    return aggregate_segments(stack, wts, stack.shape[:1], agg)[0]
+    return aggregate_segments(stack, Segments(np.arange(wts.size), wts, [wts.size], wts.size), agg)[0]
 
 
-def aggregate_segments(rows, weights, counts, agg: RobustAgg) -> np.ndarray:
-    """aggregate over S nodes at once. The (M, d) rows and (M,) weights
-    hold S segments back to back, segment s of length counts[s] >= 1 (more
-    than 2 trim_k when trimming); row s of the (S, d) result aggregates it:
+@dataclass(eq=False)
+class Segments:
+    """S segments of slots over the N = width rows of a source: slot m
+    reads row index[m] (any order, repeats allowed) with weight weights[m],
+    and segment s holds the next counts[s] slots."""
 
-    - the total is np.bincount(segment, weights), the left-to-right sum
-      EmpGraph.degree adds, so a node's total is its degree bit for bit;
+    index: np.ndarray
+    weights: np.ndarray
+    counts: np.ndarray
+    width: int
+
+    @cached_property
+    def csr(self):
+        """The (S, N) scipy CSR of the weights and its row totals (the CSR
+        times ones), which must be positive; built on first use and kept."""
+        import scipy.sparse
+
+        indptr = np.concatenate(([0], np.cumsum(self.counts)))
+        csr = scipy.sparse.csr_array((self.weights, self.index, indptr), shape=(len(self.counts), self.width))
+        totals = csr @ np.ones(self.width)
+        if not (totals > 0.0).all():
+            raise ValueError("aggregation weights must have positive sum")
+        return csr, totals
+
+    @cached_property
+    def gathered(self) -> "Segments":
+        """The same segments over the rows source[index], in slot order; kept."""
+        return Segments(np.arange(len(self.weights)), self.weights, self.counts, len(self.weights))
+
+
+def aggregate_segments(source, segments: Segments, agg: RobustAgg, rewrite=None) -> np.ndarray:
+    """aggregate over S nodes at once: row s of the (S, d) result
+    aggregates segment s, of counts[s] >= 1 slots (more than 2 trim_k when
+    trimming), over the (N, d) source, as a one-segment call would, bit
+    for bit:
+
+    - every sum, the totals too, is one product of a Segments.csr, which
+      csr_matvecs adds per coordinate left to right from 0.0 in slot order,
+      so a node's total is EmpGraph.degree bit for bit;
+    - the mean rule without a rewrite sums straight over the source; every
+      other case gathers source[index] first, then rewrite(rows) edits it;
     - geomedian checks the counts and totals only: its row is
       geometric_median(segment rows, tol, max_iter)'s point, weights unused;
-    - clipped clamps the rows first; trimmed sets to -0.0, an exact additive
-      identity, the weighted values a stable argsort puts among the trim_k
-      lowest or highest (ties by slot, NaN last), and scales by count/kept;
-    - one np.bincount over the flattened weighted values adds each
-      segment's values per coordinate left to right from 0.0 in slot
-      order, as graph.neighbor_means does (np.add.reduceat would add
-      segments of 8 or more rows pairwise).
-
-    A segment's row depends on its own rows only, so it equals a
-    one-segment call bit for bit.
+    - clipped clamps the rows; trimmed sets to -0.0, an exact additive
+      identity, the values a stable argsort puts among the trim_k lowest or
+      highest (ties by slot, NaN last), and scales by count/kept.
     """
-    rows = np.asarray(rows, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    counts = np.asarray(counts, dtype=np.intp)
+    counts = np.asarray(segments.counts, dtype=np.intp)
     t = agg.trim_k if agg.kind == "trimmed" else 0
     least = int(counts.min(initial=2 * t + 1))  # a count too small, if any
     if least < 1:
         raise ValueError("aggregation needs at least one neighbor block")
     if not least > 2 * t:
         raise ValueError(f"trimming {t} from each end needs more than {2 * t} blocks, got {least}")
-    S = counts.shape[0]
-    segment = np.repeat(np.arange(S), counts)
-    totals = np.bincount(segment, weights, S)
-    if not (totals > 0.0).all():
-        raise ValueError("aggregation weights must have positive sum")
-    ends = np.cumsum(counts)
+    if agg.kind != "mean" or rewrite is not None:
+        source = np.asarray(source, dtype=float).take(segments.index, axis=0)
+        if rewrite is not None:
+            rewrite(source)
+        segments = segments.gathered
+    csr, totals = segments.csr
     if agg.kind == "geomedian":
-        out = np.empty((S, rows.shape[1]))
-        for s, (b, c) in enumerate(zip(ends.tolist(), counts.tolist())):
-            out[s] = geometric_median(rows[b - c : b], agg.tol, agg.max_iter)[0]
+        out = np.empty((counts.shape[0], source.shape[1]))
+        for s, (b, c) in enumerate(zip(np.cumsum(counts).tolist(), counts.tolist())):
+            out[s] = geometric_median(source[b - c : b], agg.tol, agg.max_iter)[0]
         return out
     if agg.kind == "clipped":
-        rows = np.clip(rows, agg.tau_l, agg.tau_u)
-    products = weights[:, None] * rows
+        np.clip(source, agg.tau_l, agg.tau_u, out=source)
     if t:
-        products[_trimmed_slots(rows, counts, ends - counts, t)] = -0.0
-    d = rows.shape[1]
-    bins = (segment[:, None] * d + np.arange(d)).reshape(-1)
-    sums = np.bincount(bins, products.reshape(-1), S * d).reshape(S, d)
+        source[_trimmed_slots(source, counts, np.cumsum(counts) - counts, t)] = -0.0
+    sums = csr @ source
     if t:
         sums *= (counts / (counts - 2 * t))[:, None]
     return sums / totals[:, None]

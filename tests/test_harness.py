@@ -948,6 +948,9 @@ def test_cli_report_strict_failed_check(tmp_path, capsys):
          '"holds": false}]}}', False),
         ('{"summary": ', False),
         ("{}", True),
+        ('{"summary": {"bound_checks": [], "divergence": {}}}', False),
+        ('{"summary": {"bound_checks": [], "divergence": {"event": 3, "node": "2"}}}', False),
+        ('{"summary": {"bound_checks": [], "divergence": [3, null]}}', True),
     ],
 )
 def test_cli_report_rejects_input_that_is_not_a_report(tmp_path, capsys, text, strict):

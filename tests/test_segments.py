@@ -10,7 +10,7 @@ from gtvfed.graph import generate
 from gtvfed.gtvmin import GTVMinProblem
 from gtvfed.localmodel import from_dataset, generate_local
 from gtvfed.optim import LRSchedule
-from gtvfed.trust import RobustAgg, _trimmed_slots, aggregate_segments
+from gtvfed.trust import RobustAgg, Segments, _trimmed_slots, aggregate_segments
 
 SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
 
@@ -37,6 +37,9 @@ def reference_segment(rows, weights, agg):
 
 @st.composite
 def segments(draw):
+    """(source, index, weights, counts, agg): slots read source[index]. The
+    index is arange over the rows, or, as a ring index is, unsorted and
+    repeating rows within and across segments."""
     agg = draw(
         st.sampled_from(
             [RobustAgg.mean(), RobustAgg.clipped(-0.5, 0.75)]
@@ -48,31 +51,35 @@ def segments(draw):
     counts = draw(
         st.lists(st.one_of(st.just(fewest), st.integers(fewest, 40)), min_size=1, max_size=6)
     )
+    M = sum(counts)
     d = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    rows = rng.standard_normal((sum(counts), d))
+    N = draw(st.sampled_from([M, 1, 3, 2 * M]))
+    source = rng.standard_normal((N, d))
     if draw(st.booleans()):  # ties
-        rows = np.round(rows * 2.0) / 2.0
+        source = np.round(source * 2.0) / 2.0
     if draw(st.booleans()):  # signed zeros, infinities and NaN
-        spots = rng.random(rows.shape) < draw(st.sampled_from([0.1, 0.5]))
-        rows[spots] = rng.choice(SPECIAL, size=int(spots.sum()))
+        spots = rng.random(source.shape) < draw(st.sampled_from([0.1, 0.5]))
+        source[spots] = rng.choice(SPECIAL, size=int(spots.sum()))
+    index = np.arange(M) if N == M else rng.integers(0, N, M)
     if draw(st.booleans()):
-        weights = np.ones(rows.shape[0])
+        weights = np.ones(M)
     else:
-        weights = rng.uniform(0.05, 4.0, rows.shape[0])
-    return rows, weights, np.array(counts), agg
+        weights = rng.uniform(0.05, 4.0, M)
+    return source, index, weights, np.array(counts), agg
 
 
 @settings(max_examples=400, deadline=None)
 @given(segments())
 def test_segment_kernel_matches_a_stable_argsort_per_node(case):
-    rows, weights, counts, agg = case
     with np.errstate(invalid="ignore"):  # inf - inf sums to NaN
-        check_segments(rows, weights, counts, agg)
+        check_segments(*case)
 
 
-def check_segments(rows, weights, counts, agg):
-    out = aggregate_segments(rows, weights, counts, agg)
+def check_segments(source, index, weights, counts, agg):
+    N = source.shape[0]
+    out = aggregate_segments(source, Segments(index, weights, counts, N), agg)
+    rows = source[index]
     assert out.shape == (counts.shape[0], rows.shape[1])
     t = agg.trim_k if agg.kind == "trimmed" else 0
     starts = np.cumsum(counts) - counts
@@ -86,11 +93,11 @@ def check_segments(rows, weights, counts, agg):
         finite = np.isfinite(want)
         assert np.array_equal(out[s][~finite], want[~finite], equal_nan=True), s
         assert np.all(np.abs(out[s][finite] - want[finite]) <= 1e-12 * scale[finite]), s
-        alone = aggregate_segments(rows[seg], weights[seg], [count], agg)[0]
+        alone = aggregate_segments(source, Segments(index[seg], weights[seg], [count], N), agg)[0]
         assert np.array_equal(out[s], alone, equal_nan=True), s
-        # The sum order: weighted rows (trimmed ones -0.0) added left to
-        # right from 0.0, then divided by the total added the same way; bit
-        # for bit but for the sign of NaN.
+        # The sum order: weighted rows source[index] (trimmed ones -0.0)
+        # added left to right from 0.0, then divided by the total added the
+        # same way; bit for bit but for the sign of NaN.
         kept = np.clip(rows, agg.tau_l, agg.tau_u) if agg.kind == "clipped" else rows
         products = np.where(dropped, -0.0, weights[:, None] * kept)
         total, acc = 0.0, np.zeros(rows.shape[1])
