@@ -1,9 +1,11 @@
-"""Message-passing solvers: per-node operators, their round maps, bounds."""
+"""Message-passing solvers: their rounds, the one event engine, schedules, bounds."""
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -18,21 +20,12 @@ from gtvfed.trust import RobustAgg, Segments, SenderRewrite, aggregate_segments
 
 @dataclass
 class NodeOperator:
-    """Per-node fixed-point map.
-
+    """Node i's view of a solver's round, its per-node fixed-point map:
     update(own block, neighbor blocks as a (k, d) array aligned with
-    neighbor_ids, event index) -> new own block. batch_update, when present,
-    is the _ArrayRound shared by all operators of the run; the engines run
-    every event on it, synchronous or not, when every operator carries the
-    same one and no message hook other than a SenderRewrite is installed.
-    FedGD, FedSGD at any batch size and FedRelax carry one under every
-    aggregation rule, and their update is its finish on one row; only a
-    hand-built operator goes without.
-    """
+    neighbor_ids, event index) -> new own block."""
 
     update: callable
     neighbor_ids: np.ndarray
-    batch_update: callable = None
 
 
 class AsyncEvent(NamedTuple):
@@ -53,8 +46,8 @@ class AsyncSchedule:
     B: int | None
     events: tuple
 
-    def validate(self, neighbor_ids) -> None:
-        """Check the schedule against per-node neighbor lists.
+    def validate(self, degree) -> None:
+        """Check the schedule against the neighbor count of every node.
 
         Enforces: refs aligned with neighbors and never in the future;
         staleness <= B and every node active in any B consecutive events
@@ -63,11 +56,9 @@ class AsyncSchedule:
         first violation in event, node and ref order.
         """
         n, B = self.n, self.B
-        if len(neighbor_ids) != n:
-            raise ValueError(
-                f"schedule built for {n} nodes, got {len(neighbor_ids)} operators"
-            )
-        deg = np.array([len(ids) for ids in neighbor_ids], dtype=np.intp)
+        deg = np.asarray(degree, dtype=np.intp)
+        if len(deg) != n:
+            raise ValueError(f"schedule built for {n} nodes, got {len(deg)} operators")
         last = np.full(n, -1)
         for k, (nodes, counts, flat) in enumerate(self.events):
             _check_event(k, nodes, counts, flat, deg, B)
@@ -148,30 +139,13 @@ def fedgd_op(p: GTVMinProblem, sched=None, agg: RobustAgg | None = None):
     with a_i the aggregate of the neighbor blocks under agg (the weighted
     mean by default) and eta from sched (default_step(p) when None). A node
     whose coupling 2 alpha d_i is zero takes a plain local gradient step.
-    Returns one operator per node.
+    Returns the round run_sync and run_async take, a sequence of n NodeOperators.
     """
-    return _node_ops(p, _gd_round(p, _MEAN if agg is None else agg, _checked_schedule(p, sched)))
-
-
-def _node_ops(p: GTVMinProblem, round):
-    """One operator per node, all carrying round. Node i's update is
-    round.finish on its one row, at its neighbor blocks' aggregate (one
-    segment, CSR kept) when it reads them (round.counts[i] > 0), else at avg None."""
-    ops = []
-    for i in range(p.n):
-        ids, wts = p.neighbor_arrays(i)
-        segment = Segments(np.arange(len(ids)), wts, [len(ids)], len(ids)) if round.counts[i] > 0 else None
-
-        def update(own, nbrs, k, node=slice(i, i + 1), segment=segment):
-            avg = None if segment is None else aggregate_segments(as_blocks(nbrs, segment.width), segment, round.agg)
-            return round.finish(k, node, own[None], avg)[0]
-
-        ops.append(NodeOperator(update=update, neighbor_ids=ids, batch_update=round))
-    return ops
+    return _gd_round(p, _MEAN if agg is None else agg, _checked_schedule(p, sched))
 
 
 def _gd_round(p: GTVMinProblem, agg, sched, estimates=None):
-    """The _ArrayRound of FedGD's operators under the one schedule sched.
+    """The _ArrayRound of FedGD under the one schedule sched.
     estimates maps FedSGD's sampled nodes to their mini-batch gradients:
     finish overwrites their rows of the exact stacked gradient with one
     estimate call each, then adds the coupling as at every other row."""
@@ -201,8 +175,8 @@ def fedsgd_op(p: GTVMinProblem, batch_size: int, seed: int, sched=None):
     estimates its gradient from batch_size rows drawn without replacement
     from its own seeded "batches" stream, one choice call per event it is
     active in. A node with at most batch_size rows takes its exact gradient;
-    one warning names the nodes with fewer. The operators carry one
-    _ArrayRound at any batch size. Requires losses built from datasets.
+    one warning names the nodes with fewer. Returns the round, as fedgd_op
+    does, at any batch size. Requires losses built from datasets.
     """
     batch_size = int(batch_size)
     if batch_size < 1:
@@ -223,7 +197,7 @@ def fedsgd_op(p: GTVMinProblem, batch_size: int, seed: int, sched=None):
             f"(first: node {short[0]}, {p.losses[short[0]].source.m} rows); using the full batch",
             stacklevel=2,
         )
-    return _node_ops(p, _gd_round(p, _MEAN, sched, estimates))
+    return _gd_round(p, _MEAN, sched, estimates)
 
 
 def _batch_gradient(loss, batch_size, rng):
@@ -245,9 +219,9 @@ def fedrelax_op(p: GTVMinProblem, agg: RobustAgg | None = None):
     aggregated neighbor state with penalty 2 alpha d_i.
 
     A node with no neighbors returns its exact local minimizer when that is
-    unique, and its current block unchanged otherwise.
+    unique, and its current block unchanged otherwise. Returns the round.
     """
-    return _node_ops(p, _relax_round(p, _MEAN if agg is None else agg))
+    return _relax_round(p, _MEAN if agg is None else agg)
 
 
 def _relax_inverses(p: GTVMinProblem, rhos) -> np.ndarray:
@@ -263,7 +237,7 @@ def _relax_inverses(p: GTVMinProblem, rhos) -> np.ndarray:
 
 
 def _relax_round(p: GTVMinProblem, agg):
-    """The _ArrayRound of FedRelax's operators: P_i (rho_i a_i - q_i) at a
+    """The _ArrayRound of FedRelax: P_i (rho_i a_i - q_i) at a
     reading node; a lone node takes its minimizer w_i* when it is unique
     (fixed) and keeps its block otherwise."""
     stack = p.stack
@@ -285,7 +259,7 @@ def _relax_round(p: GTVMinProblem, agg):
     return _ArrayRound(p.graph, rhos, agg, finish)
 
 
-class _ArrayRound:
+class _ArrayRound(Sequence):
     """Every event of FedGD, FedSGD or FedRelax as array code, any rule.
 
     plan lists the slots the active nodes with coupling rho_i != 0 read, in
@@ -295,12 +269,14 @@ class _ArrayRound:
     trust.aggregate_segments call; finish(k, ids, own, avg) then updates
     those nodes at once, and the others with avg None. ids indexes the
     run's stacks; a synchronous round that updates every node alike passes
-    slice(None), which reads them without a copy. A per-node operator
-    (_node_ops) calls the same finish on its one row, slice(i, i + 1),
-    after the same kernel on its one segment, and the stacked matmul hands
-    each slice to the BLAS kernel a single row gets, so every path agrees
-    bit for bit. A node the rule cannot serve (a trim that leaves it no
-    block) raises from the kernel at the first event it aggregates in.
+    slice(None), which reads them without a copy. A node the rule cannot
+    serve (a trim that leaves it no block) raises from the kernel at the
+    first event it aggregates in.
+
+    The round is the sequence of its n NodeOperators, built on first access
+    and kept: node i's update is finish on its one row, slice(i, i + 1),
+    after the same kernel on its one segment; the stacked matmul hands each
+    slice the BLAS kernel a single row gets, so the two agree bit for bit.
     """
 
     def __init__(self, g, rhos, agg, finish):
@@ -309,6 +285,27 @@ class _ArrayRound:
         self.counts = np.where(rhos != 0.0, self.linked, 0)  # the slots a node reads
         self.agg, self.finish = agg, finish
         self.synchronous = self.plan(np.arange(g.n), None, 1)  # every node reads the blocks
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, i):
+        return self._node_ops[i]
+
+    @cached_property
+    def _node_ops(self):
+        ops = []
+        for i in range(self.n):
+            s = slice(self.indptr[i], self.indptr[i + 1])
+            ids, wts = self.indices[s], self.weights[s]
+            segment = Segments(np.arange(len(ids)), wts, [len(ids)], len(ids)) if self.counts[i] > 0 else None
+
+            def update(own, nbrs, k, node=slice(i, i + 1), segment=segment):
+                avg = None if segment is None else aggregate_segments(as_blocks(nbrs, segment.width), segment, self.agg)
+                return self.finish(k, node, own[None], avg)[0]
+
+            ops.append(NodeOperator(update, ids))
+        return ops
 
     def plan(self, nodes, flat, ring):
         """The reads of one event: (nodes, senders, segments, counts) with
@@ -343,56 +340,13 @@ class _ArrayRound:
         return new
 
 
-def _graph_step(ops, shape, events, B, interceptor):
-    """The round map of a graph run, one event at a time.
-
-    Without events every node reads the current blocks (a synchronous
-    round). With them, the active nodes of event k read each neighbor's row
-    at the event the schedule names, from a ring of B + 1 state snapshots
-    (the whole history when B is None); inactive nodes keep their block.
-    The operators' shared _ArrayRound, when they carry one, runs every
-    event, unless a hook other than a SenderRewrite is installed; a
-    zero-delay event gets the bits of a synchronous round. The per-node
-    loop serves only hand-built operators and plain-function hooks, and is
-    the engine reference the array path is tested against.
-    """
-    array = ops[0].batch_update
-    rewrite = interceptor if isinstance(interceptor, SenderRewrite) else None
-    if any(op.batch_update is not array for op in ops) or (interceptor is not None and rewrite is None):
-        array = None
-    everyone = np.arange(len(ops))
-    if events is not None:
-        ring = np.empty((len(events) if B is None else B + 1,) + shape)
-
-    def step(k, blocks):
-        if events is None:
-            if array is not None:
-                return array.step(k, blocks, blocks, array.synchronous, rewrite)
-            nodes, flat = everyone, None
-        else:
-            nodes, counts, flat = events[k]
-            ring[k % len(ring)] = blocks
-            if array is not None:
-                return array.step(k, blocks, ring, array.plan(nodes, flat, len(ring)), rewrite)
-            ends = np.cumsum(counts).tolist()
-        new = blocks.copy()
-        for t, i in enumerate(nodes.tolist()):
-            ids = ops[i].neighbor_ids
-            if flat is None:
-                nbrs = blocks[ids]
-            else:
-                nbrs = ring[flat[ends[t] - len(ids) : ends[t]] % len(ring), ids]
-            if interceptor is not None:
-                for s, j in enumerate(ids):
-                    nbrs[s] = interceptor(int(j), int(i), nbrs[s], k)
-            new[i] = ops[i].update(blocks[i], nbrs, k)
-        return new
-
-    return step
-
-
-def _initial_blocks(ops, w0) -> np.ndarray:
-    """A copy of w0 as the engine's (n, d) state, one block per operator."""
+def _initial_blocks(ops, w0, rewrite) -> np.ndarray:
+    """A copy of w0 as the engine's (n, d) state, once ops is a solver's
+    round with one operator per block and rewrite a SenderRewrite or None."""
+    if not isinstance(ops, _ArrayRound):
+        raise ValueError(f"ops must be the round fedgd_op, fedsgd_op or fedrelax_op returns, got {type(ops).__name__}")
+    if not (rewrite is None or isinstance(rewrite, SenderRewrite)):
+        raise ValueError(f"rewrite must be a trust.SenderRewrite or None, got {type(rewrite).__name__}")
     blocks = as_blocks(w0, name="initial state").copy()
     if len(ops) != blocks.shape[0]:
         raise ValueError(f"got {len(ops)} operators for {blocks.shape[0]} blocks")
@@ -406,19 +360,20 @@ def run_sync(
     objective=None,
     oracle=None,
     metrics=None,
-    interceptor=None,
+    rewrite=None,
     noise=None,
     record_every: int = 1,
 ):
-    """Synchronous rounds: every node reads round-k state, writes round k+1.
+    """Synchronous rounds of the round ops: every node reads round-k
+    state, writes round k+1.
 
     objective(blocks) and metrics(k, blocks) are optional per-event probes;
-    interceptor(sender, receiver, value, k) rewrites messages in flight;
+    rewrite, a trust.SenderRewrite, replaces its victims' messages;
     noise(k, blocks) mutates state in place before each round's updates and
     its returned norm is logged. Returns ((n, d) blocks, Trace).
     """
-    blocks = _initial_blocks(ops, w0)
-    step = _graph_step(ops, blocks.shape, None, None, interceptor)
+    blocks = _initial_blocks(ops, w0, rewrite)
+    step = lambda k, blocks: ops.step(k, blocks, blocks, ops.synchronous, rewrite)
     rec = _Recorder(stop, objective, oracle, metrics, record_every)
     blocks, trace = _drive(blocks, stop.max_iters, step, rec, noise)
     return blocks, trace
@@ -432,26 +387,33 @@ def run_async(
     objective=None,
     oracle=None,
     metrics=None,
-    interceptor=None,
+    rewrite=None,
     noise=None,
     record_every: int = 1,
 ):
-    """Event-driven execution against a pre-generated schedule.
+    """Events of the round ops against a pre-generated schedule, which is
+    checked against the round's graph; other arguments as in run_sync.
 
-    At each event, inactive nodes keep their state and active nodes apply
-    their operator to neighbor snapshots taken at the event indices the
-    schedule prescribes. The run covers the schedule's events, or the first
-    stop.max_iters of them, and records a final row after the last. With
-    every node active and zero delays each event equals a synchronous round
-    exactly.
+    At each event, inactive nodes keep their state and active nodes read
+    each neighbor's row at the event the schedule names, from a ring of
+    B + 1 state snapshots (the whole history when B is None). The run
+    covers the schedule's events, or the first stop.max_iters of them, and
+    records a final row after the last. With every node active and zero
+    delays each event equals a synchronous round exactly.
     """
-    blocks = _initial_blocks(ops, w0)
-    schedule.validate([op.neighbor_ids for op in ops])
+    blocks = _initial_blocks(ops, w0, rewrite)
+    schedule.validate(ops.linked)
     events = schedule.events
     if stop is None:
         stop = StopRule(max_iters=len(events))
     kend = min(len(events), stop.max_iters)
-    step = _graph_step(ops, blocks.shape, events[:kend], schedule.B, interceptor)
+    ring = np.empty((kend if schedule.B is None else schedule.B + 1,) + blocks.shape)
+
+    def step(k, blocks):
+        nodes, _, flat = events[k]
+        ring[k % len(ring)] = blocks
+        return ops.step(k, blocks, ring, ops.plan(nodes, flat, len(ring)), rewrite)
+
     rec = _Recorder(stop, objective, oracle, metrics, record_every)
     blocks, trace = _drive(blocks, kend, step, rec, noise)
     return blocks, trace

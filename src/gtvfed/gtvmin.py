@@ -20,8 +20,7 @@ import numpy as np
 
 from gtvfed import graph as graphmod
 from gtvfed.graph import EmpGraph, GraphError, algebraic_connectivity, as_blocks, gtv_value, laplacian
-from gtvfed.localmodel import CallableLoss, QuadLoss, QuadStack
-from gtvfed.trust import RobustAgg, Segments, aggregate_segments
+from gtvfed.localmodel import QuadLoss, QuadStack
 
 SINGULAR_TOL = 1e-10
 
@@ -148,62 +147,17 @@ def objective(p: GTVMinProblem, params) -> float:
     return objective_parts(p, params)[2]
 
 
-def node_gradient(p: GTVMinProblem, i: int, params) -> np.ndarray:
-    """Gradient of the objective in block i."""
-    W = as_blocks(params, p.n, p.d)
-    ids, wts = p.graph.neighbor_arrays(i)
-    g = p.losses[i].gradient(W[i])
-    if wts.shape[0]:
-        g = g + (2.0 * p.alpha) * (wts @ (W[i] - W[ids]))
-    return g
-
-
 def gd_gradient(stack: QuadStack, rhos, ids, own, avg):
     """Gradients 2 Q_i w_i + q_i + rho_i (w_i - a_i) of the nodes ids at
     their (S, d) blocks own and neighbour means avg; avg None drops the
     coupling, as at a node with rho_i = 2 alpha d_i = 0. ids is an index
     array or a slice (slice(None) for every node, slice(i, i + 1) for node
-    i alone), which reads the stacks without a copy. FedGD's round and
-    batch_gradient_fn share it, so flat_loss steps equal run_sync rounds
-    bit for bit."""
+    i alone), which reads the stacks without a copy. FedGD's round calls
+    it for every update."""
     g = 2.0 * (stack.Qs[ids] @ own[:, :, None])[:, :, 0] + stack.qs[ids]
     if avg is not None:
         g = g + rhos[ids][:, None] * (own - avg)
     return g
-
-
-def batch_gradient_fn(p: GTVMinProblem):
-    """Vectorized all-nodes gradient (n, d) -> (n, d): gd_gradient at the
-    nodes without coupling, and at the others with their neighbour means,
-    trust.aggregate_segments over the blocks as in a synchronous round."""
-    g, stack = p.graph, p.stack
-    rhos = 2.0 * p.alpha * g.degree
-    coupled = rhos != 0.0
-    lone, ids = np.flatnonzero(~coupled), np.flatnonzero(coupled)
-    slots = np.repeat(coupled, np.diff(g.indptr))
-    segments = Segments(g.indices[slots], g.weights[slots], np.diff(g.indptr)[coupled], g.n)
-
-    def grad(W):
-        G = np.empty_like(W)
-        G[lone] = gd_gradient(stack, rhos, lone, W[lone], None)
-        G[ids] = gd_gradient(stack, rhos, ids, W[ids], aggregate_segments(W, segments, RobustAgg.mean()))
-        return G
-
-    return grad
-
-
-def flat_loss(p: GTVMinProblem) -> CallableLoss:
-    """The networked objective as a single loss over the flat vector."""
-    n, d = p.n, p.d
-    batch = batch_gradient_fn(p)
-
-    def value(wflat):
-        return objective(p, wflat.reshape(n, d))
-
-    def gradient(wflat):
-        return batch(wflat.reshape(n, d)).reshape(-1)
-
-    return CallableLoss(value, gradient, d=n * d)
 
 
 def assemble(p: GTVMinProblem):

@@ -678,7 +678,7 @@ def _apply_data_attacks(cfg: ExperimentConfig, train: NodeData) -> None:
             rows.X[...], rows.y[...] = poisoned.X, poisoned.y
 
 
-def _model_interceptor(cfg: ExperimentConfig, d: int, n: int):
+def _message_rewrite(cfg: ExperimentConfig, d: int, n: int):
     """The run's message attacks as one SenderRewrite, None without any."""
     specs = []
     for idx, a in enumerate(cfg.attacks):
@@ -955,7 +955,7 @@ def _run_graph(cfg, p, sched, train, val, meta):
         objective=probes.objective,
         oracle=oracle_w,
         metrics=probes.metrics,
-        interceptor=_model_interceptor(cfg, d, n),
+        rewrite=_message_rewrite(cfg, d, n),
         noise=_dp_hook(cfg.dp) if cfg.dp is not None else None,
         record_every=cfg.record_every,
     )

@@ -29,9 +29,10 @@ class AttackSpec:
 
     Data attacks (label_poison, feature_poison, backdoor) act on datasets
     through poison_dataset; model attacks (model_poison, dos) act on
-    messages through an engine interceptor built by model_interceptor.
-    victims lists the attacked node ids; fraction selects the share of rows
-    poisoned at each victim.
+    messages through the SenderRewrite that SenderRewrite.from_specs builds,
+    the one message hook the engines take (model_interceptor builds the
+    same attack as a per-message function). victims lists the attacked node
+    ids; fraction selects the share of rows poisoned at each victim.
     """
 
     kind: str
@@ -183,7 +184,9 @@ def poison_dataset(ds: LocalDataset, spec: AttackSpec) -> LocalDataset:
 
 
 def model_interceptor(spec: AttackSpec):
-    """Message hook replacing outgoing blocks of victim nodes.
+    """Per-message function (sender, receiver, value, k) -> value replacing
+    outgoing blocks of victim nodes. The engines take a SenderRewrite
+    instead; this form serves per-node reference loops.
 
     replacement is either a fixed vector or a callable (block, event) ->
     block. For dos, the replacement defaults to a large constant block that
@@ -211,12 +214,12 @@ def model_interceptor(spec: AttackSpec):
 
 @dataclass(frozen=True, eq=False)
 class SenderRewrite:
-    """Message hook replacing every block a victim sends by a fixed row.
+    """The engines' message hook: every block a victim sends becomes a
+    fixed row.
 
     stages holds one (victims, row) pair per attack: a boolean mask over
     the nodes and the d-vector their messages become. Stages apply in
-    order, so a later attack wins for a node in several. Callable as an
-    engine interceptor (sender, receiver, value, k); the engines also apply
+    order, so a later attack wins for a node in several. The engines apply
     it to gathered neighbor rows, one masked assignment per stage.
     """
 
@@ -226,11 +229,15 @@ class SenderRewrite:
     def from_specs(cls, specs, n: int, d: int) -> "SenderRewrite":
         """The model_poison and dos specs of a run over n nodes as one
         rewrite, in spec order. A replacement must be a fixed d-vector or,
-        for dos, None: the DOS_VALUE row model_interceptor sends too."""
+        for dos, None: the DOS_VALUE row model_interceptor sends too. Every
+        victim must be a node id in 0..n-1."""
         stages = []
-        for spec in specs:
+        for idx, spec in enumerate(specs):
             if spec.kind not in MODEL_ATTACKS:
                 raise ValueError(f"attack kind {spec.kind!r} does not act on messages")
+            bad = [v for v in spec.victims if not 0 <= v < n]
+            if bad:
+                raise ValueError(f"attack {idx}: victim node {bad[0]} is not in 0..{n - 1}")
             row = spec.replacement
             if row is None:
                 if spec.kind != "dos":
@@ -242,12 +249,6 @@ class SenderRewrite:
             victims[list(spec.victims)] = True
             stages.append((victims, np.asarray(row, dtype=float)))
         return cls(tuple(stages))
-
-    def __call__(self, sender, receiver, value, k):
-        for victims, row in self.stages:
-            if victims[sender]:
-                value = row
-        return value
 
     def apply(self, rows, senders) -> None:
         """Rewrite, in place, the (M, d) rows sent by the (M,) senders."""
@@ -505,12 +506,6 @@ def gaussian_sigma(delta2: float, eps: float, delta: float) -> float:
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     return math.sqrt(2.0 * math.log(1.25 / delta)) * delta2 / eps
-
-
-def dp_noise(block, mech: DPMechanism, node: int = 0, counter: int = 0) -> np.ndarray:
-    """The block plus one seeded noise draw keyed by (node, counter)."""
-    block = np.asarray(block, dtype=float)
-    return block + mech.draw(block.shape, node=node, counter=counter)
 
 
 def dp_test_bound(

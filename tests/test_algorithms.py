@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import event
+from reference import flat_loss, node_gradient, reference_run
 
-from gtvfed import seeds
+from gtvfed import seeds, trust
 from gtvfed.algorithms import (
     AsyncEvent,
     AsyncSchedule,
@@ -29,8 +30,6 @@ from gtvfed.graph import EmpGraph, consensus_split, generate, gtv_value, is_conn
 from gtvfed.gtvmin import (
     GTVMinProblem,
     eig_bounds,
-    flat_loss,
-    node_gradient,
     objective,
     quad_operator,
     solve_direct,
@@ -38,7 +37,7 @@ from gtvfed.gtvmin import (
 from gtvfed.harness import _schedule
 from gtvfed.localmodel import LocalDataset, QuadLoss, from_dataset, generate_local
 from gtvfed.optim import DivergenceError, LRSchedule, StopRule, gd_run, optimal_rate
-from gtvfed.trust import DPMechanism, RobustAgg, aggregate
+from gtvfed.trust import AttackSpec, DPMechanism, RobustAgg, SenderRewrite, aggregate
 
 TWO_NODE_GRAPH = EmpGraph(2, [(0, 1)])
 
@@ -226,17 +225,28 @@ def test_isolated_node_with_unique_minimizer_jumps_to_it():
 # ------------------------------------------------------------------ engines
 
 
-def test_run_sync_identity_operators_keep_w0():
-    ident = [
-        NodeOperator(update=lambda own, nbrs, k: own.copy(),
-                     neighbor_ids=np.empty(0, dtype=int))
-        for _ in range(3)
-    ]
-    w0 = np.arange(6.0).reshape(3, 2)
-    sp, trace = run_sync(ident, w0, StopRule(max_iters=7))
-    assert np.array_equal(sp, w0)
-    assert trace.terminal == "max_iters"
-    assert trace.ks == list(range(8))
+def test_engines_take_only_a_solver_round_and_a_sender_rewrite():
+    p = two_node_problem()
+    ops = fedrelax_op(p)
+    w0 = np.zeros((2, 1))
+    schedule = zero_delay_schedule(TWO_NODE_GRAPH, 3)
+    hand_built = [NodeOperator(op.update, op.neighbor_ids) for op in ops]
+    hooks = [lambda sender, receiver, value, k: value, trust.model_interceptor(AttackSpec("dos", victims=(0,)))]
+    observed = []
+    probes = dict(objective=lambda W: observed.append(W) or 0.0, noise=lambda k, W: observed.append(W))
+    runs = [lambda ops, **kw: run_sync(ops, w0, StopRule(max_iters=3), **probes, **kw),
+            lambda ops, **kw: run_async(ops, w0, schedule, **probes, **kw)]
+    for run in runs:
+        for bad in (hand_built, list(ops), tuple(ops)):
+            with pytest.raises(ValueError, match=r"^ops must be the round fedgd_op, fedsgd_op or fedrelax_op returns, got"):
+                run(bad)
+        for hook in hooks:
+            with pytest.raises(ValueError, match=r"^rewrite must be a trust.SenderRewrite or None, got function"):
+                run(ops, rewrite=hook)
+    assert observed == []  # no event ran
+    for run in runs:
+        run(ops, rewrite=SenderRewrite.from_specs([AttackSpec("dos", victims=(0,))], 2, 1))
+    assert observed
 
 
 def test_run_sync_single_node_reduces_to_gd_run():
@@ -259,11 +269,10 @@ def test_run_sync_single_node_reduces_to_gd_run():
     ],
 )
 def test_gd_run_and_one_node_fedgd_share_the_event_loop(eta, stop, terminal):
-    # A lone node is uncoupled, so FedGD is plain gradient descent. The
-    # pass-through interceptor keeps the run on the engine's per-node loop,
-    # which calls the round's finish on node 0's row; that steps as gd_run
-    # does bit for bit, so both runs record the same rows, stop on the same
-    # rule and blow up at the same event.
+    # A lone node is uncoupled, so FedGD is plain gradient descent: the
+    # round's finish on node 0's row steps as gd_run does bit for bit, so
+    # both runs record the same rows, stop on the same rule and blow up at
+    # the same event.
     ds = generate_local([1.0, -2.0], 12, 0.2, seed=7)
     p = GTVMinProblem(EmpGraph(1, []), (from_dataset(ds),), 1.0)
     loss = p.losses[0]
@@ -275,7 +284,6 @@ def test_gd_run_and_one_node_fedgd_share_the_event_loop(eta, stop, terminal):
         lambda: run_sync(
             fedgd_op(p, sched=sched), np.zeros((1, 2)), stop,
             objective=lambda W: loss.value(W[0]), oracle=oracle,
-            interceptor=lambda j, i, value, k: value,
         ),
     ):
         try:
@@ -314,7 +322,7 @@ def test_run_sync_distance_ratio_below_contraction_bound():
             assert c <= (kappa + 1e-9) * a
 
 
-def test_run_sync_interceptor_rewrites_messages():
+def test_run_sync_rewrite_replaces_messages():
     p = two_node_problem()
     sched = LRSchedule.constant(0.1)
     stop = StopRule(max_iters=30)
@@ -326,8 +334,11 @@ def test_run_sync_interceptor_rewrites_messages():
         seen.append((sender, receiver, k))
         return np.zeros_like(value)
 
-    jammed, _ = run_sync(fedgd_op(p, sched=sched), w0, stop, interceptor=zero_out)
+    zeros = SenderRewrite.from_specs([AttackSpec("model_poison", victims=(0, 1), replacement=[0.0])], 2, 1)
+    jammed, _ = run_sync(fedgd_op(p, sched=sched), w0, stop, rewrite=zeros)
     assert not np.allclose(plain, jammed)
+    ref, _ = reference_run(fedgd_op(p, sched=sched), w0, stop, hook=zero_out)
+    assert np.array_equal(jammed, ref)
     assert (1, 0, 0) in seen and (0, 1, 0) in seen
 
 
@@ -436,13 +447,13 @@ def test_permanently_inactive_node_never_changes():
 
 
 def test_schedule_validation_errors():
-    nbr = [np.array([1]), np.array([0])]
+    deg = [1, 1]
     future = AsyncSchedule(
         n=2, B=None,
         events=(event([0, 1], {0: (5,), 1: (0,)}),),
     )
     with pytest.raises(ValueError, match="future"):
-        future.validate(nbr)
+        future.validate(deg)
     stale = AsyncSchedule(
         n=2, B=1,
         events=(
@@ -452,13 +463,13 @@ def test_schedule_validation_errors():
         ),
     )
     with pytest.raises(ValueError, match="events old"):
-        stale.validate(nbr)
+        stale.validate(deg)
     lazy = AsyncSchedule(
         n=2, B=None,
         events=(event([0], {0: (0,)}),) * 4,
     )
     with pytest.raises(ValueError, match="never active"):
-        lazy.validate(nbr)
+        lazy.validate(deg)
     window = AsyncSchedule(
         n=2, B=2,
         events=(
@@ -468,7 +479,7 @@ def test_schedule_validation_errors():
         ),
     )
     with pytest.raises(ValueError, match="inactive over events"):
-        window.validate(nbr)
+        window.validate(deg)
 
 
 @pytest.mark.parametrize(
@@ -483,20 +494,20 @@ def test_validate_rejects_event_arrays_that_disagree(counts, flat, message):
     # Counts that match the degrees and in-range refs would pass the other
     # checks; the engine would then read the wrong neighbor slots.
     g = generate("chain", 3)
-    nbr = [g.neighbor_arrays(i)[0] for i in range(3)]
+    deg = np.diff(g.indptr)
     ev = AsyncEvent(np.arange(3), np.array(counts), np.array(flat, dtype=np.int64))
     with pytest.raises(ValueError, match=f"event 0: {message}"):
-        AsyncSchedule(n=3, B=None, events=(ev,)).validate(nbr)
+        AsyncSchedule(n=3, B=None, events=(ev,)).validate(deg)
 
 
 def test_generated_schedules_validate_and_repeat_bit_for_bit():
     g = generate("erdos_renyi", 6, seed=4, p=0.5)
-    nbr = [g.neighbor_arrays(i)[0] for i in range(6)]
+    deg = np.diff(g.indptr)
     part = gen_partially_async(g, B=4, horizon=200, seed=2)
-    part.validate(nbr)
+    part.validate(deg)
     assert part.events[0].nodes.tolist() == list(range(6))
     total = gen_totally_async(g, horizon=200, seed=2)
-    total.validate(nbr)
+    total.validate(deg)
     again = gen_partially_async(g, B=4, horizon=200, seed=2)
     for a, b in zip(again.events, part.events, strict=True):
         for x, y in zip(a, b):

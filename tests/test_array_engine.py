@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import event
+from reference import reference_run, sender_hook
 
 from gtvfed import harness, seeds, trust
 from gtvfed.algorithms import (
@@ -30,8 +31,6 @@ from gtvfed.harness import parse_config, run_experiment
 from gtvfed.localmodel import QuadLoss, from_dataset, generate_local
 from gtvfed.optim import LRSchedule, StopRule
 from gtvfed.trust import RobustAgg, Segments, SenderRewrite, aggregate, aggregate_segments, model_interceptor
-
-from test_engine import reference_async
 
 # ------------------------------------------------------------ RNG assumption
 
@@ -134,7 +133,7 @@ def assert_same_schedule(fast, ref):
 def test_partially_async_matches_the_per_node_generator(g, B, horizon, seed, p_active):
     fast = gen_partially_async(g, B, horizon, seed, p_active=p_active)
     assert_same_schedule(fast, reference_partially_async(g, B, horizon, seed, p_active))
-    fast.validate([g.neighbor_arrays(i)[0] for i in range(g.n)])
+    fast.validate(np.diff(g.indptr))
 
 
 @settings(max_examples=80, deadline=None)
@@ -142,7 +141,7 @@ def test_partially_async_matches_the_per_node_generator(g, B, horizon, seed, p_a
 def test_totally_async_matches_the_per_node_generator(g, horizon, seed, p_active):
     fast = gen_totally_async(g, horizon, seed, p_active=p_active)
     assert_same_schedule(fast, reference_totally_async(g, horizon, seed, p_active))
-    fast.validate([g.neighbor_arrays(i)[0] for i in range(g.n)])
+    fast.validate(np.diff(g.indptr))
 
 
 def test_generators_at_benchmark_size_and_long_horizons():
@@ -253,9 +252,10 @@ def damaged_schedules(draw):
 @given(damaged_schedules())
 def test_validate_reports_what_the_per_node_check_reports(case):
     schedule, nbr = case
-    assert outcome(schedule.validate, nbr) == outcome(reference_validate, schedule, nbr)
+    deg = [len(ids) for ids in nbr]
+    assert outcome(schedule.validate, deg) == outcome(reference_validate, schedule, nbr)
     extra = nbr + [np.zeros(0, dtype=np.intp)]
-    assert outcome(schedule.validate, extra) == outcome(reference_validate, schedule, extra)
+    assert outcome(schedule.validate, deg + [0]) == outcome(reference_validate, schedule, extra)
 
 
 # ------------------------------------------------------- stacked aggregation
@@ -345,7 +345,7 @@ def problem(n, seed, d=2, p_edge=0.5, alpha=0.7):
 
 def rewrite(n, d, *attacks):
     """A SenderRewrite and the same attacks as chained model_interceptor
-    hooks, the per-message reference."""
+    hooks, the per-message reference the reference engine calls."""
     specs = [
         trust.AttackSpec(kind, victims=victims, replacement=None if value is None else np.full(d, value))
         for kind, victims, value in attacks
@@ -370,16 +370,36 @@ def test_sender_rewrite_takes_only_fixed_message_rows():
         SenderRewrite.from_specs([shift], 2, 1)
 
 
+@pytest.mark.parametrize("victim", [-1, 5])
+def test_sender_rewrite_rejects_victims_outside_the_nodes(victim):
+    # -1 would mark node 4 through wraparound, 5 would index past the mask.
+    specs = [trust.AttackSpec("dos", victims=(0,)), trust.AttackSpec("dos", victims=(2, victim))]
+    with pytest.raises(ValueError, match=rf"attack 1: victim node {victim} is not in 0\.\.4"):
+        SenderRewrite.from_specs(specs, 5, 2)
+
+
 POISON = ("model_poison", (1, 4), 40.0)
 DOS = ("dos", (4, 6), None)
 ATTACKS = [(), (POISON,), (DOS,), (POISON, DOS)]
 DEFENCES = [None, RobustAgg.mean(), RobustAgg.clipped(-2.0, 2.5), RobustAgg.trimmed(1)]
 
 
+def test_sender_hook_is_the_chained_interceptors_and_the_gathered_rewrite():
+    # Stages apply in order, so DOS wins at node 4 as the later hook does.
+    hook, chained = rewrite(8, 2, POISON, DOS)
+    plain = sender_hook(hook)
+    rows = np.random.default_rng(0).standard_normal((8, 2))
+    senders = np.array([4, 0, 1, 6, 4, 7, 2])
+    gathered = rows[senders]
+    hook.apply(gathered, senders)
+    for t, j in enumerate(senders.tolist()):
+        assert np.array_equal(plain(j, 3, rows[j], 5), chained(j, 3, rows[j], 5))
+        assert np.array_equal(gathered[t], plain(j, 3, rows[j], 5))
+
+
 def makers(p):
-    """(name, operator factory): FedRelax and FedGD under each rule, and
-    mini-batch FedSGD; all take the array path, which applies a rewrite
-    once per gathered row."""
+    """(name, round factory): FedRelax and FedGD under each rule, and
+    mini-batch FedSGD; the engine applies a rewrite once per gathered row."""
     out = [("fedsgd-3", lambda: fedsgd_op(p, 3, seed=8, sched=LRSchedule.constant(0.05)))]
     for agg in DEFENCES:
         out.append((f"fedrelax-{agg}", lambda agg=agg: fedrelax_op(p, agg=agg)))
@@ -401,15 +421,13 @@ def test_array_engine_matches_the_reference_loop(mode):
         schedule = gen_totally_async(p.graph, 40, seed=5)
     w0 = np.random.default_rng(2).standard_normal((p.n, p.d))
     for attacks in ATTACKS:
-        # Without attacks an empty rewrite runs every event on the array
-        # path, as no hook at all does.
+        # Without attacks an empty rewrite gives the bits of no hook at all.
         hook, reference_hook = rewrite(p.n, p.d, *attacks)
         for name, make in makers(p):
             ops = make()
-            array = isinstance(ops[0].batch_update, _ArrayRound)
-            assert array, name
-            fast, _ = run_async(ops, w0, schedule, interceptor=hook)
-            ref = reference_async(make(), w0, schedule, reference_hook if attacks else None)
+            assert isinstance(ops, _ArrayRound), name
+            fast, _ = run_async(ops, w0, schedule, rewrite=hook)
+            ref, _ = reference_run(make(), w0, schedule=schedule, hook=reference_hook if attacks else None)
             assert np.array_equal(fast, ref), (name, attacks)
             if not attacks:
                 plain, _ = run_async(make(), w0, schedule)
@@ -432,8 +450,8 @@ def test_array_engine_covers_lone_nodes_and_one_dimension():
     for agg in (None, RobustAgg.clipped(-0.5, 0.5), RobustAgg.geomedian()):
         for make in (lambda: fedrelax_op(p, agg=agg),
                      lambda: fedgd_op(p, sched=LRSchedule.constant(0.1), agg=agg)):
-            fast, _ = run_async(make(), w0, schedule, interceptor=hook)
-            assert np.array_equal(fast, reference_async(make(), w0, schedule, reference_hook))
+            fast, _ = run_async(make(), w0, schedule, rewrite=hook)
+            assert np.array_equal(fast, reference_run(make(), w0, schedule=schedule, hook=reference_hook)[0])
 
 
 @st.composite
@@ -479,16 +497,15 @@ def test_fedgd_array_events_match_the_per_node_updates(case):
     if victims:
         hook, reference_hook = rewrite(p.n, p.d, ("model_poison", victims, 40.0))
     else:
-        # An empty rewrite takes the array path, as no hook at all does.
+        # An empty rewrite gives the bits of no hook at all.
         hook, reference_hook = (SenderRewrite(()) if agg.kind == "mean" else None), None
     ops = fedgd_op(p, sched=sched, agg=agg)
     # At alpha = 0 no node aggregates: the array code steps every node as a
     # lone one.
-    assert isinstance(ops[0].batch_update, _ArrayRound)
     for op in ops:
-        op.update = None  # the array path must not call it
-    fast, _ = run_async(ops, w0, schedule, interceptor=hook)
-    ref = reference_async(fedgd_op(p, sched=sched, agg=agg), w0, schedule, reference_hook)
+        op.update = None  # the engine must not call the per-node view
+    fast, _ = run_async(ops, w0, schedule, rewrite=hook)
+    ref, _ = reference_run(fedgd_op(p, sched=sched, agg=agg), w0, schedule=schedule, hook=reference_hook)
     assert np.array_equal(fast, ref)
 
 
@@ -511,21 +528,16 @@ def test_geomedian_runs_match_the_per_node_updates(mode, alpha):
         "total": gen_totally_async(g, 10, seed=3),
     }[mode]
     for attacks in ((), (POISON, DOS)):
-        hook, reference_hook = rewrite(g.n, 2, *attacks)
-        if not attacks:
-            hook, reference_hook = None, lambda sender, receiver, value, k: value
+        hook, reference_hook = rewrite(g.n, 2, *attacks) if attacks else (None, None)
         for make in (lambda: fedgd_op(p, sched=sched, agg=agg), lambda: fedrelax_op(p, agg=agg)):
             ops = make()
-            assert isinstance(ops[0].batch_update, _ArrayRound)
             for op in ops:
-                op.update = None  # the array path must not call it
+                op.update = None  # the engine must not call the per-node view
             if schedule is None:
-                fast, _ = run_sync(ops, w0, StopRule(max_iters=10), interceptor=hook)
-                # A plain function hook keeps every round on the per-node path.
-                ref = run_sync(make(), w0, StopRule(max_iters=10), interceptor=reference_hook)[0]
+                fast, _ = run_sync(ops, w0, StopRule(max_iters=10), rewrite=hook)
             else:
-                fast, _ = run_async(ops, w0, schedule, interceptor=hook)
-                ref = reference_async(make(), w0, schedule, reference_hook)
+                fast, _ = run_async(ops, w0, schedule, rewrite=hook)
+            ref, _ = reference_run(make(), w0, StopRule(max_iters=10), schedule, hook=reference_hook)
             assert fast.tobytes() == ref.tobytes(), (attacks, make)
 
 
@@ -539,14 +551,14 @@ def test_a_short_trim_raises_at_the_first_event_that_reads_the_node():
         event([0], hub), event([0], hub), event([0, 2], hub | {2: (1,)}), event([1, 3], {1: (2,), 3: (2,)}),
     ))
     w0 = np.zeros((4, p.d))
-    plain = lambda sender, receiver, value, k: value  # keeps the per-node path
+    engine = lambda ops, stop: run_async(ops, w0, schedule, stop)
+    per_node = lambda ops, stop: reference_run(ops, w0, stop, schedule)
     for make in (lambda: fedrelax_op(p, agg=RobustAgg.trimmed(1)),
                  lambda: fedgd_op(p, sched=LRSchedule.constant(0.05), agg=RobustAgg.trimmed(1))):
-        assert isinstance(make()[0].batch_update, _ArrayRound)
-        for hook in (None, plain):
-            run_async(make(), w0, schedule, StopRule(max_iters=2), interceptor=hook)
+        for run in (engine, per_node):
+            run(make(), StopRule(max_iters=2))
             with pytest.raises(ValueError, match="more than 2 blocks, got 1"):
-                run_async(make(), w0, schedule, StopRule(max_iters=3), interceptor=hook)
+                run(make(), StopRule(max_iters=3))
 
 
 def test_synchronous_defended_rounds_match_the_per_node_updates():
@@ -554,9 +566,8 @@ def test_synchronous_defended_rounds_match_the_per_node_updates():
     w0 = np.random.default_rng(3).standard_normal((p.n, p.d))
     hook, reference_hook = rewrite(p.n, p.d, POISON, DOS)
     for _, make in makers(p):
-        fast, _ = run_sync(make(), w0, StopRule(max_iters=15), interceptor=hook)
-        # A plain function hook keeps every round on the per-node path.
-        ref, _ = run_sync(make(), w0, StopRule(max_iters=15), interceptor=reference_hook)
+        fast, _ = run_sync(make(), w0, StopRule(max_iters=15), rewrite=hook)
+        ref, _ = reference_run(make(), w0, StopRule(max_iters=15), hook=reference_hook)
         assert np.array_equal(fast, ref)
 
 
@@ -599,31 +610,22 @@ def hook_free_runs(draw):
     return p, lambda: fedrelax_op(p, agg=agg), rng.standard_normal((g.n, d))
 
 
-def per_node_rounds(ops, w0, rounds):
-    """Synchronous rounds as a loop over the per-node updates."""
-    W = np.array(w0, dtype=float)
-    for k in range(rounds):
-        W = np.array([op.update(W[i], W[op.neighbor_ids], k) for i, op in enumerate(ops)])
-    return W
-
-
 @settings(max_examples=200, deadline=None)
 @given(hook_free_runs())
 def test_hook_free_rounds_match_the_per_node_updates(case):
-    # Sync rounds and zero-delay events both run on the array path, whose
+    # Sync rounds and zero-delay events both run the stacked round, whose
     # sums add in the per-node kernel's order and whose stacked finish gives
     # each row the bits of its one-row call.
     p, make, w0 = case
     rounds = 12
-    ref = per_node_rounds(make(), w0, rounds)
+    ref, _ = reference_run(make(), w0, StopRule(max_iters=rounds))
     for run in (
         lambda ops: run_sync(ops, w0, StopRule(max_iters=rounds)),
         lambda ops: run_async(ops, w0, zero_delay_schedule(p.graph, rounds)),
     ):
         ops = make()
-        assert isinstance(ops[0].batch_update, _ArrayRound)
         for op in ops:
-            op.update = None  # the array path must not call it
+            op.update = None  # the engine must not call the per-node view
         fast, _ = run(ops)
         assert fast.tobytes() == ref.tobytes()
 
@@ -700,7 +702,6 @@ def test_defended_async_runs_never_call_the_per_node_kernels(monkeypatch, kind, 
         return build
 
     monkeypatch.setattr(trust, "aggregate", refuse)
-    monkeypatch.setattr(SenderRewrite, "__call__", refuse)
     for factory in ("fedgd_op", "fedsgd_op", "fedrelax_op"):
         monkeypatch.setattr(harness, factory, refusing(getattr(harness, factory)))
     report = run_experiment(cfg)

@@ -7,10 +7,11 @@ that one array.
 
 import numpy as np
 import pytest
+from reference import batch_gradient_fn
 
 from gtvfed.algorithms import contraction_factor, fedgd_op, fedrelax_op
 from gtvfed.graph import EmpGraph, degrees, generate, laplacian
-from gtvfed.gtvmin import GTVMinProblem, batch_gradient_fn, eig_bounds, eig_summaries, quad_operator
+from gtvfed.gtvmin import GTVMinProblem, eig_bounds, eig_summaries, quad_operator
 from gtvfed.localmodel import from_dataset, generate_local
 from gtvfed.optim import LRSchedule
 from gtvfed.trust import RobustAgg, aggregate

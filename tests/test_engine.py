@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import event
+from reference import reference_run, sender_hook
 
 from gtvfed import cli
 from gtvfed.algorithms import (
@@ -25,13 +26,15 @@ from gtvfed.gtvmin import GTVMinProblem
 from gtvfed.harness import parse_config, run_experiment
 from gtvfed.localmodel import QuadLoss, from_dataset, generate_local
 from gtvfed.optim import DivergenceError, LRSchedule, StopRule
+from gtvfed.trust import AttackSpec, SenderRewrite
 
 CHAIN3 = EmpGraph(3, [(0, 1), (1, 2)])
 
 
 def blow_up_at(node, event):
-    """Operators that average their neighbors, except that `node` returns
-    inf at `event`."""
+    """Hand-built operators, run by the reference engine on the shared
+    driver, that average their neighbors, except that `node` returns inf at
+    `event`."""
 
     def make(i, ids):
         def update(own, nbrs, k):
@@ -57,10 +60,10 @@ def problem(n, seed, d=2, p_edge=0.3):
 # ---------------------------------------------------------------- divergence
 
 
-def test_run_sync_raises_on_a_non_finite_block():
+def test_sync_reference_raises_on_a_non_finite_block():
     w0 = np.arange(6.0).reshape(3, 2)
     with pytest.raises(DivergenceError, match=r"node\(s\) \[1\] after event 3") as err:
-        run_sync(blow_up_at(1, 3), w0, StopRule(max_iters=10))
+        reference_run(blow_up_at(1, 3), w0, StopRule(max_iters=10))
     exc = err.value
     assert (exc.node, exc.event) == (1, 3)
     assert exc.trace.terminal == "diverged"
@@ -79,7 +82,7 @@ def test_run_sync_objective_guard_names_the_event():
     assert exc.trace.ks == list(range(exc.event))
 
 
-def test_run_async_raises_on_a_non_finite_block():
+def test_async_reference_raises_on_a_non_finite_block():
     everyone = {0: (0,), 1: (0, 0), 2: (0,)}
     events = (
         event([0, 1, 2], everyone),
@@ -88,7 +91,7 @@ def test_run_async_raises_on_a_non_finite_block():
     )
     schedule = AsyncSchedule(n=3, B=None, events=events)
     with pytest.raises(DivergenceError) as err:
-        run_async(blow_up_at(2, 2), np.ones((3, 1)), schedule)
+        reference_run(blow_up_at(2, 2), np.ones((3, 1)), schedule=schedule)
     exc = err.value
     assert (exc.node, exc.event) == (2, 2)
     assert exc.trace.terminal == "diverged"
@@ -171,41 +174,19 @@ def test_diverged_graph_report_names_its_node():
 # ------------------------------------------------------------- snapshot ring
 
 
-def reference_async(ops, w0, schedule, interceptor=None):
-    """The engine as a per-neighbor loop over a list of every past state."""
-    blocks = np.array(w0, dtype=float)
-    states = []
-    for k, (nodes, counts, flat) in enumerate(schedule.events):
-        states.append(blocks.copy())
-        new = blocks.copy()
-        start = 0
-        for i, count in zip(nodes.tolist(), counts.tolist()):
-            refs = flat[start : start + count].tolist()
-            start += count
-            ids = ops[i].neighbor_ids
-            nbrs = np.empty((len(ids), blocks.shape[1]))
-            for t, j in enumerate(ids):
-                nbrs[t] = states[refs[t]][j]
-                if interceptor is not None:
-                    nbrs[t] = interceptor(int(j), int(i), nbrs[t], k)
-            new[i] = ops[i].update(blocks[i], nbrs, k)
-        blocks = new
-    return blocks
-
-
 @pytest.mark.parametrize("B", [2, 3])
 def test_snapshot_ring_matches_the_full_history(B):
     p = problem(12, 5, d=3)
     schedule = gen_partially_async(p.graph, B, 60, seed=B)
     unbounded = AsyncSchedule(schedule.n, None, schedule.events)
     w0 = np.random.default_rng(B).standard_normal((12, 3))
-    poison = lambda j, i, value, k: value + 1.0 if j == 4 else value
+    poison = SenderRewrite.from_specs([AttackSpec("model_poison", victims=(4,), replacement=np.ones(3))], 12, 3)
     objective = lambda blocks: float(np.sum(blocks**2))
     for make, hook in ((lambda: fedrelax_op(p), None), (lambda: fedrelax_op(p), poison),
                        (lambda: fedgd_op(p, sched=LRSchedule.constant(0.05)), poison)):
         runs = [
             run_async(make(), w0, sched, objective=objective, oracle=np.zeros((12, 3)),
-                      interceptor=hook, record_every=7)
+                      rewrite=hook, record_every=7)
             for sched in (schedule, unbounded)
         ]
         (ring, t_ring), (full, t_full) = runs
@@ -213,11 +194,9 @@ def test_snapshot_ring_matches_the_full_history(B):
         assert t_ring.ks == t_full.ks
         assert np.array_equal(t_ring.objectives, t_full.objectives)
         assert np.array_equal(t_ring.dists, t_full.dists)
-        if hook is not None:
-            # A message hook keeps every event on the per-node path, which
-            # the reference loop reproduces exactly.
-            reference = reference_async(make(), w0, schedule, hook)
-            assert np.array_equal(ring, reference)
+        # The reference keeps every past state and calls the hook per message.
+        reference, _ = reference_run(make(), w0, schedule=schedule, hook=None if hook is None else sender_hook(hook))
+        assert np.array_equal(ring, reference)
 
 
 def test_async_memory_does_not_grow_with_the_horizon():

@@ -2,18 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference import batch_gradient_fn, flat_loss, node_gradient
 
 from gtvfed.graph import EmpGraph, consensus_split, generate, gtv_value, is_connected
 from gtvfed.gtvmin import (
     GTVMinProblem,
     SingularProblemError,
     assemble,
-    batch_gradient_fn,
     clustered_bound,
     eig_bounds,
     eig_summaries,
-    flat_loss,
-    node_gradient,
     objective,
     quad_operator,
     sensitivity_bound,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import dp_noise
 
 from gtvfed.localmodel import LocalDataset
 from gtvfed.trust import (
@@ -12,7 +13,6 @@ from gtvfed.trust import (
     RobustAgg,
     aggregate,
     cross_cov_estimate,
-    dp_noise,
     dp_test_bound,
     gaussian_sigma,
     geometric_median,
