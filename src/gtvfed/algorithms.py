@@ -1,4 +1,6 @@
-"""Message-passing solvers: their rounds, the one event engine, schedules, bounds."""
+"""Message-passing solvers: their rounds, the one event engine, schedules,
+bounds, and the server baselines FedAvg and FedProx, which map every
+sampled client of the clients' QuadStack in one stacked step."""
 
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import numpy as np
 from gtvfed import seeds
 from gtvfed.graph import as_blocks
 from gtvfed.gtvmin import GTVMinProblem, eig_bounds, gd_gradient
-from gtvfed.localmodel import PSD_TOL
+from gtvfed.localmodel import PSD_TOL, stack_losses
 from gtvfed.optim import DivergenceError, LRSchedule, StopRule, _drive, _Recorder
 from gtvfed.trust import RobustAgg, Segments, SenderRewrite, aggregate_segments
 
@@ -533,125 +535,72 @@ def contraction_factor(p: GTVMinProblem) -> float:
     return float(kappas.max())
 
 
-def _server_run(
-    client, n, sample_size, w0, stop, seed, objective, oracle, metrics, on_round,
-    record_every,
-):
-    """Server rounds on the event driver.
+def _server_run(losses, sample_size, w0, seed, local, rec):
+    """Server rounds on the event driver, recorded by rec.
 
-    Each round samples sample_size clients uniformly without replacement;
-    each returns client(i, global block, k); the server averages the
-    returned blocks (sampled clients only). The global block is the
-    driver's single row, so objective(W) and metrics(k, W) see it as a
-    (1, d) array. Returns (global block, Trace).
+    losses is the clients' QuadStack, or a sequence of QuadLoss stacked
+    once. Each round samples sample_size of the n clients uniformly without
+    replacement and maps them all at once: local(k, Qs, qs, w) returns the
+    (S, d) blocks of the S sampled clients, whose stacked pieces are Qs and
+    qs, from the global block w; the server averages them. The global block
+    is the driver's single row, so objective(W) and metrics(k, W) see it as
+    a (1, d) array. Returns (global block, Trace).
     """
+    stack, losses = stack_losses(losses, "a server run")
+    n, sample_size = len(losses), int(sample_size)
+    if not (1 <= sample_size <= n):
+        raise ValueError(f"sample size must lie in 1..{n}, got {sample_size}")
+    w = np.zeros(stack.d) if w0 is None else np.array(w0, dtype=float)
+    if w.shape != (stack.d,):
+        raise ValueError(f"w0 must have shape ({stack.d},), got {w.shape}")
     rng = seeds.stream(seed, "schedule")
 
     def step(k, W):
         chosen = np.sort(rng.choice(n, size=sample_size, replace=False))
-        locals_ = np.empty((sample_size, W.shape[1]))
-        for t, i in enumerate(chosen):
-            locals_[t] = client(i, W[0], k)
-        new = locals_.mean(axis=0, keepdims=True)
-        if on_round is not None:
-            on_round(k, new[0])
-        return new
+        return local(k, stack.Qs[chosen], stack.qs[chosen], W[0]).mean(axis=0, keepdims=True)
 
-    w = np.array(w0, dtype=float).reshape(1, -1)
-    rec = _Recorder(stop, objective, oracle, metrics, record_every)
-    w, trace = _drive(w, stop.max_iters, step, rec, None)
+    w, trace = _drive(w.reshape(1, -1), rec.stop.max_iters, step, rec, None)
     return w[0], trace
 
 
-def fedavg_run(
-    losses,
-    n: int,
-    R: int,
-    sample_size: int,
-    sched: LRSchedule,
-    stop: StopRule,
-    seed: int,
-    gradients=None,
-    objective=None,
-    oracle=None,
-    w0=None,
-    on_round=None,
-    record_every: int = 1,
-    metrics=None,
-):
+def fedavg_run(losses, R: int, sample_size: int, sched: LRSchedule, stop: StopRule, seed: int,
+               objective=None, oracle=None, w0=None, record_every: int = 1, metrics=None):
     """Server-averaged local gradient descent: each sampled client runs R
-    gradient steps from the global block. Rows are recorded every
-    record_every rounds and at the last, with metrics(k, W) as in run_sync;
-    on_round(k, w) sees each round's new global block. Returns (global
-    block, Trace)."""
-    losses = list(losses) if losses is not None else None
-    if losses is not None and len(losses) != n:
-        raise ValueError(f"got {len(losses)} losses for n={n}")
-    if gradients is None:
-        if losses is None:
-            raise ValueError("need losses or gradient oracles")
-        gradients = [loss.gradient for loss in losses]
-    gradients = list(gradients)
-    if len(gradients) != n:
-        raise ValueError(f"got {len(gradients)} gradient oracles for n={n}")
+    gradient steps from the global block (w0, default zeros), all sampled
+    clients in one stacked step. Rows are recorded every record_every
+    rounds and at the last, with metrics(k, W) as in run_sync. Returns
+    (global block, Trace)."""
     R = int(R)
-    sample_size = int(sample_size)
     if R < 1:
         raise ValueError(f"local step count must be at least 1, got {R}")
-    if not (1 <= sample_size <= n):
-        raise ValueError(f"sample size must lie in 1..{n}, got {sample_size}")
-    if w0 is None:
-        dims = [loss.d for loss in (losses or []) if getattr(loss, "d", None)]
-        if not dims:
-            raise ValueError("pass w0 when the dimension cannot be inferred")
-        w0 = np.zeros(dims[0])
 
-    def local_steps(i, w, k):
+    def local_steps(k, Qs, qs, w):
         eta = sched.rate(k)
-        v = w.copy()
+        V = np.tile(w, (qs.shape[0], 1))
         for _ in range(R):
-            v = v - eta * np.asarray(gradients[i](v), dtype=float)
-        return v
+            V = V - eta * (2.0 * (Qs @ V[:, :, None])[:, :, 0] + qs)
+        return V
 
-    return _server_run(
-        local_steps, n, sample_size, w0, stop, seed, objective, oracle, metrics,
-        on_round, record_every,
-    )
+    rec = _Recorder(stop, objective, oracle, metrics, record_every)
+    return _server_run(losses, sample_size, w0, seed, local_steps, rec)
 
 
-def fedprox_run(
-    losses,
-    n: int,
-    sample_size: int,
-    eta: float,
-    stop: StopRule,
-    seed: int,
-    objective=None,
-    oracle=None,
-    w0=None,
-    on_round=None,
-    record_every: int = 1,
-    metrics=None,
-):
-    """Server-averaged proximal updates: clients return prox(global, 2/eta);
-    rows and hooks as in fedavg_run."""
-    losses = list(losses)
-    if len(losses) != n:
-        raise ValueError(f"got {len(losses)} losses for n={n}")
+def fedprox_run(losses, sample_size: int, eta: float, stop: StopRule, seed: int,
+                objective=None, oracle=None, w0=None, record_every: int = 1, metrics=None):
+    """Server-averaged proximal updates: each sampled client returns the
+    prox of its loss at the global block with rho = 2/eta, one stacked
+    solve for all of them; rows and hooks as in fedavg_run."""
     eta = float(eta)
     if not eta > 0.0:
         raise ValueError(f"proximal step eta must be positive, got {eta}")
-    sample_size = int(sample_size)
-    if not (1 <= sample_size <= n):
-        raise ValueError(f"sample size must lie in 1..{n}, got {sample_size}")
-    if w0 is None:
-        w0 = np.zeros(losses[0].d)
     rho = 2.0 / eta
-    return _server_run(
-        lambda i, w, k: losses[i].prox(w, rho),
-        n, sample_size, w0, stop, seed, objective, oracle, metrics, on_round,
-        record_every,
-    )
+
+    def prox(k, Qs, qs, w):
+        A = 2.0 * Qs + rho * np.eye(qs.shape[1])
+        return np.linalg.solve(A, (rho * w - qs)[:, :, None])[:, :, 0]
+
+    rec = _Recorder(stop, objective, oracle, metrics, record_every)
+    return _server_run(losses, sample_size, w0, seed, prox, rec)
 
 
 def agnostic_relax_step(ds, testX, neighbor_preds, alpha: float, ridge: float = 0.0):

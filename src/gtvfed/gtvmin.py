@@ -20,7 +20,7 @@ import numpy as np
 
 from gtvfed import graph as graphmod
 from gtvfed.graph import EmpGraph, GraphError, algebraic_connectivity, as_blocks, gtv_value, laplacian
-from gtvfed.localmodel import QuadLoss, QuadStack
+from gtvfed.localmodel import QuadStack, stack_losses
 
 SINGULAR_TOL = 1e-10
 
@@ -84,11 +84,7 @@ class GTVMinProblem:
     __slots__ = ("graph", "stack", "losses", "alpha", "d", "_quad", "_eig")
 
     def __init__(self, graph: EmpGraph, losses, alpha: float, d=None):
-        stack = losses if isinstance(losses, QuadStack) else None
-        losses = stack.losses() if stack is not None else tuple(losses)
-        for i, loss in enumerate(losses):
-            if not isinstance(loss, QuadLoss):
-                raise ValueError(f"node {i}: GTVMin takes a QuadLoss, got {type(loss).__name__}")
+        stack, losses = stack_losses(losses, "GTVMin", d)
         if len(losses) != graph.n:
             raise ValueError(
                 f"got {len(losses)} losses for a graph with {graph.n} nodes"
@@ -96,16 +92,11 @@ class GTVMinProblem:
         alpha = float(alpha)
         if alpha < 0.0:
             raise ValueError(f"coupling strength must be nonnegative, got {alpha}")
-        dims = {loss.d for loss in losses}
-        if d is not None:
-            dims.add(int(d))
-        if len(dims) > 1:
-            raise ValueError(f"losses disagree on the block dimension: {sorted(dims)}")
         self.graph = graph
-        self.stack = stack if stack is not None else QuadStack.of(losses)
+        self.stack = stack
         self.losses = losses
         self.alpha = alpha
-        self.d = dims.pop()
+        self.d = stack.d
         self._quad = None
         self._eig = None
 

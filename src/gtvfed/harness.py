@@ -165,6 +165,14 @@ def _ints(raw: str):
     return tuple(int(v) for v in raw.split(","))
 
 
+def _distinct(ids) -> None:
+    seen = set()
+    for v in ids:
+        if v in seen:
+            raise ValueError(f"node {v} is listed twice")
+        seen.add(v)
+
+
 def _file(path: str) -> None:
     if not os.path.isfile(path):
         raise ValueError(f"no such file {path!r}")
@@ -264,7 +272,7 @@ CONFIG_KEYS = {
 # The fields of attack.<i>.<field> keys.
 ATTACK_KEYS = {
     "kind": Key(str, None, "attack type", choices=DATA_ATTACKS + MODEL_ATTACKS),
-    "nodes": Key(_ints, None, "comma-separated victim ids"),
+    "nodes": Key(_ints, None, "comma-separated victim ids", check=_distinct),
     "fraction": Key(_float, 0.0, "poisoned row share (data attacks)", bounds="[0, 1]"),
     "label_delta": Key(_float, 0.0, "label shift"),
     "feature_delta": Key(_floats, None, "comma-separated feature-row shift (feature_poison)"),
@@ -1008,16 +1016,13 @@ def _run_server(cfg, p, sched, train, val, meta):
     common = dict(
         objective=lambda w: probes.objective(spread(w)),
         oracle=oracle,
-        w0=np.zeros(d),
         metrics=lambda k, w: probes.metrics(k, spread(w)),
         record_every=cfg.record_every,
     )
     if kind == "fedavg":
-        _, trace = fedavg_run(
-            p.losses, n, algo["local_steps"], sample, sched, cfg.stop, cfg.seed, **common
-        )
+        _, trace = fedavg_run(p.stack, algo["local_steps"], sample, sched, cfg.stop, cfg.seed, **common)
     else:
-        _, trace = fedprox_run(p.losses, n, sample, sched.eta, cfg.stop, cfg.seed, **common)
+        _, trace = fedprox_run(p.stack, sample, sched.eta, cfg.stop, cfg.seed, **common)
     return trace, []
 
 

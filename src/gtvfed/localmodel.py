@@ -179,9 +179,6 @@ class QuadLoss:
         w = np.asarray(w, dtype=float)
         return 2.0 * (self.Q @ w) + self.q
 
-    def prox(self, v, rho: float) -> np.ndarray:
-        return prox_quad(self, v, rho)
-
     @property
     def sigma(self) -> float:
         """Strong convexity modulus 2*lambda_min(Q); errors if Q is not PSD."""
@@ -281,15 +278,34 @@ class QuadStack:
         return quad + (self.qs[:, None, :] @ col)[:, 0, 0] + self.cs
 
 
+def stack_losses(losses, who: str, d=None) -> tuple:
+    """(stack, per-node losses) of losses: a QuadStack and its views, or a
+    sequence of QuadLoss, which must agree on the block dimension (and on
+    d when given), and their stack, built once (None for no losses). Any
+    other loss is rejected by node, as one that `who` does not take."""
+    if isinstance(losses, QuadStack):
+        stack, losses = losses, losses.losses()
+    else:
+        stack, losses = None, tuple(losses)
+    for i, loss in enumerate(losses):
+        if not isinstance(loss, QuadLoss):
+            raise ValueError(f"node {i}: {who} takes a QuadLoss, got {type(loss).__name__}")
+    dims = {loss.d for loss in losses} | ({int(d)} if d is not None else set())
+    if len(dims) > 1:
+        raise ValueError(f"losses disagree on the block dimension: {sorted(dims)}")
+    if stack is None and losses:
+        stack = QuadStack.of(losses)
+    return stack, losses
+
+
 class CallableLoss:
-    """Loss given by callables: value, gradient, and an optional prox."""
+    """Loss given by callables: value and gradient."""
 
-    __slots__ = ("_value", "_gradient", "_prox", "d")
+    __slots__ = ("_value", "_gradient", "d")
 
-    def __init__(self, value, gradient, prox=None, d=None):
+    def __init__(self, value, gradient, d=None):
         self._value = value
         self._gradient = gradient
-        self._prox = prox
         self.d = d
 
     def value(self, w) -> float:
@@ -297,11 +313,6 @@ class CallableLoss:
 
     def gradient(self, w) -> np.ndarray:
         return np.asarray(self._gradient(np.asarray(w, dtype=float)), dtype=float)
-
-    def prox(self, v, rho: float) -> np.ndarray:
-        if self._prox is None:
-            raise ValueError("loss does not provide a prox operator")
-        return np.asarray(self._prox(np.asarray(v, dtype=float), float(rho)))
 
 
 def from_dataset(ds: LocalDataset, ridge: float = 0.0) -> QuadLoss:

@@ -4,17 +4,18 @@ The package runs one engine: run_sync and run_async step a solver's
 stacked round. The per-node loop here is the engine written the plain way,
 one node and one neighbour message at a time, over every past state; it
 takes any sequence of per-node operators (a solver's round, or hand-built
-NodeOperators) and any plain message hook. The other kernels are the
+NodeOperators) and any plain message hook. The server runs are written the
+same way, one sampled client at a time. The other kernels are the
 networked objective's gradients over the flat vector, a seeded noise draw
 and a SenderRewrite as a per-message function.
 """
 
 import numpy as np
 
-from gtvfed import gtvmin
+from gtvfed import gtvmin, seeds
 from gtvfed.graph import as_blocks
 from gtvfed.gtvmin import GTVMinProblem, gd_gradient
-from gtvfed.localmodel import CallableLoss
+from gtvfed.localmodel import CallableLoss, prox_quad
 from gtvfed.optim import StopRule, _drive, _Recorder
 from gtvfed.trust import DPMechanism, RobustAgg, Segments, SenderRewrite, aggregate_segments
 
@@ -63,6 +64,44 @@ def reference_run(ops, w0, stop=None, schedule=None, hook=None, objective=None, 
 
     rec = _Recorder(stop, objective, oracle, metrics, record_every)
     return _drive(blocks, kend, step, rec, noise)
+
+
+def reference_server_run(client, n, sample_size, w0, stop, seed, objective=None, oracle=None,
+                         metrics=None, record_every=1):
+    """The server rounds as a per-client loop on optim._drive: each round
+    samples sample_size of the n clients as the package does, calls
+    client(i, global block, k) for each in turn and averages the results.
+    Returns (global block, Trace) as fedavg_run and fedprox_run do."""
+    rng = seeds.stream(seed, "schedule")
+
+    def step(k, W):
+        chosen = np.sort(rng.choice(n, size=sample_size, replace=False))
+        locals_ = np.empty((sample_size, W.shape[1]))
+        for t, i in enumerate(chosen):
+            locals_[t] = client(i, W[0], k)
+        return locals_.mean(axis=0, keepdims=True)
+
+    rec = _Recorder(stop, objective, oracle, metrics, record_every)
+    w, trace = _drive(np.array(w0, dtype=float).reshape(1, -1), stop.max_iters, step, rec, None)
+    return w[0], trace
+
+
+def fedavg_client(losses, R, sched):
+    """FedAvg's client: R gradient steps of its QuadLoss from the global block."""
+
+    def local_steps(i, w, k):
+        eta = sched.rate(k)
+        v = w.copy()
+        for _ in range(R):
+            v = v - eta * losses[i].gradient(v)
+        return v
+
+    return local_steps
+
+
+def fedprox_client(losses, eta):
+    """FedProx's client: the prox of its QuadLoss at the global block, rho = 2/eta."""
+    return lambda i, w, k: prox_quad(losses[i], w, 2.0 / eta)
 
 
 def sender_hook(rewrite: SenderRewrite):

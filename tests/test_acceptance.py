@@ -241,14 +241,19 @@ def test_stiff_coupling_reaches_consensus_and_averaging_matches_projected_descen
             X = rng.standard_normal((9, 2))
             y = X @ np.array([0.4, -0.7]) + 0.1 * rng.standard_normal(9)
             losses.append(from_dataset(LocalDataset(X, y)))
-        rounds = []
+        blocks = []  # event k sees the global block after round k - 1
+
+        def metrics(k, W):
+            blocks.append(W[0].copy())
+            return {}
+
         fedavg_run(
-            losses, 6, R=1, sample_size=6, sched=LRSchedule.constant(0.05),
-            stop=StopRule(max_iters=50), seed=0,
-            on_round=lambda k, w: rounds.append(w.copy()),
+            losses, R=1, sample_size=6, sched=LRSchedule.constant(0.05),
+            stop=StopRule(max_iters=50), seed=0, metrics=metrics,
         )
+        assert len(blocks) == 51
         ref = np.zeros(2)
-        for w in rounds:
+        for w in blocks[1:]:
             ref = ref - 0.05 * np.mean([loss.gradient(ref) for loss in losses], axis=0)
             assert float(np.max(np.abs(w - ref))) <= 1e-12
 

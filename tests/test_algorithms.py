@@ -35,7 +35,7 @@ from gtvfed.gtvmin import (
     solve_direct,
 )
 from gtvfed.harness import _schedule
-from gtvfed.localmodel import LocalDataset, QuadLoss, from_dataset, generate_local
+from gtvfed.localmodel import CallableLoss, LocalDataset, QuadLoss, QuadStack, from_dataset, generate_local
 from gtvfed.optim import DivergenceError, LRSchedule, StopRule, gd_run, optimal_rate
 from gtvfed.trust import AttackSpec, DPMechanism, RobustAgg, SenderRewrite, aggregate
 
@@ -539,23 +539,16 @@ STOP = StopRule(max_iters=1)
         (lambda: gen_partially_async(TWO_NODE_GRAPH, 1, 0, seed=0), "horizon must be at least 1, got 0"),
         (lambda: gen_totally_async(TWO_NODE_GRAPH, 0, seed=0), "horizon must be at least 1, got 0"),
         (lambda: async_bound(0.5, -1, 1, 1.0), "staleness bound and event index must be nonnegative"),
-        (lambda: fedavg_run(ONE_LOSS, 2, 1, 1, LRSchedule.constant(0.1), STOP, 0), "got 1 losses for n=2"),
-        (lambda: fedavg_run(None, 1, 1, 1, LRSchedule.constant(0.1), STOP, 0), "need losses or gradient oracles"),
-        (lambda: fedavg_run(None, 2, 1, 1, LRSchedule.constant(0.1), STOP, 0, gradients=[abs]),
-         "got 1 gradient oracles for n=2"),
-        (lambda: fedavg_run(ONE_LOSS, 1, 0, 1, LRSchedule.constant(0.1), STOP, 0),
+        (lambda: fedavg_run(ONE_LOSS, 0, 1, LRSchedule.constant(0.1), STOP, 0),
          "local step count must be at least 1, got 0"),
-        (lambda: fedavg_run(ONE_LOSS, 1, 1, 2, LRSchedule.constant(0.1), STOP, 0), "sample size must lie in 1..1, got 2"),
-        (lambda: fedavg_run(None, 1, 1, 1, LRSchedule.constant(0.1), STOP, 0, gradients=[abs]),
-         "pass w0 when the dimension cannot be inferred"),
-        (lambda: fedprox_run(ONE_LOSS, 2, 1, 0.5, STOP, 0), "got 1 losses for n=2"),
-        (lambda: fedprox_run(ONE_LOSS, 1, 1, 0.0, STOP, 0), "proximal step eta must be positive, got 0.0"),
-        (lambda: fedprox_run(ONE_LOSS, 1, 0, 0.5, STOP, 0), "sample size must lie in 1..1, got 0"),
+        (lambda: fedavg_run(ONE_LOSS, 1, 2, LRSchedule.constant(0.1), STOP, 0), "sample size must lie in 1..1, got 2"),
+        (lambda: fedprox_run(ONE_LOSS, 1, 0.0, STOP, 0), "proximal step eta must be positive, got 0.0"),
+        (lambda: fedprox_run(ONE_LOSS, 0, 0.5, STOP, 0), "sample size must lie in 1..1, got 0"),
         (lambda: run_sync(fedrelax_op(two_node_problem()), np.zeros((2, 1)), STOP, record_every=0),
          "record_every must be at least 1, got 0"),
         (lambda: run_async(fedrelax_op(two_node_problem()), np.zeros((2, 1)), zero_delay_schedule(TWO_NODE_GRAPH, 1),
                            record_every=0), "record_every must be at least 1, got 0"),
-        (lambda: fedavg_run(ONE_LOSS, 1, 1, 1, LRSchedule.constant(0.1), STOP, 0, record_every=-2),
+        (lambda: fedavg_run(ONE_LOSS, 1, 1, LRSchedule.constant(0.1), STOP, 0, record_every=-2),
          "record_every must be at least 1, got -2"),
         (lambda: DPMechanism("gaussian", sigma=float("nan")), "sigma must be finite, got nan"),
         (lambda: DPMechanism("gaussian", sigma=float("inf")), "sigma must be finite, got inf"),
@@ -639,7 +632,7 @@ def test_fedavg_single_client_single_step_is_gd():
     loss = from_dataset(generate_local([2.0, -1.0], 10, 0.3, seed=21))
     sched = LRSchedule.constant(0.08)
     stop = StopRule(max_iters=40)
-    w, _ = fedavg_run([loss], n=1, R=1, sample_size=1, sched=sched, stop=stop, seed=0)
+    w, _ = fedavg_run([loss], R=1, sample_size=1, sched=sched, stop=stop, seed=0)
     ref, _ = gd_run(loss, np.zeros(2), sched, stop)
     assert np.array_equal(w, ref)
 
@@ -648,7 +641,7 @@ def test_fedavg_identical_clients_match_single_client():
     loss = from_dataset(generate_local([1.0], 15, 0.2, seed=22))
     sched = LRSchedule.constant(0.1)
     stop = StopRule(max_iters=30)
-    w, _ = fedavg_run([loss] * 5, n=5, R=1, sample_size=5, sched=sched, stop=stop,
+    w, _ = fedavg_run([loss] * 5, R=1, sample_size=5, sched=sched, stop=stop,
                       seed=3)
     ref, _ = gd_run(loss, np.zeros(1), sched, stop)
     assert np.max(np.abs(w - ref)) <= 1e-12
@@ -657,12 +650,12 @@ def test_fedavg_identical_clients_match_single_client():
 def test_fedavg_multiple_local_steps_and_sampling_run():
     losses = [from_dataset(generate_local([1.0, 1.0], 12, 0.3, seed=30 + i))
               for i in range(6)]
-    w, trace = fedavg_run(losses, n=6, R=4, sample_size=3,
+    w, trace = fedavg_run(losses, R=4, sample_size=3,
                           sched=LRSchedule.constant(0.05),
                           stop=StopRule(max_iters=200), seed=5)
     assert np.all(np.isfinite(w))
     assert trace.terminal == "max_iters"
-    again, _ = fedavg_run(losses, n=6, R=4, sample_size=3,
+    again, _ = fedavg_run(losses, R=4, sample_size=3,
                           sched=LRSchedule.constant(0.05),
                           stop=StopRule(max_iters=200), seed=5)
     assert np.array_equal(w, again)
@@ -671,7 +664,7 @@ def test_fedavg_multiple_local_steps_and_sampling_run():
 def test_fedprox_zero_losses_do_nothing():
     losses = [QuadLoss(np.zeros((2, 2)), np.zeros(2)) for _ in range(3)]
     w0 = np.array([1.5, -2.5])
-    w, _ = fedprox_run(losses, n=3, sample_size=3, eta=1.0,
+    w, _ = fedprox_run(losses, sample_size=3, eta=1.0,
                        stop=StopRule(max_iters=10), seed=0, w0=w0)
     assert np.array_equal(w, w0)
 
@@ -680,16 +673,45 @@ def test_fedprox_tiny_step_barely_moves():
     losses = [from_dataset(generate_local([3.0], 8, 0.2, seed=40 + i))
               for i in range(4)]
     w0 = np.zeros(1)
-    w, _ = fedprox_run(losses, n=4, sample_size=4, eta=1e-9,
+    w, _ = fedprox_run(losses, sample_size=4, eta=1e-9,
                        stop=StopRule(max_iters=50), seed=0, w0=w0)
     assert float(np.max(np.abs(w - w0))) <= 1e-6
 
 
 def test_fedprox_two_symmetric_quadratics_meet_in_the_middle():
     losses = [QuadLoss([[1.0]], [0.0]), QuadLoss([[1.0]], [-4.0], c=4.0)]
-    w, _ = fedprox_run(losses, n=2, sample_size=2, eta=1.0,
+    w, _ = fedprox_run(losses, sample_size=2, eta=1.0,
                        stop=StopRule(max_iters=100), seed=0)
     assert w == pytest.approx([1.0], abs=1e-6)
+
+
+SERVER_RUNS = {
+    "fedavg": lambda losses, sample_size=1, **kw: fedavg_run(
+        losses, 1, sample_size, LRSchedule.constant(0.1), STOP, 0, **kw
+    ),
+    "fedprox": lambda losses, sample_size=1, **kw: fedprox_run(losses, sample_size, 0.5, STOP, 0, **kw),
+}
+TWO_CLIENTS = (QuadLoss(np.eye(2), [0.0, 1.0]), QuadLoss(2.0 * np.eye(2), [1.0, 0.0]))
+
+
+@pytest.mark.parametrize("kind", sorted(SERVER_RUNS))
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ({"losses": (QuadLoss([[1.0]], [0.0]), CallableLoss(lambda w: w @ w, lambda w: 2.0 * w, d=1))},
+         "node 1: a server run takes a QuadLoss, got CallableLoss"),
+        ({"losses": TWO_CLIENTS, "sample_size": 0}, "sample size must lie in 1..2, got 0"),
+        ({"losses": QuadStack.of(TWO_CLIENTS), "sample_size": 3}, "sample size must lie in 1..2, got 3"),
+        ({"losses": TWO_CLIENTS, "w0": np.zeros((2, 2))}, "w0 must have shape (2,), got (2, 2)"),
+        ({"losses": TWO_CLIENTS, "w0": np.zeros(3)}, "w0 must have shape (2,), got (3,)"),
+        ({"losses": TWO_CLIENTS, "w0": np.zeros(1)}, "w0 must have shape (2,), got (1,)"),
+    ],
+)
+def test_server_runs_reject_bad_arguments_before_the_first_round(kind, args, message):
+    events = []
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SERVER_RUNS[kind](**args, metrics=lambda k, W: events.append(k) or {})
+    assert events == []
 
 
 # ------------------------------------------------------ model-agnostic step

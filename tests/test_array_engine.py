@@ -9,14 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import event
-from reference import reference_run, sender_hook
+from reference import fedavg_client, fedprox_client, reference_run, reference_server_run, sender_hook
 
 from gtvfed import harness, seeds, trust
 from gtvfed.algorithms import (
     _ArrayRound,
     _relax_inverses,
     AsyncSchedule,
+    fedavg_run,
     fedgd_op,
+    fedprox_run,
     fedrelax_op,
     fedsgd_op,
     gen_partially_async,
@@ -28,8 +30,8 @@ from gtvfed.algorithms import (
 from gtvfed.graph import EmpGraph, generate
 from gtvfed.gtvmin import GTVMinProblem, eig_bounds
 from gtvfed.harness import parse_config, run_experiment
-from gtvfed.localmodel import QuadLoss, from_dataset, generate_local
-from gtvfed.optim import LRSchedule, StopRule
+from gtvfed.localmodel import LocalDataset, QuadLoss, QuadStack, from_dataset, generate_local
+from gtvfed.optim import DivergenceError, LRSchedule, StopRule
 from gtvfed.trust import RobustAgg, Segments, SenderRewrite, aggregate, aggregate_segments, model_interceptor
 
 # ------------------------------------------------------------ RNG assumption
@@ -762,3 +764,81 @@ def test_server_runs_record_the_last_round_off_the_stride():
     text = FEDAVG_CONFIG.format(stride=7).replace("fedavg\n", "fedprox\n")
     report = run_experiment(parse_config(text))
     assert sorted({row[0] for row in report.rows}) == list(range(0, 100, 7)) + [100]
+
+
+@st.composite
+def server_cases(draw):
+    """n <= 8 client losses of dimension d <= 4 (empty datasets allowed,
+    ridge 0 or 0.1), a sample size in 1..n, w0, record_every in 1..4, a
+    seed, and whether the clients are passed as their QuadStack."""
+    n, d = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    ridge = draw(st.sampled_from([0.0, 0.1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    losses = []
+    for _ in range(n):
+        m = draw(st.integers(0, 6))
+        ds = LocalDataset(rng.standard_normal((m, d)), rng.standard_normal(m))
+        losses.append(from_dataset(ds, ridge=ridge))
+    return (
+        losses, draw(st.integers(1, n)), rng.standard_normal(d), draw(st.integers(1, 4)),
+        draw(st.integers(0, 2**63)), draw(st.booleans()),
+    )
+
+
+def server_outcome(run, losses, record_every):
+    """(final block, trace) of run(probes), or (divergence event, trace);
+    the probes record the objective, the distance to the ones vector and
+    every recorded global block."""
+    probes = dict(
+        objective=lambda W: sum(loss.value(W[0]) for loss in losses),
+        oracle=np.ones(losses[0].d),
+        metrics=lambda k, W: {"w": W[0].tolist()},
+        record_every=record_every,
+    )
+    try:
+        return run(probes)
+    except DivergenceError as exc:
+        return exc.event, exc.trace
+
+
+def assert_same_outcome(got, ref):
+    assert np.array_equal(got[0], ref[0])
+    assert got[1] == ref[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(server_cases(), st.integers(1, 4), st.sampled_from(["constant", "diminishing"]),
+       st.sampled_from([0.02, 0.1, 0.4]))
+def test_fedavg_matches_the_per_client_loop(case, R, kind, eta):
+    losses, sample_size, w0, record_every, seed, stacked = case
+    sched = getattr(LRSchedule, kind)(eta)
+    stop = StopRule(max_iters=12)
+    clients = QuadStack.of(losses) if stacked else losses
+    got = server_outcome(
+        lambda probes: fedavg_run(clients, R, sample_size, sched, stop, seed, w0=w0, **probes),
+        losses, record_every,
+    )
+    client = fedavg_client(losses, R, sched)
+    ref = server_outcome(
+        lambda probes: reference_server_run(client, len(losses), sample_size, w0, stop, seed, **probes),
+        losses, record_every,
+    )
+    assert_same_outcome(got, ref)
+
+
+@settings(max_examples=150, deadline=None)
+@given(server_cases(), st.sampled_from([0.1, 0.5, 2.0]))
+def test_fedprox_matches_the_per_client_loop(case, eta):
+    losses, sample_size, w0, record_every, seed, stacked = case
+    stop = StopRule(max_iters=12)
+    clients = QuadStack.of(losses) if stacked else losses
+    got = server_outcome(
+        lambda probes: fedprox_run(clients, sample_size, eta, stop, seed, w0=w0, **probes),
+        losses, record_every,
+    )
+    client = fedprox_client(losses, eta)
+    ref = server_outcome(
+        lambda probes: reference_server_run(client, len(losses), sample_size, w0, stop, seed, **probes),
+        losses, record_every,
+    )
+    assert_same_outcome(got, ref)

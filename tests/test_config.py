@@ -56,6 +56,12 @@ def test_non_finite_float_names_key_and_line(key, value):
     assert errors == [f"line 5: {key}: must be finite, got {value}"]
 
 
+def test_repeated_victim_is_rejected_on_its_line():
+    # Poisoning applies once per listed id, so a repeat would poison twice.
+    errors = errors_of(text_of(BASE | ATTACK | {"attack.0.nodes": "2,1,2,1"}))
+    assert errors == ["line 6: attack.0.nodes: node 2 is listed twice"]
+
+
 def test_non_finite_attack_floats_rejected():
     errors = errors_of(text_of(BASE | ATTACK | {"attack.0.trigger_delta": "1,nan"}))
     assert errors == ["line 7: attack.0.trigger_delta: must be finite, got nan"]
@@ -119,6 +125,7 @@ OUT_OF_RANGE = {
     "dp.sigma": "-0.5",
     "dp.b": "-1",
     "attack.0.fraction": "1.5",
+    "attack.0.nodes": "1,1",
 }
 
 

@@ -98,24 +98,20 @@ def test_async_reference_raises_on_a_non_finite_block():
     assert exc.trace.ks == [0, 1, 2]
 
 
+# A client with q = inf has an infinite gradient and prox at every block.
+INF_CLIENT = (QuadLoss([[1.0]], [0.0]), QuadLoss([[1.0]], [np.inf]))
+
+
 def test_fedavg_raises_on_a_non_finite_global_block():
-    grads = [lambda w: w, lambda w: np.full_like(w, np.inf)]
     with pytest.raises(DivergenceError, match="non-finite block") as err:
-        fedavg_run(None, 2, 1, 2, LRSchedule.constant(0.1), StopRule(max_iters=5),
-                   seed=0, gradients=grads, w0=np.zeros(2))
+        fedavg_run(INF_CLIENT, 1, 2, LRSchedule.constant(0.1), StopRule(max_iters=5), seed=0)
     assert err.value.event == 0
     assert err.value.trace.terminal == "diverged"
 
 
-class InfProx(QuadLoss):
-    def prox(self, v, rho):
-        return np.full_like(np.asarray(v, dtype=float), np.inf)
-
-
 def test_fedprox_raises_when_a_client_prox_returns_inf():
-    losses = [QuadLoss([[1.0]], [0.0]), InfProx([[1.0]], [0.0])]
     with pytest.raises(DivergenceError) as err:
-        fedprox_run(losses, 2, 2, 0.5, StopRule(max_iters=5), seed=0)
+        fedprox_run(INF_CLIENT, 2, 0.5, StopRule(max_iters=5), seed=0)
     assert err.value.event == 0
     assert err.value.trace.terminal == "diverged"
     assert err.value.trace.ks == [0]

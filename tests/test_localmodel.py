@@ -233,8 +233,7 @@ def test_callable_loss_contract():
         d=2,
     )
     assert loss.value(np.array([1.0, 1.0])) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        loss.prox(np.zeros(2), 1.0)
+    assert np.array_equal(loss.gradient([1, -2]), [2.0, -4.0])
 
 
 def test_dataset_csv_round_trip(tmp_path):

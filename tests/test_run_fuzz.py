@@ -69,7 +69,8 @@ def draw_config(rng) -> dict:
         width = d + 1 if rare() else d
         cfg |= {
             f"attack.{idx}.kind": attack,
-            f"attack.{idx}.nodes": ",".join(str(v) for v in rng.integers(0, n + rare(), size=2)),
+            # Repeats are dropped: a config may list each victim once.
+            f"attack.{idx}.nodes": ",".join(map(str, dict.fromkeys(rng.integers(0, n + rare(), size=2).tolist()))),
             f"attack.{idx}.fraction": pick([0.0, 0.5, 1.0]),
             f"attack.{idx}.label_delta": 3.0,
             f"attack.{idx}.feature_delta": ",".join(["0.5"] * width),

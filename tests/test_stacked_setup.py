@@ -253,7 +253,7 @@ data.m_min = 1
 data.m_max = 9
 algorithm.kind = fedgd
 attack.0.kind = label_poison
-attack.0.nodes = 0,{last}
+attack.0.nodes = {ends}
 attack.0.fraction = 0.5
 attack.0.label_delta = 3.0
 attack.1.kind = feature_poison
@@ -261,7 +261,7 @@ attack.1.nodes = {last}
 attack.1.fraction = 1.0
 attack.1.feature_delta = 1.0,-1.0
 attack.2.kind = backdoor
-attack.2.nodes = 0,{mid}
+attack.2.nodes = {first_mid}
 attack.2.fraction = 0.4
 attack.2.trigger_delta = 0.5,0.25
 attack.2.target_label = 2.0
@@ -271,7 +271,10 @@ attack.2.target_label = 2.0
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.sampled_from([0.0, 0.3]))
 def test_data_attacks_on_stacks_equal_per_node_poisoning(seed, n, fraction):
-    cfg = parse_config(ATTACKS.format(seed=seed, n=n, last=n - 1, mid=n // 2))
+    victims = lambda *ids: ",".join(map(str, sorted(set(ids))))  # each victim once
+    cfg = parse_config(ATTACKS.format(
+        seed=seed, n=n, last=n - 1, ends=victims(0, n - 1), first_mid=victims(0, n // 2)
+    ))
     assert {a["kind"] for a in cfg.attacks} == set(DATA_ATTACKS)
     data, _ = build_data(cfg, n)
     train, _ = split_data(data, fraction, seed)
