@@ -146,23 +146,17 @@ def fedgd_op(p: GTVMinProblem, sched=None, agg: RobustAgg | None = None):
     return _gd_round(p, _MEAN if agg is None else agg, _checked_schedule(p, sched))
 
 
-def _gd_round(p: GTVMinProblem, agg, sched, estimates=None):
-    """The _ArrayRound of FedGD under the one schedule sched.
-    estimates maps FedSGD's sampled nodes to their mini-batch gradients:
-    finish overwrites their rows of the exact stacked gradient with one
-    estimate call each, then adds the coupling as at every other row."""
+def _gd_round(p: GTVMinProblem, agg, sched, batches=None):
+    """The _ArrayRound of FedGD under the one schedule sched. batches, FedSGD's
+    estimator, overwrites the sampled nodes' rows of the exact stacked
+    gradient in place; finish then adds the coupling as at every other row."""
     stack = p.stack
     rhos = 2.0 * p.alpha * p.graph.degree
-    if estimates:
-        order = np.arange(p.n)
-        sampled = np.isin(order, list(estimates))
 
     def finish(k, ids, own, avg):
         g = gd_gradient(stack, rhos, ids, own, None)
-        if estimates:
-            hit = np.flatnonzero(sampled[ids])
-            for t, i in zip(hit.tolist(), order[ids][hit].tolist()):
-                g[t] = estimates[i](own[t])
+        if batches is not None:
+            batches(ids, own, g)
         if avg is not None:
             g = g + rhos[ids][:, None] * (own - avg)
         return own - sched.rate(k) * g
@@ -176,44 +170,47 @@ def fedsgd_op(p: GTVMinProblem, batch_size: int, seed: int, sched=None):
     Each event, a node whose dataset holds more than batch_size rows
     estimates its gradient from batch_size rows drawn without replacement
     from its own seeded "batches" stream, one choice call per event it is
-    active in. A node with at most batch_size rows takes its exact gradient;
-    one warning names the nodes with fewer. Returns the round, as fedgd_op
-    does, at any batch size. Requires losses built from datasets.
+    active in; the estimates of all the event's sampled nodes are one
+    stacked product. A node with at most batch_size rows takes its exact
+    gradient; one warning names the nodes with fewer. Returns the round, as
+    fedgd_op does, at any batch size. Requires losses built from datasets.
     """
-    batch_size = int(batch_size)
-    if batch_size < 1:
-        raise ValueError(f"batch size must be at least 1, got {batch_size}")
+    b = int(batch_size)
+    if b < 1:
+        raise ValueError(f"batch size must be at least 1, got {b}")
     sched = _checked_schedule(p, sched)
-    estimates, short = {}, []
-    for i, loss in enumerate(p.losses):
-        if loss.source is None:
+    sources = [loss.source for loss in p.losses]
+    for i, ds in enumerate(sources):
+        if ds is None:
             raise ValueError(f"node {i}: stochastic gradients need a source dataset")
-        m = loss.source.m
-        if batch_size > m:
-            short.append(i)
-        elif batch_size < m:
-            estimates[i] = _batch_gradient(loss, batch_size, seeds.stream(seed, "batches", i))
-    if short:
+    sizes = np.array([ds.m for ds in sources], dtype=np.intp)
+    short = np.flatnonzero(sizes < b)
+    if short.size:
         warnings.warn(
-            f"batch size {batch_size} exceeds dataset size at {len(short)} of {p.n} nodes "
-            f"(first: node {short[0]}, {p.losses[short[0]].source.m} rows); using the full batch",
+            f"batch size {b} exceeds dataset size at {short.size} of {p.n} nodes "
+            f"(first: node {short[0]}, {sizes[short[0]]} rows); using the full batch",
             stacklevel=2,
         )
-    return _gd_round(p, _MEAN, sched, estimates)
+    # Every node's training rows, laid out once: node i's start at starts[i].
+    X = np.concatenate([ds.X for ds in sources])
+    y = np.concatenate([ds.y for ds in sources])
+    starts = np.cumsum(sizes) - sizes
+    ridges = 2.0 * np.array([loss.ridge for loss in p.losses])
+    sampled = sizes > b
+    rngs = {i: seeds.stream(seed, "batches", i) for i in np.flatnonzero(sampled).tolist()}
 
+    def batches(ids, own, g):
+        """g's rows of the sampled nodes among ids, set to their estimates."""
+        hit = np.flatnonzero(sampled[ids])
+        if not hit.size:
+            return
+        nodes, w = np.arange(p.n)[ids][hit], own[hit]
+        rows = np.stack([starts[i] + np.sort(rngs[i].choice(sizes[i], size=b, replace=False)) for i in nodes.tolist()])
+        Xb, r = X[rows], ridges[nodes]
+        g[hit] = (2.0 / b) * (np.swapaxes(Xb, 1, 2) @ (Xb @ w[:, :, None] - y[rows][:, :, None]))[:, :, 0]
+        g[hit[r != 0.0]] += r[r != 0.0, None] * w[r != 0.0]
 
-def _batch_gradient(loss, batch_size, rng):
-    """loss's gradient estimated, per call, on batch_size rows of its
-    dataset that rng draws without replacement."""
-    ds, ridge2 = loss.source, 2.0 * loss.ridge
-
-    def gradient(w):
-        idx = np.sort(rng.choice(ds.m, size=batch_size, replace=False))
-        Xb = ds.X[idx]
-        g = (2.0 / batch_size) * (Xb.T @ (Xb @ w - ds.y[idx]))
-        return g + ridge2 * w if ridge2 != 0.0 else g
-
-    return gradient
+    return _gd_round(p, _MEAN, sched, batches)
 
 
 def fedrelax_op(p: GTVMinProblem, agg: RobustAgg | None = None):
@@ -248,8 +245,7 @@ def _relax_round(p: GTVMinProblem, agg):
     Ps = _relax_inverses(p, rhos)
     fixed = (rhos == 0.0) & (stack.eigenvalues()[:, 0] > 1e-12)
     w_stars = np.zeros_like(qs)
-    for i in np.flatnonzero(fixed).tolist():
-        w_stars[i] = np.linalg.solve(2.0 * stack.Qs[i], -qs[i])
+    w_stars[fixed] = np.linalg.solve(2.0 * stack.Qs[fixed], -qs[fixed][:, :, None])[:, :, 0]
     fixed = fixed[:, None]
 
     def finish(k, ids, own, avg):
@@ -546,8 +542,8 @@ def _server_run(losses, sample_size, w0, seed, local, rec):
     is the driver's single row, so objective(W) and metrics(k, W) see it as
     a (1, d) array. Returns (global block, Trace).
     """
-    stack, losses = stack_losses(losses, "a server run")
-    n, sample_size = len(losses), int(sample_size)
+    stack, _ = stack_losses(losses, "a server run")
+    n, sample_size = 0 if stack is None else stack.cs.shape[0], int(sample_size)
     if not (1 <= sample_size <= n):
         raise ValueError(f"sample size must lie in 1..{n}, got {sample_size}")
     w = np.zeros(stack.d) if w0 is None else np.array(w0, dtype=float)

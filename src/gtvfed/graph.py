@@ -355,12 +355,11 @@ def generate(
     rng = as_rng(seed)
     weight = float(weight)
     if kind == "erdos_renyi":
-        probs = _check_prob(p, "p")
+        p_max = _check_prob(p, "p")
     elif kind == "two_cluster":
         pi = _check_prob(p_in, "p_in")
         po = _check_prob(p_out, "p_out")
-        in_a = np.arange(n) < (n + 1) // 2
-        probs = lambda i, j: np.where(in_a[i] == in_a[j], pi, po)
+        p_max = max(pi, po)
     elif kind == "star":
         ii, jj = np.zeros(n - 1, dtype=np.intp), np.arange(1, n)
         return EmpGraph.from_arrays(n, ii, jj, np.full(n - 1, weight))
@@ -371,7 +370,11 @@ def generate(
         raise GraphError(
             f"unknown graph kind {kind!r}; expected one of {', '.join(GENERATORS)}"
         )
-    ii, jj = _pair_hits(rng, n, probs)
+    ii, jj, u = _pair_hits(rng, n, p_max)
+    if kind == "two_cluster":
+        in_a = np.arange(n) < (n + 1) // 2
+        keep = u < np.where(in_a[ii] == in_a[jj], pi, po)
+        ii, jj = ii[keep], jj[keep]
     return EmpGraph.from_arrays(n, ii, jj, np.full(ii.shape[0], weight))
 
 
@@ -379,9 +382,9 @@ def generate(
 _PAIR_CHUNK = 1 << 20
 
 
-def _pair_hits(rng, n, probs):
-    """Endpoints (ii, jj) of the pairs i < j whose uniform falls below
-    probs, a probability or a map from endpoint arrays to probabilities.
+def _pair_hits(rng, n, p):
+    """Endpoints (ii, jj) of the pairs i < j whose uniform falls below p,
+    and those uniforms.
 
     The n(n-1)/2 pairs take one uniform each in lexicographic order, drawn
     in chunks of at most _PAIR_CHUNK: Generator.random fills each value
@@ -390,27 +393,15 @@ def _pair_hits(rng, n, probs):
     """
     starts = np.cumsum(np.arange(n, 0, -1)) - n  # flat index of pair (i, i + 1)
     total = n * (n - 1) // 2
-
-    def ends(flat, i):
-        return i, flat - starts[i] + i + 1
-
-    hits = []
+    flat, drawn = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
     for lo in range(0, total, _PAIR_CHUNK):
         u = rng.random(min(_PAIR_CHUNK, total - lo))
-        if callable(probs):
-            # Every pair of the chunk: rows first to last, each cut to the chunk.
-            first, last = np.searchsorted(starts, [lo, lo + u.shape[0] - 1], side="right") - 1
-            cuts = np.clip(starts[first : last + 2], lo, lo + u.shape[0])
-            flat = np.arange(lo, lo + u.shape[0])
-            i, j = ends(flat, np.repeat(np.arange(first, last + 1), np.diff(cuts)))
-            keep = u < probs(i, j)
-            hits.append((i[keep], j[keep]))
-        else:
-            flat = np.flatnonzero(u < probs) + lo
-            hits.append(ends(flat, np.searchsorted(starts, flat, side="right") - 1))
-    if not hits:
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-    return tuple(np.concatenate(col) for col in zip(*hits))
+        keep = np.flatnonzero(u < p)
+        flat.append(keep + lo)
+        drawn.append(u[keep])
+    flat = np.concatenate(flat)
+    ii = np.searchsorted(starts, flat, side="right") - 1
+    return ii, flat - starts[ii] + ii + 1, np.concatenate(drawn)
 
 
 def _check_prob(value, name):

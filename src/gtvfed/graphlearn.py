@@ -168,16 +168,16 @@ def learn_graph_budget(D, E_max: float) -> EmpGraph:
         raise ValueError(
             f"budget {E_max} exceeds the ordered-pair capacity {n * (n - 1)}"
         )
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    ranked = sorted(pairs, key=lambda e: (D[e[0], e[1]], e[0], e[1]))
+    ii, jj = np.triu_indices(n, 1)
+    ranked = np.lexsort((jj, ii, D[ii, jj]))
     W = E_max / 2.0
-    full = min(int(math.floor(W + 1e-12)), len(ranked))
+    full = min(int(math.floor(W + 1e-12)), ranked.shape[0])
     rem = W - full
-    edges = [(i, j, 1.0) for i, j in ranked[:full]]
-    if rem > 1e-12 and full < len(ranked):
-        i, j = ranked[full]
-        edges.append((i, j, rem))
-    return EmpGraph(n, edges)
+    weights = np.ones(full)
+    if rem > 1e-12 and full < ranked.shape[0]:
+        weights = np.append(weights, rem)
+    ranked = ranked[: weights.shape[0]]
+    return EmpGraph.from_arrays(n, ii[ranked], jj[ranked], weights)
 
 
 def graph_objective(D, g: EmpGraph) -> float:

@@ -85,6 +85,7 @@ class GTVMinProblem:
 
     def __init__(self, graph: EmpGraph, losses, alpha: float, d=None):
         stack, losses = stack_losses(losses, "GTVMin", d)
+        losses = stack.losses() if losses is None else losses
         if len(losses) != graph.n:
             raise ValueError(
                 f"got {len(losses)} losses for a graph with {graph.n} nodes"

@@ -279,18 +279,20 @@ class QuadStack:
 
 
 def stack_losses(losses, who: str, d=None) -> tuple:
-    """(stack, per-node losses) of losses: a QuadStack and its views, or a
-    sequence of QuadLoss, which must agree on the block dimension (and on
-    d when given), and their stack, built once (None for no losses). Any
-    other loss is rejected by node, as one that `who` does not take."""
+    """(stack, per-node losses) of losses: a QuadStack as it is, with None
+    for its views, which are not built; or a sequence of QuadLoss, which
+    must agree on the block dimension, and their stack, built once (None
+    for no losses). Either must agree with d when given. Any other loss is
+    rejected by node, as one that `who` does not take."""
     if isinstance(losses, QuadStack):
-        stack, losses = losses, losses.losses()
+        stack, losses, dims = losses, None, {losses.d}
     else:
         stack, losses = None, tuple(losses)
-    for i, loss in enumerate(losses):
-        if not isinstance(loss, QuadLoss):
-            raise ValueError(f"node {i}: {who} takes a QuadLoss, got {type(loss).__name__}")
-    dims = {loss.d for loss in losses} | ({int(d)} if d is not None else set())
+        for i, loss in enumerate(losses):
+            if not isinstance(loss, QuadLoss):
+                raise ValueError(f"node {i}: {who} takes a QuadLoss, got {type(loss).__name__}")
+        dims = {loss.d for loss in losses}
+    dims |= {int(d)} if d is not None else set()
     if len(dims) > 1:
         raise ValueError(f"losses disagree on the block dimension: {sorted(dims)}")
     if stack is None and losses:

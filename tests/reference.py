@@ -6,9 +6,12 @@ one node and one neighbour message at a time, over every past state; it
 takes any sequence of per-node operators (a solver's round, or hand-built
 NodeOperators) and any plain message hook. The server runs are written the
 same way, one sampled client at a time. The other kernels are the
-networked objective's gradients over the flat vector, a seeded noise draw
-and a SenderRewrite as a per-message function.
+networked objective's gradients over the flat vector, one node's seeded
+mini-batch gradient, the budgeted graph learner's pair ranking, a seeded
+noise draw and a SenderRewrite as a per-message function.
 """
+
+import math
 
 import numpy as np
 
@@ -147,6 +150,21 @@ def batch_gradient_fn(p: GTVMinProblem):
     return grad
 
 
+def mini_batch_gradient(loss, batch_size, rng):
+    """loss's gradient estimated, per call, on batch_size rows of its
+    dataset that rng draws without replacement; FedSGD's estimate at one
+    node, which the round takes for every sampled node in one product."""
+    ds, ridge2 = loss.source, 2.0 * loss.ridge
+
+    def gradient(w):
+        idx = np.sort(rng.choice(ds.m, size=batch_size, replace=False))
+        Xb = ds.X[idx]
+        g = (2.0 / batch_size) * (Xb.T @ (Xb @ w - ds.y[idx]))
+        return g + ridge2 * w if ridge2 != 0.0 else g
+
+    return gradient
+
+
 def flat_loss(p: GTVMinProblem) -> CallableLoss:
     """The networked objective as a single loss over the flat vector; its
     gradient steps equal FedGD's synchronous rounds bit for bit."""
@@ -160,6 +178,21 @@ def flat_loss(p: GTVMinProblem) -> CallableLoss:
         return batch(wflat.reshape(n, d)).reshape(-1)
 
     return CallableLoss(value, gradient, d=n * d)
+
+
+def budget_edges(D, E_max):
+    """The budgeted graph's edge list, pair by pair: every pair i < j
+    sorted by (D_ij, i, j), unit weights on the first floor(E_max / 2),
+    and the fractional remainder, if any, on the next."""
+    n = D.shape[0]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    ranked = sorted(pairs, key=lambda e: (D[e[0], e[1]], e[0], e[1]))
+    W = E_max / 2.0
+    full = min(int(math.floor(W + 1e-12)), len(ranked))
+    edges = [(i, j, 1.0) for i, j in ranked[:full]]
+    if W - full > 1e-12 and full < len(ranked):
+        edges.append(ranked[full] + (W - full,))
+    return edges
 
 
 def dp_noise(block, mech: DPMechanism, node: int = 0, counter: int = 0) -> np.ndarray:

@@ -9,13 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import event
-from reference import fedavg_client, fedprox_client, reference_run, reference_server_run, sender_hook
+from reference import (
+    fedavg_client, fedprox_client, mini_batch_gradient, reference_run, reference_server_run, sender_hook
+)
 
 from gtvfed import harness, seeds, trust
 from gtvfed.algorithms import (
     _ArrayRound,
     _relax_inverses,
     AsyncSchedule,
+    NodeOperator,
     fedavg_run,
     fedgd_op,
     fedprox_run,
@@ -632,6 +635,79 @@ def test_hook_free_rounds_match_the_per_node_updates(case):
         assert fast.tobytes() == ref.tobytes()
 
 
+def reference_fedsgd(p, batch_size, seed, sched):
+    """FedSGD's round node by node: mini_batch_gradient on the node's own
+    "batches" stream where it holds more than batch_size rows, its exact
+    gradient elsewhere, plus the coupling at the weighted neighbour mean."""
+    rhos = 2.0 * p.alpha * p.graph.degree
+    ops = []
+    for i, loss in enumerate(p.losses):
+        ids, wts = p.neighbor_arrays(i)
+        if loss.source.m > batch_size:
+            grad = mini_batch_gradient(loss, batch_size, seeds.stream(seed, "batches", i))
+        else:
+            grad = loss.gradient
+
+        def update(own, nbrs, k, grad=grad, rho=rhos[i], wts=wts):
+            g = grad(own)
+            if rho != 0.0:
+                g = g + rho * (own - aggregate(nbrs, wts, RobustAgg.mean()))
+            return own - sched.rate(k) * g
+
+        ops.append(NodeOperator(update, ids))
+    return ops
+
+
+@st.composite
+def fedsgd_runs(draw):
+    """FedSGD with a batch of 1..4 on a problem with isolated nodes and
+    d = 1..3. Nodes hold fewer rows than the batch (no rows at all when the
+    batch is small), as many, or more (at least one node); each node's
+    ridge is 0 or 0.3, and alpha 0 or not. Comes with its seed, a start and
+    a partially-async schedule."""
+    b = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    base = generate("erdos_renyi", draw(st.integers(1, 9)), seed=seed, p=draw(st.sampled_from([0.0, 0.4, 0.9])))
+    g = with_isolated(base, draw(st.integers(0, 2)))
+    d = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(max(0, b - 2), b + 3), min_size=g.n, max_size=g.n))
+    sizes[draw(st.integers(0, g.n - 1))] = b + draw(st.integers(1, 3))
+    ridges = draw(st.lists(st.sampled_from([0.0, 0.3]), min_size=g.n, max_size=g.n))
+    rng = np.random.default_rng(seed)
+    losses = [
+        from_dataset(LocalDataset(rng.standard_normal((m, d)), rng.standard_normal(m)), ridge)
+        for m, ridge in zip(sizes, ridges)
+    ]
+    p = GTVMinProblem(g, losses, draw(st.sampled_from([0.0, 0.6])))
+    schedule = gen_partially_async(g, draw(st.integers(1, 3)), 8, seed=seed)
+    return p, b, seed, rng.standard_normal((g.n, d)), schedule
+
+
+@pytest.mark.filterwarnings("ignore:.*using the full batch")
+@settings(max_examples=150, deadline=None)
+@given(fedsgd_runs())
+def test_fedsgd_stacked_estimates_match_the_per_node_kernel(case):
+    # A sampled node's estimate enters its row at every event it is active
+    # in, so equal rows at every event mean equal estimates: the same draws
+    # from each node's stream, in the same order, and the same ridge terms.
+    p, b, seed, w0, schedule = case
+    sched = LRSchedule.constant(0.02)
+    record = dict(metrics=lambda k, W: {"w": W.tobytes()})
+    for run, reference in (
+        (
+            lambda ops: run_sync(ops, w0, StopRule(max_iters=6), **record),
+            lambda ops: reference_run(ops, w0, StopRule(max_iters=6), **record),
+        ),
+        (
+            lambda ops: run_async(ops, w0, schedule, **record),
+            lambda ops: reference_run(ops, w0, schedule=schedule, **record),
+        ),
+    ):
+        _, fast = run(fedsgd_op(p, b, seed, sched=sched))
+        _, want = reference(reference_fedsgd(p, b, seed, sched))
+        assert fast.extras["w"] == want.extras["w"]
+
+
 def test_rounds_never_build_the_dense_adjacency(monkeypatch):
     g = with_isolated(generate("erdos_renyi", 40, weight=0.3, seed=2, p=0.2), 2)
     rng = np.random.default_rng(5)
@@ -737,6 +813,35 @@ def test_stacked_relax_inverses_equal_per_node_inv(d, n, p_edge, ridge, alpha, s
         assert Ps[i].tobytes() == ref.tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.integers(1, 8),
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.0, 0.4]),
+    st.sampled_from([0.0, 0.8]),
+    st.integers(0, 2**31),
+)
+def test_lone_nodes_take_the_per_node_minimiser(d, n, p_edge, ridge, alpha, seed):
+    # One stacked solve gives each lone node (no neighbours, or alpha 0)
+    # the bits of its own solve; a lone node without a unique minimiser
+    # keeps its block.
+    g = generate("erdos_renyi", n, seed=seed, p=p_edge)
+    rng = np.random.default_rng(seed)
+    losses = [
+        from_dataset(generate_local(rng.standard_normal(d), int(m), 0.2, seed=seed + i), ridge)
+        for i, m in enumerate(rng.integers(0, 2 * d, size=n))
+    ]
+    p = GTVMinProblem(g, losses, alpha)
+    ops = fedrelax_op(p)
+    own = rng.standard_normal(d)
+    for i in np.flatnonzero(alpha * g.degree == 0.0).tolist():
+        loss = losses[i]
+        unique = np.linalg.eigvalsh(loss.Q)[0] > 1e-12
+        want = np.linalg.solve(2.0 * loss.Q, -loss.q) if unique else own
+        assert ops[i].update(own, np.zeros((0, d)), 0).tobytes() == want.tobytes()
+
+
 # ------------------------------------------------------------- server runs
 
 FEDAVG_CONFIG = """\
@@ -764,6 +869,24 @@ def test_server_runs_record_the_last_round_off_the_stride():
     text = FEDAVG_CONFIG.format(stride=7).replace("fedavg\n", "fedprox\n")
     report = run_experiment(parse_config(text))
     assert sorted({row[0] for row in report.rows}) == list(range(0, 100, 7)) + [100]
+
+
+def test_server_runs_build_no_loss_views_of_a_stack(monkeypatch):
+    calls = []
+    views = QuadStack.losses
+
+    def counted(self):
+        calls.append(self)
+        return views(self)
+
+    monkeypatch.setattr(QuadStack, "losses", counted)
+    rng = np.random.default_rng(2)
+    stack = QuadStack.of([from_dataset(generate_local(rng.standard_normal(3), 6, 0.2, seed=i)) for i in range(5)])
+    fedavg_run(stack, 2, 3, LRSchedule.constant(0.05), StopRule(max_iters=4), seed=1)
+    assert calls == []
+    # The run builds its problem's views once, as p.losses.
+    run_experiment(parse_config(FEDAVG_CONFIG.format(stride=10)))
+    assert len(calls) == 1
 
 
 @st.composite

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gtvfed import graph as graphmod
 from gtvfed import seeds
 from gtvfed.graph import (
     ConsensusSplit,
@@ -229,6 +230,13 @@ def test_generate_matches_pinned_edge_lists(kind, n, probs, seed, digest):
         seed = seeds.stream(11, "graph")
     g = generate(kind, n, seed=seed, **probs)
     assert hashlib.sha256(repr(g.edges).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("kind,n,probs,seed,digest", GENERATED_DIGESTS)
+def test_generate_draws_the_same_graph_in_small_chunks(monkeypatch, kind, n, probs, seed, digest):
+    # Chunks of 7 uniforms cut rows and clusters at many places.
+    monkeypatch.setattr(graphmod, "_PAIR_CHUNK", 7)
+    test_generate_matches_pinned_edge_lists(kind, n, probs, seed, digest)
 
 
 def test_lambda2_degree_check_path_and_clique():

@@ -6,9 +6,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import budget_edges
 
 import gtvfed
 from gtvfed import cli
+from gtvfed.graph import EmpGraph
 from gtvfed.graphlearn import (
     DiscrepancyMatrix,
     discrepancy,
@@ -162,6 +166,17 @@ def test_budget_learner_tie_break_is_lexicographic():
     D = np.ones((3, 3)) - np.eye(3)
     g = learn_graph_budget(D, 2.0)
     assert g.edges == ((0, 1, 1.0),)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 14), st.integers(0, 2**32 - 1), st.sampled_from([2, 5, None]), st.floats(0.0, 1.0))
+def test_budget_learner_ranks_pairs_as_the_per_pair_sort(n, seed, levels, share):
+    # Few discrepancy levels make many ties, broken on (i, j).
+    rng = np.random.default_rng(seed)
+    A = rng.random((n, n)) if levels is None else rng.integers(0, levels, (n, n)).astype(float)
+    D = np.triu(A, 1) + np.triu(A, 1).T
+    E = float(np.round(share * n * (n - 1), 1))
+    assert learn_graph_budget(D, E).edges == EmpGraph(n, budget_edges(D, E)).edges
 
 
 def test_budget_learner_rejects_bad_budgets():
